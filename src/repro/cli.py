@@ -20,13 +20,11 @@ Examples::
     repro-hlts bench-timing           # write BENCH_timing.json
     repro-hlts bench-analysis         # time structural vs enumerative
     repro-hlts table1 --workers 4 --cache-dir .repro-cache
-    repro-hlts bench-tables           # write BENCH_tables.json
     repro-hlts serve submit ex --bits 8
     repro-hlts serve run              # drain the queue, then exit
     repro-hlts serve status           # the WAL-replayed job table
     repro-hlts serve result <job-id-prefix>
     repro-hlts serve --stats          # WAL-derived service metrics
-    repro-hlts bench-service          # write BENCH_service.json
 """
 
 from __future__ import annotations
@@ -58,8 +56,8 @@ def _add_journal(parser: argparse.ArgumentParser) -> None:
 
 def _add_parallel(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="worker processes for grid cells "
-                             "(default: the CPU count; 1 = run inline)")
+                        help="worker processes for grid cells (default: "
+                             "one per CPU this process may use; 1 = inline)")
     parser.add_argument("--cache-dir", metavar="PATH", default=None,
                         help="content-hash result cache directory; "
                              "repeated cells (and bit-width-independent "
@@ -75,45 +73,45 @@ def _make_cache(args):
     return ResultCache(cache_dir=Path(args.cache_dir))
 
 
-def _report_skips(outcome) -> int:
+def _report_skips(cells) -> int:
     """Print skipped-cell notes; exit 1 for an explicitly partial grid."""
-    for skip in outcome.skipped:
+    for skip in cells.skipped:
         print(f"note: lost {skip.flow}/{skip.bits}-bit: {skip.reason}",
               file=sys.stderr)
-    return 0 if outcome.ok() else 1
+    return 0 if cells.ok() else 1
 
 
 def _table_command(args, benchmark: str) -> int:
-    from .harness.parallel import run_parallel_grid
-    from .runtime import Journal
+    from .runtime import Journal, run_journaled_grid
+    from .runtime.worker import worker_count
     grid = [(flow, bits) for flow in FLOW_ORDER for bits in args.bits]
     journal = Journal(args.journal) if args.journal else None
-    outcome = run_parallel_grid(
-        benchmark, grid, ExperimentConfig.quick,
-        workers=args.workers, journal=journal, resume=args.resume,
-        cache=_make_cache(args),
-        progress=lambda msg: print(msg, file=sys.stderr))
-    print(render_table(benchmark, outcome.cells, show_area=True))
-    return _report_skips(outcome)
+    cells = run_journaled_grid(
+        benchmark, grid, ExperimentConfig.quick, journal=journal,
+        resume=args.resume,
+        progress=lambda msg: print(msg, file=sys.stderr),
+        workers=worker_count(args.workers), cache=_make_cache(args))
+    print(render_table(benchmark, cells, show_area=True))
+    return _report_skips(cells)
 
 
 def _bench_command(args) -> int:
-    from .harness.parallel import run_parallel_grid
-    from .runtime import Budget, Journal
+    from .runtime import Budget, Journal, run_journaled_grid
+    from .runtime.worker import worker_count
     budget = (Budget(wall_seconds=args.wall_seconds)
               if args.wall_seconds is not None else None)
     journal = Journal(args.journal) if args.journal else None
-    outcome = run_parallel_grid(
-        args.benchmark, [(args.flow, args.bits)],
-        ExperimentConfig.quick, workers=args.workers, journal=journal,
-        resume=args.resume, cache=_make_cache(args), budget=budget,
-        progress=lambda msg: print(msg, file=sys.stderr))
-    print(render_summary(outcome.cells))
-    for cell in outcome.cells:
+    cells = run_journaled_grid(
+        args.benchmark, [(args.flow, args.bits)], ExperimentConfig.quick,
+        journal=journal, resume=args.resume,
+        progress=lambda msg: print(msg, file=sys.stderr), budget=budget,
+        workers=worker_count(args.workers), cache=_make_cache(args))
+    print(render_summary(cells))
+    for cell in cells:
         for reason in getattr(cell, "degradation", ()):
             print(f"note: {cell.flow}/{cell.bits}-bit degraded: {reason}",
                   file=sys.stderr)
-    return _report_skips(outcome)
+    return _report_skips(cells)
 
 
 def _chaos_command(args) -> int:
@@ -840,20 +838,6 @@ def main(argv: list[str] | None = None) -> int:
     _add_spool(q)
 
     p = sub.add_parser(
-        "bench-service",
-        help="benchmark the service: cold vs warm drain plus an "
-             "injected-fault round; write BENCH_service.json")
-    p.add_argument("--benchmarks", nargs="+", choices=names(),
-                   default=["ex", "paulin", "tseng"],
-                   help="one job per benchmark (default: ex paulin tseng)")
-    p.add_argument("--bits", type=int, default=4,
-                   help="data-path width of every job (default: 4)")
-    p.add_argument("--output", default="BENCH_service.json",
-                   help="output path (default: BENCH_service.json)")
-    p.add_argument("--workdir", default=None,
-                   help="keep spools/cache here instead of a temp dir")
-
-    p = sub.add_parser(
         "lint",
         help="design-rule check (DFG -> ETPN -> schedule -> binding -> gates)")
     p.add_argument("targets", nargs="*", metavar="TARGET",
@@ -1002,23 +986,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--output", default="BENCH_analysis.json",
                    help="output path (default: BENCH_analysis.json)")
 
-    p = sub.add_parser(
-        "bench-tables",
-        help="time sequential vs parallel vs warm-cache table runs and "
-             "write BENCH_tables.json")
-    p.add_argument("--benchmark", choices=names(), default="ex",
-                   help="benchmark whose table grid is timed (default: ex)")
-    p.add_argument("--bits", type=int, nargs="+", default=[4, 8, 16],
-                   help="data-path widths of the grid (default: 4 8 16)")
-    p.add_argument("--workers", type=int, default=4, metavar="N",
-                   help="worker processes for the parallel runs "
-                        "(default: 4)")
-    p.add_argument("--output", default="BENCH_tables.json",
-                   help="output path (default: BENCH_tables.json)")
-    p.add_argument("--cache-dir", metavar="PATH", default=None,
-                   help="keep the warm cache here instead of a "
-                        "throwaway temp directory")
-
     args = parser.parse_args(argv)
 
     from .errors import ReproError
@@ -1062,11 +1029,11 @@ def _dispatch(args, parser: argparse.ArgumentParser) -> int:
                   f"(dE={record.delta_e:+.0f}, dH={record.delta_h:+.4f})")
         return 0
     if args.command == "explore":
-        from .harness.parallel import explore_grid
-        from .synth import pareto_front, render_front
-        points = explore_grid(
-            args.benchmark, args.bits, workers=args.workers,
-            cache=_make_cache(args),
+        from .runtime.worker import worker_count
+        from .synth import explore, pareto_front, render_front
+        points = explore(
+            load(args.benchmark), CostModel(bits=args.bits),
+            cache=_make_cache(args), workers=worker_count(args.workers),
             progress=lambda msg: print(msg, file=sys.stderr))
         print("all distinct designs:")
         print(render_front(points))
@@ -1103,19 +1070,6 @@ def _dispatch(args, parser: argparse.ArgumentParser) -> int:
         return _chaos_command(args)
     if args.command == "serve":
         return _serve_command(args)
-    if args.command == "bench-service":
-        from .harness.bench_service import run_bench_service
-        report = run_bench_service(
-            benchmarks=args.benchmarks, bits=args.bits,
-            output=args.output, workdir=args.workdir,
-            progress=lambda msg: print(msg, file=sys.stderr))
-        print(f"wrote {args.output}: {report['jobs']} jobs, "
-              f"warm speedup {report['warm_speedup']}x, "
-              f"fault round: {report['fault_round']['retries']} retries, "
-              f"{report['fault_round']['quarantined']} quarantined, "
-              f"results identical: {report['results_identical']}")
-        return 0 if (report["results_identical"]
-                     and report["fault_round"]["all_real_jobs_done"]) else 1
     if args.command == "lint":
         return _lint_command(args)
     if args.command == "analyze":
@@ -1159,17 +1113,6 @@ def _dispatch(args, parser: argparse.ArgumentParser) -> int:
               f"{report['structural_faster']}/{report['cells_total']}")
         return 0 if report["structural_faster"] == report["cells_total"] \
             else 1
-    if args.command == "bench-tables":
-        from .harness.bench_tables import run_bench_tables
-        report = run_bench_tables(
-            benchmark=args.benchmark, bits=args.bits, workers=args.workers,
-            output=args.output, cache_dir=args.cache_dir,
-            progress=lambda msg: print(msg, file=sys.stderr))
-        print(f"wrote {args.output}: speedup {report['speedup']}x "
-              f"(parallel-cold {report['speedup_cold']}x, "
-              f"warm hit rate {report['warm_hit_rate']}), "
-              f"rows identical: {report['rows_identical']}")
-        return 0 if report["rows_identical"] else 1
     parser.error(f"unknown command {args.command!r}")
     return 2
 

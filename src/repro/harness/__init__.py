@@ -1,19 +1,17 @@
 """Experiment harness: table/figure regeneration for the paper's §5.
 
-Grids run through :func:`~repro.harness.parallel.run_parallel_grid`
-(process-pool sharding + checkpoint journal + content-hash cache);
-:mod:`~repro.harness.cache` provides the cache and
-:mod:`~repro.harness.bench_tables` the end-to-end perf baseline.
+:func:`~repro.harness.experiment.run_cell` produces one table cell;
+:func:`~repro.harness.cache.evaluate_cell`, the one evaluator every grid
+cell and service job goes through, runs it through the content-hash
+cache.  Grids run through :func:`~repro.runtime.run_journaled_grid`.
 """
 
-from .cache import (CacheStats, ResultCache, cell_key, run_cell_cached,
-                    synthesis_key)
+from .cache import (CacheStats, ResultCache, cell_key, evaluate_cell,
+                    run_cell_cached, synthesis_key)
 from .experiment import (CellResult, ExperimentConfig, FLOW_ORDER,
-                         PAPER_PARAMS, run_benchmark_table, run_cell,
-                         synthesize_flow, synthesize_flow_result)
+                         PAPER_PARAMS, run_cell, synthesize_flow,
+                         synthesize_flow_result)
 from .figures import render_lifetimes, render_schedule, render_sharing
-from .parallel import (GridOutcome, SkippedCell, explore_grid,
-                       run_parallel_grid)
 from .report import load_rows, render_report, shape_checks, write_report
 from .tables import format_allocation, render_summary, render_table
 
@@ -23,11 +21,9 @@ __all__ = [
     "CacheStats",
     "CellResult",
     "ExperimentConfig",
-    "GridOutcome",
     "ResultCache",
-    "SkippedCell",
     "cell_key",
-    "explore_grid",
+    "evaluate_cell",
     "format_allocation",
     "load_rows",
     "render_lifetimes",
@@ -36,10 +32,8 @@ __all__ = [
     "render_summary",
     "render_report",
     "render_table",
-    "run_benchmark_table",
     "run_cell",
     "run_cell_cached",
-    "run_parallel_grid",
     "shape_checks",
     "synthesis_key",
     "synthesize_flow",

@@ -27,7 +27,7 @@ cached:
   cache hit renders byte-identically to the cold run it memoises.
 
 The cache has an in-memory tier (per process) and an optional on-disk
-tier (``cache_dir``) shared by the parallel executor's workers: entries
+tier (``cache_dir``) shared by the grid runner's worker processes: entries
 are content-addressed and written atomically
 (:func:`~repro.runtime.atomic.atomic_write_text`), so concurrent
 writers of the same key produce the same bytes and readers never see a
@@ -41,7 +41,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Optional, TYPE_CHECKING
+from typing import Any, Callable, Optional, TYPE_CHECKING
 
 from ..runtime.atomic import atomic_write_text
 
@@ -142,29 +142,6 @@ class CacheStats:
         """Fraction of lookups served from either tier (0.0 when idle)."""
         return self.hits / self.lookups if self.lookups else 0.0
 
-    def snapshot(self) -> "CacheStats":
-        return CacheStats(self.memory_hits, self.disk_hits,
-                          self.misses, self.stores)
-
-    def delta(self, before: "CacheStats") -> "CacheStats":
-        """Counter change since ``before`` (a prior :meth:`snapshot`)."""
-        return CacheStats(self.memory_hits - before.memory_hits,
-                          self.disk_hits - before.disk_hits,
-                          self.misses - before.misses,
-                          self.stores - before.stores)
-
-    def add(self, other: "CacheStats") -> None:
-        self.memory_hits += other.memory_hits
-        self.disk_hits += other.disk_hits
-        self.misses += other.misses
-        self.stores += other.stores
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"memory_hits": self.memory_hits, "disk_hits": self.disk_hits,
-                "hits": self.hits, "misses": self.misses,
-                "stores": self.stores,
-                "hit_rate": round(self.hit_rate(), 4)}
-
 
 # ----------------------------------------------------------------------
 # The cache
@@ -217,27 +194,45 @@ class ResultCache:
                 self._memory.pop(next(iter(self._memory)))
                 self.evictions += 1
 
-    def get(self, key: str) -> Optional[dict]:
-        """The payload stored under ``key``, or None on a miss."""
-        payload = self._memory.get(key)
+    def get(self, key: str,
+            restore: Callable[[dict], Any] = lambda payload: payload
+            ) -> Any:
+        """The entry under ``key`` passed through ``restore``, or None.
+
+        An entry that ``restore`` rejects (raises or returns None) is
+        counted as a miss, like an absent one, and is dropped from the
+        memory tier: only a usable entry is a hit.
+        """
+        tier, payload = "memory", self._memory.get(key)
+        if payload is None and self.cache_dir is not None:
+            tier, payload = "disk", self._read_disk(key)
         if payload is not None:
-            self._remember(key, payload)  # refresh recency
-            self.stats.memory_hits += 1
-            return payload
-        if self.cache_dir is not None:
             try:
-                entry = json.loads(self._disk_path(key).read_text())
-            except (OSError, ValueError):
-                entry = None
-            if (isinstance(entry, dict)
-                    and entry.get("format") == ENTRY_FORMAT
-                    and entry.get("key") == key
-                    and isinstance(entry.get("payload"), dict)):
-                payload = entry["payload"]
-                self._remember(key, payload)
-                self.stats.disk_hits += 1
-                return payload
+                value = restore(payload)
+            except Exception:  # noqa: BLE001 - corrupt entry == miss
+                value = None
+            if value is not None:
+                self._remember(key, payload)  # (re)insert as most recent
+                if tier == "memory":
+                    self.stats.memory_hits += 1
+                else:
+                    self.stats.disk_hits += 1
+                return value
+            self._memory.pop(key, None)
         self.stats.misses += 1
+        return None
+
+    def _read_disk(self, key: str) -> Optional[dict]:
+        """The payload of a well-formed disk entry for ``key``, or None."""
+        try:
+            entry = json.loads(self._disk_path(key).read_text())
+        except (OSError, ValueError):
+            return None
+        if (isinstance(entry, dict)
+                and entry.get("format") == ENTRY_FORMAT
+                and entry.get("key") == key
+                and isinstance(entry.get("payload"), dict)):
+            return entry["payload"]
         return None
 
     def put(self, key: str, payload: dict) -> None:
@@ -259,14 +254,7 @@ class ResultCache:
     # ------------------------------------------------------------------
     def get_synthesis(self, key: str) -> "SynthesisResult | None":
         """A cached synthesis result, rebuilt and re-validated."""
-        payload = self.get(key)
-        if payload is None:
-            return None
-        try:
-            return _restore_synthesis(payload)
-        except Exception:  # noqa: BLE001 - corrupt entry == miss
-            self._memory.pop(key, None)
-            return None
+        return self.get(key, _restore_synthesis)
 
     def put_synthesis(self, key: str, result: "SynthesisResult") -> None:
         """Store a *complete* synthesis result (degraded runs are not
@@ -281,10 +269,8 @@ class ResultCache:
     # ------------------------------------------------------------------
     def get_cell(self, key: str) -> Optional[dict]:
         """A cached cell's journal-style record, or None."""
-        payload = self.get(key)
-        if payload is not None and payload.get("kind") == "cell":
-            return payload
-        return None
+        return self.get(key, lambda payload: payload
+                        if payload.get("kind") == "cell" else None)
 
     def put_cell(self, key: str, record: dict) -> None:
         """Store one completed cell's journal-style record."""
@@ -329,7 +315,7 @@ def run_cell_cached(benchmark: str, flow: str, config: Any,
     :class:`~repro.harness.experiment.CellResult` on a miss and a
     :class:`~repro.runtime.checkpoint.JournaledCell` on a hit — the two
     render identically.  The provenance dict records the cell-tier
-    verdict and the per-cell cache counter deltas.
+    verdict and the cache key.
     """
     from ..bench import load
     from ..runtime.checkpoint import cell_record, restore_cell
@@ -340,14 +326,32 @@ def run_cell_cached(benchmark: str, flow: str, config: Any,
             "cell_cache": "off"}
 
     key = cell_key(load(benchmark), flow, config.bits, config)
-    before = cache.stats.snapshot()
     record = cache.get_cell(key)
     if record is not None:
-        return restore_cell(record), {
-            "cell_cache": "hit", "cache_key": key,
-            "cache_stats": cache.stats.delta(before).to_dict()}
+        return restore_cell(record), {"cell_cache": "hit", "cache_key": key}
     cell = run_cell(benchmark, flow, config, budget=budget, cache=cache)
     if not cell.degraded:
         cache.put_cell(key, cell_record(cell, provenance={"cache_key": key}))
-    return cell, {"cell_cache": "miss", "cache_key": key,
-                  "cache_stats": cache.stats.delta(before).to_dict()}
+    return cell, {"cell_cache": "miss", "cache_key": key}
+
+
+def evaluate_cell(benchmark: str, flow: str, config: Any,
+                  cache: Optional[ResultCache] = None,
+                  budget: Any = None) -> tuple[Any, dict]:
+    """Evaluate one cell, a grid cell or a service job: visit the
+    ``harness.worker`` chaos seam, run :func:`run_cell_cached`, and
+    return ``(cell, journal record)``.  The record's provenance keeps
+    the cache key and a degraded cell's reasons (the why, not just the
+    row's degraded bit); a cache hit's stored record is kept as is."""
+    from ..runtime.chaos import chaos_point
+    from ..runtime.checkpoint import cell_record
+
+    chaos_point("harness.worker", (benchmark, flow, config.bits))
+    cell, provenance = run_cell_cached(benchmark, flow, config, cache=cache,
+                                       budget=budget)
+    if provenance["cell_cache"] == "hit":
+        return cell, cell_record(cell)
+    extra = {k: v for k, v in provenance.items() if k == "cache_key"}
+    if cell.degradation:
+        extra["degradation"] = list(cell.degradation)
+    return cell, cell_record(cell, provenance=extra)

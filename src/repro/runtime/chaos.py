@@ -22,9 +22,9 @@ Seams (see DESIGN.md §11):
 ``atpg.podem_step``       top of the PODEM decision loop (payload: the
                           active :class:`~repro.runtime.budget.Budget`)
 ``journal.pre_write``     immediately before a journal rename commits
-``harness.worker``        top of one grid cell's evaluation inside a
-                          parallel-harness worker (payload: the cell's
-                          (benchmark, flow, bits) key)
+``harness.worker``        top of one cell's evaluation (a grid cell or
+                          a service job, inline or in a worker; payload:
+                          the cell's (benchmark, flow, bits) key)
 ``timing.cone_eval``      inside the static timing analyser's
                           per-endpoint barrier, just before one
                           endpoint's cone is resolved (payload: the
@@ -38,11 +38,9 @@ Seams (see DESIGN.md §11):
 ``service.ledger_write``  immediately before one WAL transition is
                           committed to the service ledger (payload:
                           the transition record)
-``service.worker_reap``   the supervisor's completion/reap check for a
+``service.worker_reap``   the supervisor's completion of a finished
                           job — after its result is spooled but before
-                          ``done`` is ledgered inline; once per
-                          supervision poll per running worker in
-                          process mode (payload: the job id)
+                          ``done`` is ledgered (payload: the job id)
 ====================== ==================================================
 """
 
@@ -198,8 +196,8 @@ def clear_injector() -> None:
     For forked worker processes only: a ``fork`` start method copies
     the parent's module state, including an injector the parent entered
     — a worker must not replay the parent's chaos plan on its own seam
-    counters, so the parallel harness clears the inherited injector in
-    its pool initializer and activates per-cell plans explicitly.
+    counters, so every :mod:`repro.runtime.worker` process clears the
+    inherited injector first; per-cell plans are activated explicitly.
     """
     global _ACTIVE
     _ACTIVE = None

@@ -17,18 +17,25 @@ the pre-rendered allocation lines — so restoring never re-runs
 synthesis, and deterministic fields of a resumed table are
 byte-identical to an uninterrupted run (wall-clock seconds are the one
 nondeterministic column; the chaos harness masks them when comparing).
+
+:func:`run_journaled_grid` is the one way a grid of cells runs — the
+table and ``bench`` commands, the chaos scenarios and the benchmark all
+call it — inline or with one worker process per cell.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .atomic import atomic_write_text
-from .chaos import chaos_point
+from .budget import Budget
+from .chaos import ChaosInjector, Injection, active_injector, chaos_point
+from .worker import InlineRunner, ProcessRunner, Task, run_tasks
 
 #: Journal format tag; bump on incompatible record changes.
 JOURNAL_FORMAT = "repro-journal-v1"
@@ -228,49 +235,165 @@ def scrubbed_records(records: list[dict],
     return "\n".join(json.dumps(r, sort_keys=True) for r in scrubbed)
 
 
+@dataclass(frozen=True)
+class SkippedCell:
+    """A grid cell that produced no row: its evaluation raised, its
+    worker died or was reaped, or Ctrl-C cut the run short."""
+
+    benchmark: str
+    flow: str
+    bits: int
+    reason: str
+
+    @property
+    def key(self) -> CellKey:
+        return (self.benchmark, self.flow, self.bits)
+
+
+class GridCells(list[Any]):
+    """The cells of one grid run in grid order — a live ``CellResult``
+    per computed cell, a :class:`JournaledCell` per replayed or
+    cache-served one; they render identically — and what became of the
+    rest.  Skipped cells are absent: the grid is explicitly partial."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.skipped: list[SkippedCell] = []
+        self.replayed = 0
+        self.computed = 0
+        #: Ctrl-C cut the run short; finished cells are journaled, the
+        #: unfinished ones skipped as ``"interrupted"``.
+        self.interrupted = False
+
+    def ok(self) -> bool:
+        """True when no cell was lost."""
+        return not self.skipped
+
+
+def _grid_cell(key: CellKey, config: Any, cache: Any, budget: Any,
+               cell_wall_seconds: Optional[float],
+               injections: tuple[Injection, ...]) -> tuple[Any, dict]:
+    """One grid cell through the shared evaluator: under a fresh
+    per-cell budget when the grid has no shared one, and under its own
+    chaos plan unless an injector is already active."""
+    from ..harness.cache import evaluate_cell
+
+    if budget is None and cell_wall_seconds is not None:
+        budget = Budget(wall_seconds=cell_wall_seconds)
+    plan: AbstractContextManager[Any] = (
+        ChaosInjector(*injections)
+        if injections and active_injector() is None else nullcontext())
+    with plan:
+        return evaluate_cell(key[0], key[1], config, cache=cache,
+                             budget=budget)
+
+
+def _label(key: CellKey) -> str:
+    return f"{key[0]}/{key[1]}/{key[2]}-bit"
+
+
 def run_journaled_grid(benchmark: str,
                        grid: Iterable[tuple[str, int]],
                        config_for: Callable[[int], Any],
                        journal: Optional[Journal] = None,
                        resume: bool = False,
                        progress: Callable[[str], None] | None = None,
-                       budget: Any = None) -> list[Any]:
+                       budget: Any = None,
+                       *,
+                       workers: Optional[int] = None,
+                       cache: Any = None,
+                       cell_wall_seconds: Optional[float] = None,
+                       worker_chaos: Optional[
+                           dict[CellKey, tuple[Injection, ...]]] = None
+                       ) -> GridCells:
     """Run (or resume) a grid of table cells, journaling each completion.
+
+    Cells run inline, or with ``workers > 1`` one worker process per
+    cell (:mod:`repro.runtime.worker`).  Workers never touch the
+    journal: this process, the sole writer, appends each cell's record
+    as it finishes, so ``resume`` works with any worker count and
+    ``workers=1`` and ``workers=N`` journal the same records (in finish
+    order; :func:`scrubbed_records` sorts them).  A cell whose
+    evaluation raises, or whose worker dies or is reaped, becomes a
+    :class:`SkippedCell`; a ``ChaosCrash`` raised in this process still
+    escapes, and Ctrl-C returns the partial grid.
 
     Args:
         benchmark: the benchmark every cell runs.
-        grid: (flow, bits) pairs in table order.
-        config_for: bits -> :class:`~repro.harness.experiment.
-            ExperimentConfig` for that column.
-        journal: where completed cells are committed (None = no
-            journaling).
-        resume: replay cells already in ``journal`` instead of
-            recomputing them.
+        grid: (flow, bits) pairs in table order; repeats run once.
+        config_for: bits -> ``ExperimentConfig`` for that column.
+        journal: where completed cells are committed (None = none).
+        resume: replay cells already in ``journal``.
         progress: optional callable for per-cell status lines.
-        budget: optional :class:`~repro.runtime.budget.Budget` threaded
-            into each cell's synthesis + ATPG.
+        budget: a :class:`~repro.runtime.budget.Budget` shared by every
+            cell; it is process-local, so it forces ``workers`` to 1.
+        workers: worker processes; None or 1 runs every cell inline.
+        cache: a :class:`~repro.harness.cache.ResultCache`; workers
+            share its disk tier.
+        cell_wall_seconds: per-cell wall-clock budget when no ``budget``
+            is given (an overrunning cell degrades to a partial row),
+            and the reap deadline of a cell's worker.
+        worker_chaos: per-cell chaos plans (cell key -> injections)
+            activated around that cell's evaluation, in its worker when
+            it has one: the deterministic way to kill one worker.
 
     Returns:
-        One cell per grid entry — live ``CellResult`` for computed
-        cells, :class:`JournaledCell` for replayed ones.
+        The :class:`GridCells` of the run.
     """
-    from ..harness.experiment import run_cell
-
+    say = progress or (lambda message: None)
+    if budget is not None:
+        workers = 1  # a shared Budget cannot cross process boundaries
+    chaos = worker_chaos or {}
     done = (journal.completed_cells()
             if journal is not None and resume else {})
-    cells: list[Any] = []
-    for flow, bits in grid:
-        key: CellKey = (benchmark, flow, bits)
+
+    cells = GridCells()
+    keys = list(dict.fromkeys((benchmark, flow, bits)
+                              for flow, bits in grid))
+    results: dict[CellKey, Any] = {}
+    pending: list[CellKey] = []
+    for key in keys:
         if key in done:
-            if progress:
-                progress(f"resuming {benchmark}/{flow}/{bits}-bit "
-                         f"from journal")
-            cells.append(restore_cell(done[key]))
-            continue
-        if progress:
-            progress(f"running {benchmark}/{flow}/{bits}-bit ...")
-        cell = run_cell(benchmark, flow, config_for(bits), budget=budget)
-        if journal is not None:
-            journal.append(cell_record(cell))
-        cells.append(cell)
+            say(f"resuming {_label(key)} from journal")
+            results[key] = restore_cell(done[key])
+            cells.replayed += 1
+        else:
+            pending.append(key)
+
+    def tasks() -> Iterator[Task]:
+        for key in pending:
+            say(f"running {_label(key)} ...")
+            yield (key, _grid_cell,
+                   (key, config_for(key[2]), cache, budget,
+                    cell_wall_seconds, chaos.get(key, ())),
+                   cell_wall_seconds)
+
+    unfinished = list(pending)
+    runner: InlineRunner | ProcessRunner = (
+        InlineRunner() if (workers or 1) == 1 else ProcessRunner(workers or 1))
+    try:
+        for finished in run_tasks(runner, tasks()):
+            key = finished.key
+            unfinished.remove(key)
+            if finished.error:
+                cells.skipped.append(SkippedCell(*key, finished.error))
+                say(f"skipped {_label(key)}: {finished.error}")
+                continue
+            cell, record = finished.value
+            if journal is not None:
+                journal.append(record)
+            results[key] = cell
+            cells.computed += 1
+            how = ("cache hit" if isinstance(cell, JournaledCell)
+                   else "computed")
+            say(f"finished {_label(key)} ({how})")
+    except KeyboardInterrupt:
+        cells.interrupted = True
+        cells.skipped.extend(SkippedCell(*key, "interrupted")
+                             for key in unfinished)
+        say("interrupted; returning partial grid "
+            "(journaled cells are safe, --resume continues)")
+    finally:
+        runner.close()
+    cells.extend(results[key] for key in keys if key in results)
     return cells

@@ -182,36 +182,26 @@ def scenario_reach_budget_truncate(benchmark: str, bits: int,
     ])
 
 
-#: ``tg_seconds`` is the one nondeterministic field of a cell row
-#: (1998-style CPU seconds are informational; the effort metric is
-#: primary), so byte-identity claims exclude it — see
-#: :func:`repro.runtime.checkpoint.scrubbed_records`.
-_scrubbed = scrubbed_records
-
-
 def scenario_journal_crash_resume(benchmark: str, bits: int,
                                   workdir: Path) -> tuple[bool, str]:
     """Kill a journaled grid between cell commits, resume it, and
     demand the resumed rows match an uninterrupted run byte-for-byte
     (modulo the wall-clock column)."""
     grid = [("camad", bits), ("ours", bits)]
-
-    def config_for(b: int):
-        return _quick_config(b)
-
     reference = Journal(workdir / "reference.jsonl")
-    run_journaled_grid(benchmark, grid, config_for, journal=reference)
+    run_journaled_grid(benchmark, grid, _quick_config, journal=reference)
 
     crashed = Journal(workdir / "crashed.jsonl")
     died = False
     try:
         with ChaosInjector(Injection("journal.pre_write", ACTION_CRASH,
                                      at_visit=2)):
-            run_journaled_grid(benchmark, grid, config_for, journal=crashed)
+            run_journaled_grid(benchmark, grid, _quick_config,
+                               journal=crashed)
     except ChaosCrash:
         died = True
     mid_records = crashed.records()  # must parse: never truncated
-    resumed_cells = run_journaled_grid(benchmark, grid, config_for,
+    resumed_cells = run_journaled_grid(benchmark, grid, _quick_config,
                                        journal=crashed, resume=True)
     replayed = sum(1 for c in resumed_cells
                    if type(c).__name__ == "JournaledCell")
@@ -222,45 +212,39 @@ def scenario_journal_crash_resume(benchmark: str, bits: int,
         ("resume replayed the journaled cell", replayed == 1),
         ("resumed journal rows byte-identical to uninterrupted run "
          "(wall-clock masked)",
-         _scrubbed(crashed.records()) == _scrubbed(reference.records())),
+         scrubbed_records(crashed.records())
+         == scrubbed_records(reference.records())),
     ])
 
 
 def scenario_worker_crash(benchmark: str, bits: int,
                           workdir: Path) -> tuple[bool, str]:
-    """A parallel-harness worker dies mid-grid: the run must lose only
+    """A grid worker process dies mid-grid: the run must lose only
     that worker's cell (an explicit SkippedCell), journal the rest, and
     a resumed run must complete the grid recomputing only the lost
     cell."""
-    from ..harness.parallel import run_parallel_grid
-
     grid = [("camad", bits), ("approach2", bits)]
     crash_key = (benchmark, "approach2", bits)
-
-    def config_for(b: int):
-        return _quick_config(b)
-
     journal = Journal(workdir / "journal.jsonl")
-    outcome = run_parallel_grid(
-        benchmark, grid, config_for, workers=2, journal=journal,
+    cells = run_journaled_grid(
+        benchmark, grid, _quick_config, journal=journal, workers=2,
         worker_chaos={crash_key: (Injection("harness.worker",
                                             ACTION_CRASH),)})
-    resumed = run_parallel_grid(benchmark, grid, config_for, workers=2,
-                                journal=journal, resume=True)
+    resumed = run_journaled_grid(benchmark, grid, _quick_config,
+                                 journal=journal, resume=True, workers=2)
     return _check([
         ("crashed worker lost exactly its own cell",
-         [s.key for s in outcome.skipped] == [crash_key]),
+         [s.key for s in cells.skipped] == [crash_key]),
         ("skip reason names the injected crash",
-         "ChaosCrash" in outcome.skipped[0].reason
-         if outcome.skipped else False),
+         "ChaosCrash" in cells.skipped[0].reason
+         if cells.skipped else False),
         ("surviving cell journaled by the parent",
          len(journal.completed_cells()) >= 1),
-        ("partial grid rendered the surviving cell",
-         len(outcome.cells) == 1),
+        ("partial grid rendered the surviving cell", len(cells) == 1),
         ("resume replayed the survivor and recomputed only the loss",
          resumed.replayed == 1 and resumed.computed == 1
          and not resumed.skipped),
-        ("resumed grid is complete", len(resumed.cells) == len(grid)),
+        ("resumed grid is complete", len(resumed) == len(grid)),
     ])
 
 
@@ -467,7 +451,7 @@ SCENARIOS: list[tuple[str, Callable[[str, int, Path],
     ("journal-crash-resume", scenario_journal_crash_resume,
      "crash between journal commits; resume matches uninterrupted run"),
     ("worker-crash", scenario_worker_crash,
-     "parallel worker dies mid-grid; partial grid + resume completes"),
+     "grid worker process dies; partial grid + resume completes"),
     ("timing-cone-raise", scenario_timing_cone_raise,
      "timing cone evaluation raises; endpoints skipped, report degraded"),
     ("service-transient-retry", scenario_service_transient_retry,

@@ -3,7 +3,8 @@
 One :class:`Supervisor` owns a :class:`~repro.service.spool.Spool` and
 drives its queue to completion:
 
-* **Dispatch** — jobs run FIFO in WAL submit order.  ``workers=1``
+* **Dispatch** — jobs run FIFO in WAL submit order, in one loop over
+  a :mod:`repro.runtime.worker` runner.  ``workers=1``
   (the default on this 1-CPU class of machine) evaluates jobs inline
   in the supervisor process — the path that honours an active chaos
   injector, which is what makes every failure mode below
@@ -12,10 +13,11 @@ drives its queue to completion:
   crash isolation and hung-worker reaping at fork cost.
 * **Ledger protocol** — the supervisor is the sole WAL writer while
   running (``submit``/``cancel`` CLI appends are safe concurrently:
-  single-line O_APPEND writes).  Every transition is committed
-  *before* the action it records completes, so replay after a kill at
-  any point reconstructs the exact queue; a ``running`` job whose
-  result file survived the crash is adopted as ``done`` without
+  single-line O_APPEND writes), and the sole writer of results: a
+  worker sends its record back over a pipe.  Every transition is
+  committed *before* the action it records completes, so replay after
+  a kill at any point reconstructs the exact queue; a ``running`` job
+  whose result file survived the crash is adopted as ``done`` without
   re-evaluation (results are content-addressed, so adoption is exact).
 * **Retry with capped exponential backoff** — a failed job re-enters
   the queue *at the tail* (one poison job can never starve the rest)
@@ -37,9 +39,9 @@ drives its queue to completion:
 
 Chaos seams: ``service.dequeue`` (job picked), ``service.dispatch``
 (just before evaluation — the canonical transient failure point),
-``service.worker_reap`` (the completion/reap check) and
-``service.ledger_write`` (inside every WAL commit, via
-:class:`~repro.service.ledger.Ledger`).
+``service.worker_reap`` (a finished job, after its result is spooled
+and before ``done`` is ledgered) and ``service.ledger_write`` (inside
+every WAL commit, via :class:`~repro.service.ledger.Ledger`).
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ from typing import Any, Callable, Optional
 
 from ..runtime.budget import Budget
 from ..runtime.chaos import ChaosCrash, chaos_point
-from ..runtime.checkpoint import cell_record
+from ..runtime.worker import (DEADLINE_GRACE, REAP_FLOOR_SECONDS, Finished,
+                              InlineRunner, ProcessRunner)
 from .ledger import (CANCELLED, DONE, FAILED, QUARANTINED, RUNNING,
                      SUBMITTED, JobState)
 from .spool import JobRequest, Spool
@@ -115,65 +118,27 @@ class ServiceOutcome:
         return self.quarantined == 0
 
 
-@dataclass
-class _Slot:
-    """One live worker process (process mode only)."""
-
-    process: Any
-    attempt: int
-    deadline_seconds: Optional[float]
-    reap_at: Optional[float]
-
-
 # ----------------------------------------------------------------------
-# Job evaluation (shared by inline mode and the forked worker)
+# Job evaluation
 # ----------------------------------------------------------------------
 def _execute_request(request: JobRequest, cache: Any) -> dict:
     """Evaluate one job into a journal-style cell record.
 
-    The per-job :class:`Budget` (deadline + step ceiling) rides the
-    whole pipeline, so an over-budget job returns a valid, explicitly
-    degraded partial record instead of hanging.
+    The job's budgets become one :class:`Budget` (deadline + step
+    ceiling) that rides the whole pipeline, so an over-budget job
+    returns a valid, explicitly degraded partial record instead of
+    hanging.
     """
-    from ..harness.cache import run_cell_cached
+    from ..harness.cache import evaluate_cell
 
     budget = None
     if request.deadline_seconds is not None or request.max_steps is not None:
         budget = Budget(wall_seconds=request.deadline_seconds,
                         max_steps=request.max_steps)
-    cell, provenance = run_cell_cached(request.benchmark, request.flow,
-                                       request.config(), cache=cache,
-                                       budget=budget)
-    if provenance.get("cell_cache") == "hit":
-        return cell_record(cell)
-    extra = {k: v for k, v in provenance.items() if k == "cache_key"}
-    reasons = tuple(getattr(cell, "degradation", ()))
-    if reasons:
-        extra["degradation"] = list(reasons)
-    return cell_record(cell, provenance=extra)
-
-
-def _process_worker(spool_root: str, job_id: str, request_dict: dict,
-                    cache_dir: Optional[str]) -> None:
-    """Forked-worker entry: evaluate, spool the result, exit 0.
-
-    The worker never touches the WAL — the parent is the sole ledger
-    writer, mirroring the parallel harness's journal ownership
-    protocol.  A raise here exits nonzero, which the parent records as
-    the failure.
-    """
-    from pathlib import Path
-
-    from ..harness.cache import ResultCache
-    from ..runtime.chaos import clear_injector
-
-    clear_injector()  # a fork must not replay the parent's chaos plan
-    spool = Spool(spool_root)
-    request = JobRequest.from_dict(request_dict)
-    cache = (ResultCache(cache_dir=Path(cache_dir))
-             if cache_dir else None)
-    record = _execute_request(request, cache)
-    spool.write_result(job_id, record)
+    _cell, record = evaluate_cell(request.benchmark, request.flow,
+                                  request.config(), cache=cache,
+                                  budget=budget)
+    return record
 
 
 # ----------------------------------------------------------------------
@@ -187,12 +152,11 @@ class Supervisor:
                  isolate: bool = False,
                  retry: Optional[RetryPolicy] = None,
                  default_deadline: Optional[float] = None,
-                 deadline_grace: float = 2.0,
-                 reap_floor_seconds: float = 1.0,
+                 deadline_grace: float = DEADLINE_GRACE,
+                 reap_floor_seconds: float = REAP_FLOOR_SECONDS,
                  poll_seconds: float = 0.05,
                  cache: Any = None,
-                 progress: Optional[Callable[[str], None]] = None,
-                 sleep: Callable[[float], None] = time.sleep) -> None:
+                 progress: Optional[Callable[[str], None]] = None) -> None:
         self.spool = spool
         self.workers = max(1, workers)
         self.isolate = isolate or self.workers > 1
@@ -203,7 +167,6 @@ class Supervisor:
         self.poll_seconds = poll_seconds
         self.cache = cache
         self.progress = progress
-        self._sleep = sleep
         self._stop_reason = ""
         self._queue: list[str] = []
         self._due: dict[str, float] = {}
@@ -312,9 +275,10 @@ class Supervisor:
         outcome.retried += 1
 
     # ------------------------------------------------------------------
-    # Inline mode
+    # Dispatch (one loop, inline or process runner)
     # ------------------------------------------------------------------
-    def _execute_one(self, job_id: str, outcome: ServiceOutcome) -> None:
+    def _start(self, job_id: str, runner: InlineRunner | ProcessRunner,
+               outcome: ServiceOutcome) -> None:
         chaos_point("service.dequeue", job_id)
         state = self._states.get(job_id)
         if state is not None and state.state == CANCELLED:
@@ -327,7 +291,11 @@ class Supervisor:
         try:
             request = self.spool.request(job_id)
             chaos_point("service.dispatch", job_id)
-            record = _execute_request(request, self.cache)
+            deadline = (request.deadline_seconds
+                        if request.deadline_seconds is not None
+                        else self.default_deadline)
+            runner.start((job_id, attempt), _execute_request,
+                         (request, self.cache), deadline)
         except ChaosCrash:
             raise  # simulated process death must escape, never be absorbed
         except KeyboardInterrupt:
@@ -335,155 +303,62 @@ class Supervisor:
             self._ledger(job_id, SUBMITTED,
                          reason="requeued: interrupted by operator")
             self._seen.discard(job_id)
-            return
         except Exception as exc:  # noqa: BLE001 - the retry barrier
             self._failure(job_id, f"{type(exc).__name__}: {exc}", outcome)
+
+    def _finish(self, finished: Finished, outcome: ServiceOutcome) -> None:
+        job_id, attempt = finished.key
+        if finished.error:
+            outcome.reaped += finished.reaped
+            self._failure(job_id, finished.error, outcome)
             return
-        self.spool.write_result(job_id, record)
+        self.spool.write_result(job_id, finished.value)
         chaos_point("service.worker_reap", job_id)
         self._ledger(job_id, DONE, attempt=attempt)
         outcome.done += 1
 
-    def _run_inline(self, outcome: ServiceOutcome,
-                    max_jobs: Optional[int],
-                    idle_seconds: Optional[float]) -> None:
-        idle_deadline: Optional[float] = None
-        while not self._stop_reason:
-            self._refresh()
-            now = time.monotonic()
-            job_id = self._pop_due(now)
-            if job_id is None:
-                wait = self._earliest_wait(now)
-                if wait is None:  # nothing queued at all
-                    if idle_seconds is not None:
-                        if idle_deadline is None:
-                            idle_deadline = now + idle_seconds
-                        if now >= idle_deadline:
-                            break
-                    self._sleep(self.poll_seconds)
-                else:  # jobs exist but are waiting out a backoff
-                    self._sleep(min(wait, self.poll_seconds)
-                                if wait > 0 else 0.0)
-                continue
-            idle_deadline = None
-            self._execute_one(job_id, outcome)
-            if max_jobs is not None and outcome.processed >= max_jobs:
-                break
-
-    # ------------------------------------------------------------------
-    # Process mode
-    # ------------------------------------------------------------------
-    def _spawn(self, job_id: str,
-               outcome: ServiceOutcome) -> Optional[_Slot]:
-        import multiprocessing
-
-        chaos_point("service.dequeue", job_id)
-        state = self._states.get(job_id)
-        if state is not None and state.state == CANCELLED:
-            outcome.skipped_cancelled += 1
-            self._log(f"{job_id[:12]} skipped (cancelled)")
-            return None
-        attempt = (state.attempts if state else 0) + 1
-        self._ledger(job_id, RUNNING, attempt=attempt)
-        outcome.processed += 1
-        try:
-            request = self.spool.request(job_id)
-            chaos_point("service.dispatch", job_id)
-            cache_dir = (str(self.cache.cache_dir)
-                         if self.cache is not None
-                         and self.cache.cache_dir is not None else None)
-            process = multiprocessing.Process(
-                target=_process_worker,
-                args=(str(self.spool.root), job_id, request.to_dict(),
-                      cache_dir))
-            process.daemon = True
-            process.start()
-        except ChaosCrash:
-            raise
-        except Exception as exc:  # noqa: BLE001 - the retry barrier
-            self._failure(job_id, f"{type(exc).__name__}: {exc}", outcome)
-            return None
-        deadline = (request.deadline_seconds
-                    if request.deadline_seconds is not None
-                    else self.default_deadline)
-        reap_at = None
-        if deadline is not None:
-            reap_at = time.monotonic() + max(
-                deadline * self.deadline_grace, self.reap_floor_seconds)
-        return _Slot(process, attempt, deadline, reap_at)
-
-    def _poll_slots(self, slots: dict[str, _Slot],
-                    outcome: ServiceOutcome) -> None:
-        now = time.monotonic()
-        for job_id in list(slots):
-            slot = slots[job_id]
-            chaos_point("service.worker_reap", job_id)
-            process = slot.process
-            if not process.is_alive():
-                process.join()
-                record = self.spool.read_result(job_id)
-                if process.exitcode == 0 and record is not None:
-                    self._ledger(job_id, DONE, attempt=slot.attempt)
-                    outcome.done += 1
-                else:
-                    self._failure(
-                        job_id,
-                        f"worker exited with code {process.exitcode}"
-                        + ("" if record is None else
-                           " before the result was adopted"), outcome)
-                del slots[job_id]
-            elif slot.reap_at is not None and now >= slot.reap_at:
-                process.terminate()
-                process.join(timeout=5.0)
-                outcome.reaped += 1
-                self._failure(job_id,
-                              f"reaped: exceeded deadline "
-                              f"{slot.deadline_seconds:g}s x grace "
-                              f"{self.deadline_grace:g}", outcome)
-                del slots[job_id]
-
-    def _run_pool(self, outcome: ServiceOutcome,
+    def _dispatch(self, runner: InlineRunner | ProcessRunner,
+                  outcome: ServiceOutcome,
                   max_jobs: Optional[int],
                   idle_seconds: Optional[float]) -> None:
-        slots: dict[str, _Slot] = {}
         idle_deadline: Optional[float] = None
         while True:
-            self._poll_slots(slots, outcome)
+            for finished in runner.poll():
+                self._finish(finished, outcome)
             if self._stop_reason:
-                if not slots:
-                    break  # graceful drain: live workers have finished
-                self._sleep(self.poll_seconds)
+                if not runner.busy:
+                    break  # graceful drain: running work has finished
+                runner.wait(self.poll_seconds)
                 continue
-            hit_cap = (max_jobs is not None
-                       and outcome.processed >= max_jobs)
-            if not hit_cap:
+            capped = max_jobs is not None and outcome.processed >= max_jobs
+            while runner.has_room() and not capped and not self._stop_reason:
+                # Fold the WAL before every pick: a job that failed in
+                # ``_start`` may be due again at once, and its retry
+                # must see the failure it just ledgered.
                 self._refresh()
-                now = time.monotonic()
-                while len(slots) < self.workers:
-                    if (max_jobs is not None
-                            and outcome.processed >= max_jobs):
-                        break
-                    job_id = self._pop_due(now)
-                    if job_id is None:
-                        break
-                    slot = self._spawn(job_id, outcome)
-                    if slot is not None:
-                        slots[job_id] = slot
-            if not slots:
-                if hit_cap:
+                job_id = self._pop_due(time.monotonic())
+                if job_id is None:
                     break
-                if not self._queue:
-                    if idle_seconds is not None:
-                        if idle_deadline is None:
-                            idle_deadline = (time.monotonic()
-                                             + idle_seconds)
-                        if time.monotonic() >= idle_deadline:
-                            break
-                else:
-                    idle_deadline = None
-            else:
+                self._start(job_id, runner, outcome)
+                capped = max_jobs is not None and outcome.processed >= max_jobs
+            if runner.busy:
                 idle_deadline = None
-            self._sleep(self.poll_seconds)
+                runner.wait(self.poll_seconds)
+                continue
+            if capped or self._stop_reason:
+                break
+            now = time.monotonic()
+            wait = self._earliest_wait(now)
+            if wait is None:  # nothing queued at all
+                if idle_seconds is not None:
+                    if idle_deadline is None:
+                        idle_deadline = now + idle_seconds
+                    if now >= idle_deadline:
+                        break
+                time.sleep(self.poll_seconds)
+            else:  # jobs exist but are waiting out a backoff
+                idle_deadline = None
+                time.sleep(min(wait, self.poll_seconds))
 
     # ------------------------------------------------------------------
     def run(self, *, max_jobs: Optional[int] = None,
@@ -509,10 +384,14 @@ class Supervisor:
         self._due.clear()
         self._seen.clear()
         self._recover(outcome)
-        if self.isolate:
-            self._run_pool(outcome, max_jobs, idle_seconds)
-        else:
-            self._run_inline(outcome, max_jobs, idle_seconds)
+        runner: InlineRunner | ProcessRunner = (
+            ProcessRunner(self.workers, grace=self.deadline_grace,
+                          floor=self.reap_floor_seconds)
+            if self.isolate else InlineRunner())
+        try:
+            self._dispatch(runner, outcome, max_jobs, idle_seconds)
+        finally:
+            runner.close()
         self._refresh()
         outcome.drained = not self._queue
         outcome.stopped_reason = self._stop_reason
@@ -522,4 +401,4 @@ class Supervisor:
 
 # Re-exported for tests that patch the evaluation seam.
 __all__ = ["RetryPolicy", "ServiceOutcome", "Supervisor", "backoff_delay",
-           "_execute_request", "_process_worker"]
+           "_execute_request"]

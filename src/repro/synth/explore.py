@@ -9,6 +9,7 @@ runs to pick (k, α, β) for a new behaviour instead of guessing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from ..cost import CostModel
 from ..dfg import DFG
@@ -45,45 +46,90 @@ class DesignPoint:
         return no_worse and better
 
 
+def _distinct(design: Design, seen: set[tuple]) -> bool:
+    """True the first time a design's schedule and binding turn up."""
+    signature = (tuple(sorted(design.steps.items())),
+                 tuple(sorted(design.binding.module_of.items())),
+                 tuple(sorted(design.binding.register_of.items())))
+    if signature in seen:
+        return False
+    seen.add(signature)
+    return True
+
+
+def _explore_point(dfg: DFG, cost_model: CostModel,
+                   point: tuple[int, float, float], cache: object | None,
+                   seen: set[tuple]) -> DesignPoint | None:
+    """Synthesise one grid point; None when its design is already in
+    ``seen``, else the design with its three objectives."""
+    k, alpha, beta = point
+    params = SynthesisParams(k=k, alpha=alpha, beta=beta)
+    result = None
+    key = None
+    if cache is not None:
+        from ..harness.cache import synthesis_key
+        key = synthesis_key(dfg, "ours", params, cost_model.bits)
+        result = cache.get_synthesis(key)  # type: ignore[attr-defined]
+    if result is None:
+        result = synthesize(dfg, params, cost_model)
+        if cache is not None and key is not None:
+            cache.put_synthesis(key, result)  # type: ignore[attr-defined]
+    design = result.design
+    if not _distinct(design, seen):
+        return None
+    return DesignPoint(
+        params=point,
+        execution_time=design.execution_time,
+        hardware_mm2=cost_model.hardware_total(design.datapath),
+        quality=analyze(design.datapath).design_quality(),
+        design=design)
+
+
 def explore(dfg: DFG, cost_model: CostModel | None = None,
             grid: list[tuple[int, float, float]] | None = None,
-            cache: object | None = None) -> list[DesignPoint]:
+            cache: object | None = None, *,
+            workers: int | None = None,
+            progress: Callable[[str], None] | None = None
+            ) -> list[DesignPoint]:
     """Sweep the grid and return every distinct design point.
 
     ``cache`` is an optional :class:`~repro.harness.cache.ResultCache`:
     each grid point's synthesis is keyed on the canonical DFG and the
     full parameter set, so re-running a sweep (or sharing parameters
-    with a table run) is served from the cache.
+    with a table run) is served from the cache.  With ``workers > 1``
+    each grid point runs in its own worker process; either way the
+    points are de-duplicated in grid order, so the result does not
+    depend on the worker count.
     """
+    from ..errors import ReproError
+    from ..runtime.worker import InlineRunner, ProcessRunner, run_tasks
+
     cost_model = cost_model or CostModel()
-    points: list[DesignPoint] = []
+    grid = list(grid or DEFAULT_GRID)
+    # Inline, the shared ``seen`` spares pricing a repeated design; each
+    # worker gets its own copy, so its points are de-duplicated below.
     seen: set[tuple] = set()
-    for k, alpha, beta in (grid or DEFAULT_GRID):
-        params = SynthesisParams(k=k, alpha=alpha, beta=beta)
-        result = None
-        key = None
-        if cache is not None:
-            from ..harness.cache import synthesis_key
-            key = synthesis_key(dfg, "ours", params, cost_model.bits)
-            result = cache.get_synthesis(key)  # type: ignore[attr-defined]
-        if result is None:
-            result = synthesize(dfg, params, cost_model)
-            if cache is not None and key is not None:
-                cache.put_synthesis(key, result)  # type: ignore[attr-defined]
-        design = result.design
-        signature = (tuple(sorted(design.steps.items())),
-                     tuple(sorted(design.binding.module_of.items())),
-                     tuple(sorted(design.binding.register_of.items())))
-        if signature in seen:
-            continue
-        seen.add(signature)
-        points.append(DesignPoint(
-            params=(k, alpha, beta),
-            execution_time=design.execution_time,
-            hardware_mm2=cost_model.hardware_total(design.datapath),
-            quality=analyze(design.datapath).design_quality(),
-            design=design))
-    return points
+    points: list[DesignPoint | None] = [None] * len(grid)
+    runner: InlineRunner | ProcessRunner = (
+        InlineRunner() if (workers or 1) == 1 else ProcessRunner(workers or 1))
+    try:
+        for finished in run_tasks(runner, (
+                (index, _explore_point, (dfg, cost_model, point, cache, seen),
+                 None) for index, point in enumerate(grid))):
+            k, alpha, beta = grid[finished.key]
+            if finished.exception is not None:
+                raise finished.exception  # inline: the original, unwrapped
+            if finished.error:
+                raise ReproError(f"explore point ({k}, {alpha:g}, {beta:g}) "
+                                 f"failed: {finished.error}")
+            points[finished.key] = finished.value
+            if progress:
+                progress(f"explored (k={k}, a={alpha:g}, b={beta:g})")
+    finally:
+        runner.close()
+    distinct: set[tuple] = set()
+    return [point for point in points
+            if point is not None and _distinct(point.design, distinct)]
 
 
 def pareto_front(points: list[DesignPoint]) -> list[DesignPoint]:

@@ -61,10 +61,10 @@ class TestSynthesisTier:
     def test_baseline_synthesis_shared_across_widths(self):
         cache = ResultCache()
         synthesize_flow_result("ex", "camad", 4, cache=cache)
-        before = cache.stats.snapshot()
+        hits, misses = cache.stats.memory_hits, cache.stats.misses
         wide = synthesize_flow_result("ex", "camad", 16, cache=cache)
-        delta = cache.stats.delta(before)
-        assert delta.memory_hits == 1 and delta.misses == 0
+        assert cache.stats.memory_hits == hits + 1
+        assert cache.stats.misses == misses
         wide.design.validate()  # the restored design is structurally sound
 
     def test_degraded_synthesis_never_stored(self):
@@ -117,6 +117,14 @@ class TestCellTier:
         reader = ResultCache(cache_dir=tmp_path)
         assert reader.get("aa" + "0" * 62) is None
         assert reader.stats.misses == 1
+        # An entry that parses but will not restore is a miss too, not
+        # a hit the caller then has to recompute anyway.
+        writer.put("dd" + "0" * 62, {"kind": "synthesis", "design": {}})
+        assert reader.get_synthesis("dd" + "0" * 62) is None
+        writer.put("ee" + "0" * 62, {"kind": "synthesis"})
+        assert reader.get_cell("ee" + "0" * 62) is None
+        assert reader.stats.hits == 0 and reader.stats.misses == 3
+        assert reader.stats.hit_rate() == 0.0
 
     def test_wrong_key_disk_entry_is_a_miss(self, tmp_path):
         writer = ResultCache(cache_dir=tmp_path)
