@@ -132,7 +132,6 @@ def validate_binding(dfg: DFG, steps: dict[str, int], binding: Binding) -> None:
     Raises:
         BindingError: listing every violated rule (not just the first).
     """
-    from ..lint import lint_binding
-    errors = lint_binding(dfg, steps, binding).errors()
-    if errors:
-        raise BindingError("; ".join(d.message for d in errors))
+    from ..lint.registry import LintContext, check_layer
+    check_layer("binding", LintContext(name=dfg.name, dfg=dfg, steps=steps,
+                                       binding=binding), BindingError)

@@ -4,10 +4,9 @@ Four analyses that together prove (or refute) the paper's claim that
 merger transformations are semantics-preserving:
 
 * :class:`ReachabilityGraph` — the reachable markings of the control
-  part with *global* marking deduplication (unlike
-  :class:`repro.petri.reachability.ReachabilityTree`, which only prunes
-  duplicates along one root path and blows up exponentially on
-  concurrent control structures);
+  part, each visited once; it lives in :mod:`repro.petri.reachability`
+  next to the nets it explores (the critical-path extractor walks it
+  too) and is re-exported here as the enumerative tier;
 * :mod:`repro.analysis.structural` — the enumeration-free tier:
   P/T-invariants, siphons/traps and the bundled
   :class:`~repro.analysis.structural.StructuralCertificate` proving
@@ -39,13 +38,13 @@ incremental :class:`ConeCache`), the ``timing`` lint layer and
 :func:`merged_module_fits`.
 """
 
+from ..petri.reachability import GraphEdge, ReachabilityGraph, UnsafeFiring
 from .dataflow import (AbstractValue, DataflowCertificate, analyze_dataflow,
                        infer_feedback)
 from .equivalence import (COMMUTATIVE, Divergence, EquivalenceCertificate,
                           ValueNumbering, certify)
 from .mhp import MHPAnalysis
 from .races import ConcurrencyAnalysis, RaceFinding
-from .reach_graph import GraphEdge, ReachabilityGraph, UnsafeFiring
 from .structural import (Invariant, SiphonWitness, StructuralCertificate,
                          Verdict, structural_certificate)
 from .tiers import (Tier, TierDecision, TieredAnalysis, cross_check,

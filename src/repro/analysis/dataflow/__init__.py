@@ -13,7 +13,7 @@ untestable-fault pruning in :mod:`repro.atpg.prune`.
 from .certificate import CERT_FORMAT, DataflowCertificate
 from .domain import AbstractValue, join, reduce, transfer, widen
 from .engine import (MAX_ITERATIONS, WIDEN_DELAY, analyze_dataflow,
-                     infer_feedback)
+                     infer_feedback, input_assumptions)
 
 __all__ = [
     "AbstractValue",
@@ -23,6 +23,7 @@ __all__ = [
     "WIDEN_DELAY",
     "analyze_dataflow",
     "infer_feedback",
+    "input_assumptions",
     "join",
     "reduce",
     "transfer",

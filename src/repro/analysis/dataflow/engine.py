@@ -107,6 +107,17 @@ def _run_body(dfg: DFG, bits: int, entry: dict[str, AbstractValue]
     return op_facts, op_operands, values, var_facts
 
 
+def input_assumptions(dfg: DFG, bits: int, input_bits: Optional[int]
+                      ) -> Optional[dict[str, tuple[int, int]]]:
+    """Entry intervals for :func:`analyze_dataflow` when every primary
+    input occupies at most ``input_bits`` of the ``bits``-wide word;
+    None (no assumption) when ``input_bits`` is None."""
+    if input_bits is None:
+        return None
+    hi = (1 << min(input_bits, bits)) - 1
+    return {v.name: (0, hi) for v in dfg.inputs()}
+
+
 def analyze_dataflow(dfg: DFG, bits: int,
                      assumptions: Optional[Mapping[str, tuple[int, int]]]
                      = None,

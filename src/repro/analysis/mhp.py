@@ -1,6 +1,6 @@
 """The may-happen-in-parallel (MHP) relation of a control part.
 
-Derived from the memoised :class:`~repro.analysis.reach_graph.ReachabilityGraph`:
+Derived from the memoised :class:`~repro.petri.reachability.ReachabilityGraph`:
 
 * two *places* may happen in parallel when some reachable marking holds
   tokens in both (a place is trivially parallel with itself once it is
@@ -37,8 +37,8 @@ from itertools import combinations
 from typing import Optional
 
 from ..petri.net import PetriNet
+from ..petri.reachability import DEFAULT_MAX_MARKINGS, ReachabilityGraph
 from ..runtime.budget import Budget
-from .reach_graph import DEFAULT_MAX_MARKINGS, ReachabilityGraph
 from .structural import StructuralCertificate, structural_certificate
 
 

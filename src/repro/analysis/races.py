@@ -37,9 +37,9 @@ from ..dfg import DFG
 from ..dfg.graph import Const
 from ..petri.builders import control_net_for_design, step_place
 from ..petri.net import PetriNet
+from ..petri.reachability import DEFAULT_MAX_MARKINGS
 from ..runtime.budget import Budget
 from .mhp import MHPAnalysis
-from .reach_graph import DEFAULT_MAX_MARKINGS
 
 
 @dataclass(frozen=True)

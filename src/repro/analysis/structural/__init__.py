@@ -1,7 +1,7 @@
 """repro.analysis.structural — enumeration-free net analysis.
 
 The *fast tier* of the concurrency analysis: where
-:class:`~repro.analysis.reach_graph.ReachabilityGraph` walks the
+:class:`~repro.petri.reachability.ReachabilityGraph` walks the
 marking space (exponential in the worst case, and the first victim of
 an exhausted :class:`~repro.runtime.budget.Budget`), the engines here
 answer from the incidence matrix alone —

@@ -22,7 +22,7 @@ algebra into one checkable object:
 Each verdict is three-valued (:class:`Verdict`): the structure either
 *proves* the property, *refutes* it, or is *inconclusive* — structural
 conditions are sufficient, not necessary, and the enumerative tier
-(:class:`~repro.analysis.reach_graph.ReachabilityGraph`) remains the
+(:class:`~repro.petri.reachability.ReachabilityGraph`) remains the
 fallback for inconclusive cases.  :meth:`StructuralCertificate.check`
 re-verifies every witness against the net with plain integer
 arithmetic, independently of the Farkas/DFS engines that produced it.
@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ...petri.net import PetriNet
+from ...petri.reachability import token_flow_closure
 from ...runtime.budget import Budget
 from .incidence import IncidenceMatrix
 from .invariants import DEFAULT_MAX_ROWS, p_semiflows, t_semiflows
@@ -218,8 +219,7 @@ class StructuralCertificate:
         closed = matrix.closed(net.final_places)
         for witness in self.siphons:
             problems.extend(self._check_siphon(closed, witness))
-        reachable, fireable = _closure(matrix)
-        reached = {self.places[i] for i in reachable}
+        reached, fireable = token_flow_closure(net)
         if set(self.structurally_reachable) != reached:
             problems.append("structural reachability closure differs")
         if self.safe is Verdict.PROVED:
@@ -255,12 +255,9 @@ class StructuralCertificate:
                     problems.append(
                         f"transition {tid!r} marked invariant-dead but no "
                         f"invariant excludes its input bag")
-            else:
-                j = matrix.transition_index[tid]
-                if j in fireable:
-                    problems.append(
-                        f"transition {tid!r} marked closure-dead but the "
-                        f"token-flow closure fires it")
+            elif tid in fireable:
+                problems.append(f"transition {tid!r} marked closure-dead "
+                                f"but the token-flow closure fires it")
         return problems
 
     def _check_p_invariant(self, matrix: IncidenceMatrix,
@@ -377,32 +374,6 @@ class StructuralCertificate:
         return f"StructuralCertificate({self.summary()!r})"
 
 
-# ----------------------------------------------------------------------
-def _closure(matrix: IncidenceMatrix) -> tuple[set[int], set[int]]:
-    """Token-flow closure: (reachable place rows, fireable columns).
-
-    The same over-approximation the ``NET003``/``NET004`` lint rules
-    use: a transition is fireable once all of its inputs have ever been
-    producible.  Sound for negative facts — a place outside the closure
-    is certainly never marked, a transition outside it never fires.
-    """
-    reachable = set(matrix.initial)
-    fireable: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        for j in range(len(matrix.transitions)):
-            if j in fireable or not matrix.pre[j]:
-                continue
-            if matrix.pre_set(j) <= reachable:
-                fireable.add(j)
-                fresh = matrix.post_set(j) - reachable
-                if fresh:
-                    reachable |= fresh
-                changed = True
-    return reachable, fireable
-
-
 def structural_certificate(net: PetriNet, *,
                            max_rows: int = DEFAULT_MAX_ROWS,
                            max_nodes: int = DEFAULT_MAX_NODES,
@@ -438,21 +409,21 @@ def structural_certificate(net: PetriNet, *,
          for vector in t_raw),
         key=lambda inv: inv.weights))
 
-    reachable_rows, fireable_cols = _closure(matrix)
-    reachable = tuple(sorted(places[i] for i in reachable_rows))
-    fireable = tuple(sorted(transitions[j] for j in fireable_cols))
+    reachable_set, fireable_set = token_flow_closure(net)
+    reachable = tuple(sorted(reachable_set))
+    fireable = tuple(sorted(fireable_set))
 
     # --- safety / boundedness / conservation --------------------------
     unit = [inv for inv in p_invariants if inv.unit]
     uncovered = tuple(sorted(
         p for p in places
-        if p in set(reachable)
+        if p in reachable_set
         and not any(inv.weight(p) > 0 for inv in unit)))
     safe = Verdict.PROVED if not uncovered else Verdict.INCONCLUSIVE
 
     unbounded = tuple(sorted(
         p for p in places
-        if p in set(reachable)
+        if p in reachable_set
         and not any(inv.weight(p) > 0 for inv in p_invariants)))
     bounded = Verdict.PROVED if not unbounded else Verdict.INCONCLUSIVE
 
@@ -466,8 +437,8 @@ def structural_certificate(net: PetriNet, *,
         conservative = Verdict.INCONCLUSIVE
 
     # --- statically dead transitions ----------------------------------
-    closure_dead = [transitions[j] for j in range(len(transitions))
-                    if matrix.pre[j] and j not in fireable_cols]
+    closure_dead = [tid for j, tid in enumerate(transitions)
+                    if matrix.pre[j] and tid not in fireable_set]
     invariant_dead = []
     for j in range(len(transitions)):
         if not matrix.pre[j] or transitions[j] in closure_dead:

@@ -2,7 +2,7 @@
 
 The structural tier (:func:`~repro.analysis.structural.structural_certificate`)
 answers in polynomial time from the incidence matrix; the enumerative
-tier (:class:`~repro.analysis.reach_graph.ReachabilityGraph`) is exact
+tier (:class:`~repro.petri.reachability.ReachabilityGraph`) is exact
 but walks the marking space and is the first thing an exhausted
 :class:`~repro.runtime.budget.Budget` truncates.  :class:`TieredAnalysis`
 dispatches between them per property:
@@ -26,8 +26,8 @@ from typing import Optional
 
 from ..errors import PetriNetError
 from ..petri.net import PetriNet
+from ..petri.reachability import DEFAULT_MAX_MARKINGS, ReachabilityGraph
 from ..runtime.budget import Budget
-from .reach_graph import DEFAULT_MAX_MARKINGS, ReachabilityGraph
 from .structural import StructuralCertificate, Verdict, structural_certificate
 
 

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from ..errors import ReproError
+from ..petri.reachability import DEFAULT_MAX_MARKINGS
 from ..runtime.budget import Budget
 from .equivalence import EquivalenceCertificate
 from .races import ConcurrencyAnalysis
-from .reach_graph import DEFAULT_MAX_MARKINGS
 from .structural import StructuralCertificate
 from .tiers import Tier, TierDecision, TieredAnalysis
 

@@ -30,7 +30,5 @@ def validate_dfg(dfg) -> None:
     Raises:
         DFGError: listing every violated rule (not just the first).
     """
-    from ..lint import lint_dfg
-    errors = lint_dfg(dfg).errors()
-    if errors:
-        raise DFGError("; ".join(d.message for d in errors))
+    from ..lint.registry import LintContext, check_layer
+    check_layer("dfg", LintContext(name=dfg.name, dfg=dfg), DFGError)

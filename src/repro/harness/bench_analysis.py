@@ -15,7 +15,7 @@ the state space is ``O(L^B)`` markings for ``B`` branches of length
 transitions.
 
 Each cell records the min-over-repeats wall time of a full
-:class:`~repro.analysis.reach_graph.ReachabilityGraph` build against a
+:class:`~repro.petri.reachability.ReachabilityGraph` build against a
 full :func:`~repro.analysis.structural.structural_certificate`
 computation, plus the marking/edge counts (via the graph's own
 counters) and a verdict-agreement check between the tiers.  The report
@@ -29,11 +29,11 @@ import json
 import time
 from typing import Callable, Optional
 
-from ..analysis.reach_graph import ReachabilityGraph
 from ..analysis.structural import Verdict, structural_certificate
 from ..analysis.tiers import stuck_markings
 from ..bench import names
 from ..petri.net import PetriNet
+from ..petri.reachability import ReachabilityGraph
 from ..runtime.atomic import atomic_write_text
 from .experiment import synthesize_flow
 

@@ -34,7 +34,8 @@ import json
 import time
 from typing import Callable, Optional
 
-from ..analysis.dataflow import DataflowCertificate, analyze_dataflow
+from ..analysis.dataflow import (DataflowCertificate, analyze_dataflow,
+                                 input_assumptions)
 from ..atpg.faults import full_fault_list
 from ..atpg.prune import constant_lines, prune_untestable
 from ..bench import load, names
@@ -50,12 +51,6 @@ SCHEMA = "repro.bench_dataflow/v1"
 
 #: Design flows whose narrowing effect each cell records.
 FLOWS = ("default", "ours")
-
-
-def _assumptions(dfg, bits: int, input_bits: int) -> dict[str,
-                                                          tuple[int, int]]:
-    hi = (1 << min(input_bits, bits)) - 1
-    return {v.name: (0, hi) for v in dfg.inputs()}
 
 
 def _timed_analysis(dfg, bits: int, repeats: int,
@@ -78,7 +73,7 @@ def time_cell(benchmark: str, bits: int, repeats: int, vectors: int,
     plain, cold, warm = _timed_analysis(dfg, bits, repeats)
     plain_problems = plain.check(dfg, vectors=vectors)
 
-    assumptions = _assumptions(dfg, bits, input_bits)
+    assumptions = input_assumptions(dfg, bits, input_bits)
     assumed, _, _ = _timed_analysis(dfg, bits, 1, assumptions=assumptions)
     assumed_problems = assumed.check(dfg, vectors=vectors)
 

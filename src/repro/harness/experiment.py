@@ -211,11 +211,10 @@ def _narrowed_area(design: Design, config: ExperimentConfig,
                    baseline: float) -> tuple[float, bool]:
     """Certificate-narrowed area, or the baseline when narrowing is
     refused (the equivalence certifier could not validate the point)."""
+    from ..analysis.dataflow import input_assumptions
     from ..cost import narrow_design
-    assumptions = None
-    if config.narrow_input_bits is not None:
-        hi = (1 << min(config.narrow_input_bits, config.bits)) - 1
-        assumptions = {v.name: (0, hi) for v in design.dfg.inputs()}
+    assumptions = input_assumptions(design.dfg, config.bits,
+                                    config.narrow_input_bits)
     report = narrow_design(design, config.bits, assumptions=assumptions)
     if not report.applied:
         return baseline, False

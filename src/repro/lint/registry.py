@@ -145,13 +145,28 @@ def run_layer(layer: str, ctx: LintContext) -> LintReport:
     return report
 
 
+def check_layer(layer: str, ctx: LintContext,
+                error: type[Exception]) -> None:
+    """Run only ``layer``'s error-severity rules against ``ctx`` (what
+    the raise-style validators need; a rule emits only at its declared
+    severity, so this finds exactly the errors of :func:`run_layer`).
+
+    Raises:
+        Exception: ``error`` listing every finding, ``"; "``-joined.
+    """
+    report = LintReport()
+    for rule_ in rules_for_layer(layer):
+        if rule_.severity is Severity.ERROR:
+            rule_.func(ctx, _emitter(rule_, report))
+    if report.errors():
+        raise error("; ".join(d.message for d in report.errors()))
+
+
 def _emitter(rule_: Rule, report: LintReport) -> Emit:
     """Bind a rule's code/severity/layer into a tidy ``emit`` callable."""
 
-    def emit(message: str, location: str = "", hint: str = "",
-             severity: Severity | None = None) -> None:
-        report.add(Diagnostic(code=rule_.code,
-                              severity=severity or rule_.severity,
+    def emit(message: str, location: str = "", hint: str = "") -> None:
+        report.add(Diagnostic(code=rule_.code, severity=rule_.severity,
                               layer=rule_.layer, location=location,
                               message=message, hint=hint))
 

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 from ..analysis.equivalence import EquivalenceCertificate, certify
 from ..analysis.races import ConcurrencyAnalysis
-from ..analysis.reach_graph import DEFAULT_MAX_MARKINGS
+from ..petri.reachability import DEFAULT_MAX_MARKINGS
 from .diagnostic import Severity
 from .registry import Emit, LintContext, rule
 

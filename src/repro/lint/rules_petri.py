@@ -1,37 +1,17 @@
 """Petri-net-layer design rules (codes ``NET001``-``NET007``).
 
-Reachability here is *structural*: starting from the initial marking, a
-transition is considered fireable once all of its input places have
-been produced, and firing produces its outputs.  For the safe,
-conflict-light control nets this library builds, the closure is exact;
-for general nets it over-approximates (a place the closure cannot reach
-is certainly unreachable, so the warnings are sound).
+Reachability in ``NET003``-``NET005`` is the token-flow closure
+(:func:`~repro.petri.reachability.token_flow_closure`): exact for the
+safe, conflict-light control nets this library builds, an
+over-approximation in general (a place the closure cannot reach is
+certainly unreachable, so the warnings are sound).
 """
 
 from __future__ import annotations
 
+from ..petri.reachability import token_flow_closure
 from .diagnostic import Severity
 from .registry import Emit, LintContext, rule
-
-
-def structural_closure(net) -> tuple[set[str], set[str]]:
-    """(reachable places, fireable transitions) under the structural
-    over-approximation described in the module docstring."""
-    reachable = set(net.initial_marking)
-    fireable: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for transition in net.transitions.values():
-            if transition.trans_id in fireable or not transition.inputs:
-                continue
-            if all(p in reachable for p in transition.inputs):
-                fireable.add(transition.trans_id)
-                fresh = set(transition.outputs) - reachable
-                if fresh:
-                    reachable |= fresh
-                changed = True
-    return reachable, fireable
 
 
 @rule("NET001", layer="petri", severity=Severity.ERROR, title="no places")
@@ -56,7 +36,7 @@ def check_reachable_places(ctx: LintContext, emit: Emit) -> None:
     net = ctx.net
     if not net.initial_marking:
         return  # NET002 already fired; everything would be unreachable
-    reachable, _ = structural_closure(net)
+    reachable, _ = token_flow_closure(net)
     for place_id in sorted(set(net.places) - reachable):
         emit(f"{net.name}: place {place_id!r} is unreachable from the "
              f"initial marking", location=place_id,
@@ -70,7 +50,7 @@ def check_fireable_transitions(ctx: LintContext, emit: Emit) -> None:
     net = ctx.net
     if not net.initial_marking:
         return
-    _, fireable = structural_closure(net)
+    _, fireable = token_flow_closure(net)
     for trans_id in sorted(net.transitions):
         if trans_id not in fireable and net.transitions[trans_id].inputs:
             emit(f"{net.name}: transition {trans_id!r} can never fire",
@@ -86,7 +66,7 @@ def check_final_reachable(ctx: LintContext, emit: Emit) -> None:
     net = ctx.net
     if not net.final_places or not net.initial_marking:
         return
-    reachable, _ = structural_closure(net)
+    reachable, _ = token_flow_closure(net)
     if not (net.final_places & reachable):
         emit(f"{net.name}: no final place is reachable",
              location=",".join(sorted(net.final_places)),
@@ -122,9 +102,9 @@ def check_safe(ctx: LintContext, emit: Emit) -> None:
     ``STR00x`` rules through ``ctx.cache``) already *proves* safety,
     the reachability BFS is skipped entirely — a proved-safe net has no
     unsafe firing to report, so the tiers can never disagree here."""
-    from ..analysis.reach_graph import ReachabilityGraph
     from ..analysis.structural import Verdict
     from ..errors import PetriNetError
+    from ..petri.reachability import ReachabilityGraph
     from .rules_structural import cached_structural
     net = ctx.net
     if not net.initial_marking:

@@ -4,7 +4,7 @@ from .builders import (FINAL_PLACE, control_net_for_design,
                        control_net_from_schedule, step_place)
 from .critical_path import CriticalPath, critical_path, execution_time
 from .net import Guard, PetriNet, Place, Transition
-from .reachability import ReachabilityTree, TreeNode
+from .reachability import ReachabilityGraph
 
 __all__ = [
     "FINAL_PLACE",
@@ -12,9 +12,8 @@ __all__ = [
     "Guard",
     "PetriNet",
     "Place",
-    "ReachabilityTree",
+    "ReachabilityGraph",
     "Transition",
-    "TreeNode",
     "control_net_for_design",
     "control_net_from_schedule",
     "critical_path",

@@ -151,16 +151,15 @@ class PetriNet:
 
     def validate(self) -> None:
         """Check structural sanity: initial marking set, non-empty net,
-        every transition sourced (lint rules ``NET001``/``NET002``/
-        ``NET006``, which this raise-style wrapper delegates to).
+        every transition sourced (the error rules of the lint layer,
+        ``NET001``/``NET002``/``NET006``; its warning rules do not run).
 
         Raises:
             PetriNetError: listing every violated structural rule.
         """
-        from ..lint import lint_petri
-        errors = lint_petri(self).errors()
-        if errors:
-            raise PetriNetError("; ".join(d.message for d in errors))
+        from ..lint.registry import LintContext, check_layer
+        check_layer("petri", LintContext(name=self.name, net=self),
+                    PetriNetError)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (f"PetriNet({self.name!r}, {len(self.places)} places, "

@@ -1,127 +1,180 @@
-"""Reachability-tree construction (Peterson 1981, as cited by the paper).
+"""The state space of a safe timed Petri net, and its token-flow closure.
 
-The tree enumerates all markings reachable from the initial marking.  A
-branch stops at a *duplicate* node — a marking already seen on the path
-from the root (Peterson's "old" nodes) — which keeps the tree finite for
-looping control parts while still covering one full traversal of every
-loop.  The critical-path extractor (:mod:`repro.petri.critical_path`)
-walks this tree.
+:class:`ReachabilityGraph` is the library's one marking explorer: a BFS
+that visits each distinct reachable marking once (``O(n^2)`` markings
+for two concurrent chains of length ``n``, where enumerating
+interleavings costs ``O(2^n)``).  The critical-path extractor, the
+may-happen-in-parallel analysis, the two-tier safety/deadlock
+dispatcher and lint rule ``NET007`` all walk it.  Firings that would
+double-mark a place are recorded in
+:attr:`ReachabilityGraph.unsafe_firings` instead of raising, so one
+construction yields both the state space and the safeness audit.
+
+:func:`token_flow_closure` is the enumeration-free over-approximation
+that lint rules ``NET003``-``NET005`` and the structural certificate
+share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+import time
+from collections import deque
+from dataclasses import dataclass
 
 from ..errors import PetriNetError
-from .net import PetriNet, Transition
+from ..runtime.budget import Budget
+from .net import PetriNet
+
+#: Default bound on distinct markings before construction aborts.
+DEFAULT_MAX_MARKINGS = 100_000
 
 
-@dataclass
-class TreeNode:
-    """One node of the reachability tree.
-
-    Attributes:
-        marking: the marking at this node.
-        parent: index of the parent node, or None for the root.
-        via: the transition fired to reach this node, or None for root.
-        time: accumulated place delays from the root to this marking.
-        duplicate: True when this marking already appeared on the root
-            path (the branch is not expanded further).
-    """
+@dataclass(frozen=True)
+class UnsafeFiring:
+    """A reachable firing that would double-mark one or more places."""
 
     marking: frozenset[str]
-    parent: Optional[int]
-    via: Optional[Transition]
-    time: int
-    duplicate: bool = False
-    children: list[int] = field(default_factory=list)
+    trans_id: str
+    places: tuple[str, ...]
+
+    def __str__(self) -> str:  # pragma: no cover - debug helper
+        return (f"{self.trans_id} in {sorted(self.marking)} double-marks "
+                f"{list(self.places)}")
 
 
-class ReachabilityTree:
-    """The reachability tree of a safe timed Petri net."""
+@dataclass(frozen=True)
+class GraphEdge:
+    """One firing: ``src`` marking --trans_id--> ``dst`` marking."""
 
-    def __init__(self, net: PetriNet, max_nodes: int = 100_000) -> None:
-        net.validate()
+    src: frozenset[str]
+    trans_id: str
+    dst: frozenset[str]
+
+
+class ReachabilityGraph:
+    """The globally-deduplicated marking graph of a Petri net.
+
+    Attributes:
+        markings: distinct reachable markings in BFS order (the initial
+            marking first).
+        edges: every firing between reachable markings.
+        unsafe_firings: enabled firings skipped because they would
+            double-mark a place (the net is unsafe iff non-empty).
+        truncated: True when an exhausted :class:`Budget` stopped the
+            BFS early; the graph is then a well-formed *prefix* of the
+            state space (every listed marking is reachable, frontier
+            markings keep empty successor lists).
+        elapsed_seconds: wall-clock cost of the BFS construction, so
+            the two-tier dispatcher and the ``BENCH_analysis`` capture
+            can report it without re-walking (or re-timing) the graph.
+    """
+
+    def __init__(self, net: PetriNet,
+                 max_markings: int = DEFAULT_MAX_MARKINGS,
+                 budget: Budget | None = None) -> None:
         self.net = net
-        self.nodes: list[TreeNode] = []
-        #: Reachable firings that would put a token into an already
-        #: marked place, as ``(marking, trans_id, place)`` triples.  Such
-        #: firings are recorded and skipped, not taken, so the tree
-        #: itself stays a safe-net tree.
-        self.unsafe_firings: list[tuple[frozenset[str], str, str]] = []
-        self._build(max_nodes)
+        self.markings: list[frozenset[str]] = []
+        self.edges: list[GraphEdge] = []
+        self.unsafe_firings: list[UnsafeFiring] = []
+        self.truncated = False
+        self.truncation_reason = ""
+        self._succ: dict[frozenset[str], list[GraphEdge]] = {}
+        started = time.perf_counter()
+        self._build(max_markings, budget)
+        self.elapsed_seconds = time.perf_counter() - started
 
-    def _build(self, max_nodes: int) -> None:
-        root_time = sum(self.net.places[p].delay
-                        for p in self.net.initial_marking)
-        # Time bookkeeping: entering a marking costs the delay of the
-        # newly-marked places; the root pays for the initially marked ones.
-        self.nodes.append(TreeNode(self.net.initial_marking, None, None,
-                                   root_time))
-        stack = [0]
-        while stack:
-            index = stack.pop()
-            node = self.nodes[index]
-            if node.duplicate or self.net.is_final(node.marking):
-                continue
-            for transition in self.net.enabled(node.marking):
-                clash = (set(transition.outputs)
-                         & (node.marking - set(transition.inputs)))
+    def _build(self, max_markings: int,
+               budget: Budget | None = None) -> None:
+        net = self.net
+        seen: set[frozenset[str]] = {net.initial_marking}
+        queue: deque[frozenset[str]] = deque([net.initial_marking])
+        while queue:
+            marking = queue.popleft()
+            self.markings.append(marking)
+            self._succ[marking] = []
+            if budget is not None and not budget.charge():
+                # Budget drained: keep the already-discovered frontier
+                # visible (unexpanded, no successors) and stop cleanly.
+                self.truncated = True
+                self.truncation_reason = "budget_exhausted"
+                while queue:
+                    frontier = queue.popleft()
+                    self.markings.append(frontier)
+                    self._succ[frontier] = []
+                return
+            if net.is_final(marking):
+                continue  # the computation has terminated; do not expand
+            for transition in net.enabled(marking):
+                if not transition.inputs:
+                    continue  # sourceless transitions are NET006 errors
+                clash = set(transition.outputs) & (marking
+                                                   - set(transition.inputs))
                 if clash:
-                    for place in sorted(clash):
-                        self.unsafe_firings.append(
-                            (node.marking, transition.trans_id, place))
+                    self.unsafe_firings.append(UnsafeFiring(
+                        marking, transition.trans_id, tuple(sorted(clash))))
                     continue
-                after = self.net.fire(node.marking, transition)
-                entered = after - node.marking
-                step = sum(self.net.places[p].delay for p in entered)
-                child = TreeNode(after, index, transition, node.time + step)
-                child.duplicate = self._on_root_path(index, after)
-                child_index = len(self.nodes)
-                if child_index >= max_nodes:
-                    raise PetriNetError(
-                        f"{self.net.name}: reachability tree exceeds "
-                        f"{max_nodes} nodes")
-                self.nodes.append(child)
-                node.children.append(child_index)
-                stack.append(child_index)
-
-    def _on_root_path(self, index: int, marking: frozenset[str]) -> bool:
-        current: Optional[int] = index
-        while current is not None:
-            if self.nodes[current].marking == marking:
-                return True
-            current = self.nodes[current].parent
-        return False
+                after = net.fire(marking, transition)
+                edge = GraphEdge(marking, transition.trans_id, after)
+                self.edges.append(edge)
+                self._succ[marking].append(edge)
+                if after not in seen:
+                    if len(seen) >= max_markings:
+                        raise PetriNetError(
+                            f"{net.name}: reachability graph exceeds "
+                            f"{max_markings} markings")
+                    seen.add(after)
+                    queue.append(after)
 
     # ------------------------------------------------------------------
-    def leaves(self) -> list[TreeNode]:
-        """Nodes with no expanded children (final, duplicate or dead)."""
-        return [n for n in self.nodes if not n.children]
+    def successors(self, marking: frozenset[str]) -> list[GraphEdge]:
+        """Firings leaving ``marking`` (empty for unknown markings)."""
+        return list(self._succ.get(marking, []))
 
-    def final_nodes(self) -> list[TreeNode]:
-        """Nodes whose marking contains a final place."""
-        return [n for n in self.nodes if self.net.is_final(n.marking)]
-
-    def reachable_markings(self) -> set[frozenset[str]]:
-        """The set of distinct markings in the tree."""
-        return {n.marking for n in self.nodes}
-
-    def path_to(self, node: TreeNode) -> list[TreeNode]:
-        """Root-to-node path."""
-        path = [node]
-        while path[-1].parent is not None:
-            path.append(self.nodes[path[-1].parent])
-        path.reverse()
-        return path
+    def contains(self, marking: frozenset[str]) -> bool:
+        """True when ``marking`` is reachable."""
+        return marking in self._succ
 
     def is_safe(self) -> bool:
-        """True when no reachable firing would double-mark a place.
-
-        The construction records such firings in
-        :attr:`unsafe_firings` (and does not take them), so an unsafe
-        net still yields a tree — of the safe portion of its state
-        space — plus the evidence, which lint rule ``NET007`` reports.
-        """
+        """True when no reachable firing would double-mark a place."""
         return not self.unsafe_firings
+
+    @property
+    def marking_count(self) -> int:
+        """Distinct markings discovered (result-object counter)."""
+        return len(self.markings)
+
+    @property
+    def edge_count(self) -> int:
+        """Firings recorded between discovered markings."""
+        return len(self.edges)
+
+    def __len__(self) -> int:
+        return len(self.markings)
+
+    def __repr__(self) -> str:  # pragma: no cover - debug helper
+        return (f"ReachabilityGraph({self.net.name!r}, "
+                f"{len(self.markings)} markings, {len(self.edges)} edges)")
+
+
+def token_flow_closure(net: PetriNet) -> tuple[set[str], set[str]]:
+    """(reachable places, fireable transitions) without enumeration.
+
+    A transition counts as fireable once all its input places have ever
+    been producible from the initial marking (sourceless ones never).
+    Exact for the safe, conflict-light control nets this library
+    builds, an over-approximation in general, so its negative facts are
+    sound: a place outside it is never marked, a transition never fires.
+    """
+    reachable = set(net.initial_marking)
+    fireable: set[str] = set()
+    changed = True
+    while changed:
+        changed = False
+        for transition in net.transitions.values():
+            if transition.trans_id in fireable or not transition.inputs:
+                continue
+            if all(p in reachable for p in transition.inputs):
+                fireable.add(transition.trans_id)
+                reachable.update(transition.outputs)
+                changed = True
+    return reachable, fireable

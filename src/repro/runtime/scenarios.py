@@ -162,10 +162,10 @@ def scenario_reach_budget_truncate(benchmark: str, bits: int,
                                    workdir: Path) -> tuple[bool, str]:
     """The reachability BFS drains its budget: a well-formed prefix of
     the state space, tagged truncated, instead of a raise or a hang."""
-    from ..analysis.reach_graph import ReachabilityGraph
     from ..bench import load
     from ..etpn.from_dfg import default_design
     from ..petri.builders import control_net_for_design
+    from ..petri.reachability import ReachabilityGraph
     design = default_design(load(benchmark))
     net = control_net_for_design(design.dfg, design.steps)
     full = ReachabilityGraph(net)

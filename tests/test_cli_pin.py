@@ -1,0 +1,179 @@
+"""Pin the parsed command line: every subcommand's attributes and values.
+
+Each case parses one argv through :func:`repro.cli.main` and stops right
+after parsing, then checks every attribute a subcommand is known to
+produce, with its value.  Attributes the parser may add for its own
+dispatch (such as the handler it routes to) are ignored.
+"""
+
+import argparse
+
+import pytest
+
+from repro.cli import main
+
+CASES = [
+    (["table1"],
+     {"bits": [4, 8, 16], "cache_dir": None, "command": "table1",
+      "journal": None, "resume": False, "traceback": False,
+      "workers": None}),
+    (["table2", "--bits", "4", "--journal", "j.jsonl", "--resume",
+      "--workers", "2", "--cache-dir", "c"],
+     {"bits": [4], "cache_dir": "c", "command": "table2",
+      "journal": "j.jsonl", "resume": True, "traceback": False,
+      "workers": 2}),
+    (["table3", "--bits", "8", "16"],
+     {"bits": [8, 16], "cache_dir": None, "command": "table3",
+      "journal": None, "resume": False, "traceback": False,
+      "workers": None}),
+    (["fig2"],
+     {"command": "fig2", "figure_bits": 8, "traceback": False}),
+    (["fig3", "--figure-bits", "4"],
+     {"command": "fig3", "figure_bits": 4, "traceback": False}),
+    (["synth", "ex", "-k", "2", "-a", "1.5", "-b", "0.5", "--bits", "4"],
+     {"alpha": 1.5, "benchmark": "ex", "beta": 0.5, "bits": 4,
+      "command": "synth", "k": 2, "traceback": False}),
+    (["explore", "tseng", "--workers", "1"],
+     {"benchmark": "tseng", "bits": 8, "cache_dir": None,
+      "command": "explore", "traceback": False, "workers": 1}),
+    (["export", "tseng", "--what", "json"],
+     {"benchmark": "tseng", "bits": 8, "command": "export",
+      "traceback": False, "what": "json"}),
+    (["report", "--output", "r.md"],
+     {"command": "report", "output": "r.md",
+      "rows": "benchmarks/out/rows.jsonl", "traceback": False}),
+    (["bench", "ex", "--flow", "camad", "--wall-seconds", "0.5",
+      "--journal", "b.jsonl"],
+     {"benchmark": "ex", "bits": 8, "cache_dir": None, "command": "bench",
+      "flow": "camad", "journal": "b.jsonl", "resume": False,
+      "traceback": False, "wall_seconds": 0.5, "workers": None}),
+    (["chaos", "--list", "--scenario", "a", "--scenario", "b"],
+     {"benchmark": "ex", "bits": 4, "command": "chaos",
+      "list_scenarios": True, "scenarios": ["a", "b"], "traceback": False,
+      "workdir": None}),
+    (["serve", "--stats"],
+     {"command": "serve", "serve_command": None, "spool": ".repro-spool",
+      "stats": True, "traceback": False}),
+    (["serve", "--spool", "sp", "submit", "ex", "--bits", "4",
+      "--fault-fraction", "0.3", "--max-backtracks", "50"],
+     {"benchmark": "ex", "bits": 4, "command": "serve",
+      "deadline_seconds": None, "fault_fraction": 0.3, "flow": "ours",
+      "max_backtracks": 50, "max_sequences": None, "max_steps": None,
+      "saturation": None, "sequence_length": None,
+      "serve_command": "submit", "spool": "sp", "stats": False,
+      "traceback": False}),
+    (["serve", "run", "--spool", "sp2", "--workers", "2", "--isolate",
+      "--max-attempts", "2", "--backoff-base", "0", "--no-cache"],
+     {"backoff_base": 0.0, "backoff_cap": 30.0, "cache_dir": None,
+      "command": "serve", "daemon": False, "default_deadline": None,
+      "idle_seconds": 0.0, "isolate": True, "max_attempts": 2,
+      "max_jobs": None, "no_cache": True, "serve_command": "run",
+      "spool": "sp2", "stats": False, "traceback": False, "workers": 2}),
+    (["serve", "status", "abc"],
+     {"command": "serve", "job": "abc", "serve_command": "status",
+      "spool": ".repro-spool", "stats": False, "traceback": False}),
+    (["serve", "result", "abc"],
+     {"command": "serve", "job": "abc", "serve_command": "result",
+      "spool": ".repro-spool", "stats": False, "traceback": False}),
+    (["serve", "cancel", "abc", "--reason", "why"],
+     {"command": "serve", "job": "abc", "reason": "why",
+      "serve_command": "cancel", "spool": ".repro-spool", "stats": False,
+      "traceback": False}),
+    (["serve", "stats"],
+     {"command": "serve", "serve_command": "stats",
+      "spool": ".repro-spool", "stats": False, "traceback": False}),
+    (["--traceback", "lint", "ex", "x.hdl", "--strict", "--format", "json",
+      "--bits", "4", "--optimize", "--no-gates", "--depth-limit", "6"],
+     {"bits": 4, "command": "lint", "depth_limit": 6.0, "fmt": "json",
+      "list_rules": False, "no_gates": True, "optimize": True,
+      "strict": True, "targets": ["ex", "x.hdl"], "traceback": True}),
+    (["lint", "--list-rules"],
+     {"bits": 8, "command": "lint", "depth_limit": 8.0, "fmt": "text",
+      "list_rules": True, "no_gates": False, "optimize": False,
+      "strict": False, "targets": [], "traceback": False}),
+    (["analyze"],
+     {"bits": 8, "command": "analyze", "cross_check": False,
+      "flow": "ours", "fmt": "text", "max_markings": None,
+      "strict": False, "structural": False, "targets": [], "tier": "auto",
+      "traceback": False, "verbose": False}),
+    (["analyze", "ex", "--structural", "--flow", "default", "--format",
+      "json", "-v"],
+     {"bits": 8, "command": "analyze", "cross_check": False,
+      "flow": "default", "fmt": "json", "max_markings": None,
+      "strict": False, "structural": True, "targets": ["ex"],
+      "tier": "auto", "traceback": False, "verbose": True}),
+    (["analyze", "--cross-check", "--max-markings", "500", "--tier",
+      "enumerative", "--strict"],
+     {"bits": 8, "command": "analyze", "cross_check": True, "flow": "ours",
+      "fmt": "text", "max_markings": 500, "strict": True,
+      "structural": False, "targets": [], "tier": "enumerative",
+      "traceback": False, "verbose": False}),
+    (["dataflow", "tseng", "--bits", "16", "--narrow", "--input-bits", "8",
+      "--format", "json", "--vectors", "8", "--flow", "default"],
+     {"bits": [16], "command": "dataflow", "flow": "default",
+      "fmt": "json", "input_bits": 8, "narrow": True, "strict": False,
+      "targets": ["tseng"], "traceback": False, "vectors": 8,
+      "verbose": False}),
+    (["timing", "tseng", "--flow", "ours", "--period", "150", "-v",
+      "--paths", "2", "--sequential-constants", "--strict"],
+     {"bits": 8, "command": "timing", "flow": "ours", "fmt": "text",
+      "paths": 2, "period": 150.0, "sequential_constants": True,
+      "strict": True, "targets": ["tseng"], "traceback": False,
+      "verbose": True}),
+    (["bench-timing", "--repeats", "1"],
+     {"bits": 8, "command": "bench-timing", "output": "BENCH_timing.json",
+      "repeats": 1, "traceback": False}),
+    (["bench-dataflow", "--bits", "4", "--output", "bd.json"],
+     {"bits": [4], "command": "bench-dataflow", "input_bits": 8,
+      "output": "bd.json", "repeats": 3, "traceback": False,
+      "vectors": 64}),
+    (["bench-analysis"],
+     {"bits": [4, 8], "command": "bench-analysis",
+      "output": "BENCH_analysis.json", "repeats": 3, "traceback": False}),
+]
+
+
+class _Parsed(Exception):
+    """Raised right after parsing so no subcommand runs."""
+
+    def __init__(self, parser: argparse.ArgumentParser,
+                 namespace: argparse.Namespace) -> None:
+        super().__init__()
+        self.parser = parser
+        self.namespace = namespace
+
+
+def _parse(argv, monkeypatch) -> _Parsed:
+    original = argparse.ArgumentParser.parse_args
+
+    def stop_after_parsing(self, args=None, namespace=None):
+        raise _Parsed(self, original(self, args, namespace))
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                        stop_after_parsing)
+    with pytest.raises(_Parsed) as parsed:
+        main(argv)
+    return parsed.value
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    [action] = [a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.mark.parametrize("argv,expected", CASES,
+                         ids=[" ".join(argv) for argv, _ in CASES])
+def test_parsed_attributes_are_pinned(argv, expected, monkeypatch):
+    parsed = vars(_parse(argv, monkeypatch).namespace)
+    assert {key: parsed.get(key, "<missing>") for key in expected} == expected
+
+
+def test_every_subcommand_is_pinned(monkeypatch):
+    commands = _subcommands(_parse(["fig2"], monkeypatch).parser)
+    serve = _subcommands(commands["serve"])
+    pinned = {expected["command"] for _, expected in CASES}
+    pinned_serve = {expected["serve_command"] for _, expected in CASES
+                    if expected.get("serve_command")}
+    assert pinned == set(commands)
+    assert pinned_serve == set(serve)

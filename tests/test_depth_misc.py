@@ -8,7 +8,7 @@ import pytest
 from repro.bench import load
 from repro.dfg import UnitClass
 from repro.gates import CompiledCircuit, GateNetlist, GateType
-from repro.petri import (FINAL_PLACE, Guard, PetriNet, ReachabilityTree,
+from repro.petri import (FINAL_PLACE, Guard, PetriNet, ReachabilityGraph,
                          critical_path, execution_time)
 from repro.sched import check_precedence, fds_schedule, peak_usage
 
@@ -38,10 +38,9 @@ class TestPetriBranching:
 
     def test_both_branches_explored(self):
         net = self._if_else_net(2, 4)
-        tree = ReachabilityTree(net)
-        markings = tree.reachable_markings()
-        assert frozenset({"T0"}) in markings
-        assert frozenset({"E0"}) in markings
+        graph = ReachabilityGraph(net)
+        assert graph.contains(frozenset({"T0"}))
+        assert graph.contains(frozenset({"E0"}))
 
     def test_critical_path_takes_longer_branch(self):
         net = self._if_else_net(2, 4)
@@ -53,6 +52,11 @@ class TestPetriBranching:
     def test_symmetric_branches(self):
         net = self._if_else_net(3, 3)
         assert execution_time(net) == 4
+        # Equally long branches that continue past their first firing:
+        # the tie goes to the later one in transition order.
+        cp = critical_path(net)
+        assert cp.places == ("P0", "E0", "E1", "E2")
+        assert cp.transitions == ("t_else", "te0", "te1", "t_ej")
 
 
 class TestFdsAtScale:

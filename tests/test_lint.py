@@ -24,6 +24,7 @@ from repro.lint import (Diagnostic, LintReport, Severity, all_rules,
                         lint_binding, lint_datapath, lint_design, lint_dfg,
                         lint_netlist, lint_petri, lint_pipeline,
                         lint_schedule, lint_structural)
+from repro.petri import control_net_from_schedule
 from repro.petri.net import PetriNet, Transition
 from repro.sched.asap_alap import asap_schedule
 from repro.synth import SynthesisParams, synthesize
@@ -386,6 +387,160 @@ class TestValidatorDelegation:
         validate_dfg(diamond_dfg)  # must not raise
 
 
+def _raised(validate, error) -> str | None:
+    """The message ``validate()`` raises, or None when it passes."""
+    try:
+        validate()
+    except error as exc:
+        return str(exc)
+    return None
+
+
+def _full_run_errors(report: LintReport) -> str | None:
+    """What a validator built on the whole layer's report would raise."""
+    errors = report.errors()
+    return "; ".join(d.message for d in errors) if errors else None
+
+
+def _cyclic_chain(request):
+    dfg = request.getfixturevalue("chain_dfg")
+    edge = DependenceEdge("N3", "N1", "flow", "z")
+    dfg._edges.append(edge)
+    dfg._succ["N3"].append(edge)
+    dfg._pred["N1"].append(edge)
+    return dfg
+
+
+def _dead_code(request):
+    b = DFGBuilder("deadcode")
+    b.inputs("a", "b")
+    b.op("N1", "+", "x", "a", "b")
+    b.op("N2", "+", "waste", "x", "b")
+    b.outputs("x")
+    return b.build()
+
+
+DFG_CASES = {
+    "broken": lambda request: broken_dfg(),
+    "empty": lambda request: DFG("void", {}, {}, []),
+    "no-inputs": lambda request: DFG(
+        "closed", {"z": Variable("z", is_output=True)},
+        {"N1": Operation("N1", OpKind.MOVE, ("z",), "z")}, ["N1"]),
+    "cycle": _cyclic_chain,
+    "malformed": lambda request: DFG(
+        "odd", {"a": Variable("a", is_input=True),
+                "z": Variable("z", is_output=True)},
+        {"N1": Operation("N1", OpKind.ADD, ("a",), "z", order=0),
+         "N2": Operation("N2", OpKind.ADD, ("a", "a"), None, order=1)},
+        ["N1", "N2"]),
+    "dead-code-warnings": _dead_code,
+    "clean": lambda request: request.getfixturevalue("diamond_dfg"),
+}
+
+
+def _net(name, places, transitions, initial=(), final=()):
+    net = PetriNet(name)
+    for place in places:
+        net.add_place(place)
+    for trans_id, inputs, outputs in transitions:
+        if inputs:
+            net.add_transition(trans_id, inputs, outputs)
+        else:  # sourceless: seeded behind the API's back
+            net.transitions[trans_id] = Transition(trans_id, (),
+                                                   tuple(outputs))
+    net.set_initial(*initial)
+    net.set_final(*final)
+    return net
+
+
+NET_CASES = {
+    "empty": lambda: PetriNet("void"),
+    "no-marking": lambda: _net("dark", ["p0"], []),
+    "sourceless": lambda: _net("free", ["p0"], [("tx", [], ["p0"])],
+                               initial=["p0"]),
+    "sourceless-unmarked": lambda: _net("both", ["p0"],
+                                        [("tx", [], ["p0"])]),
+    "island-warnings": lambda: _net(
+        "island", ["p0", "p1", "p2"], [("t1", ["p1"], ["p2"])],
+        initial=["p0"], final=["p2"]),
+    "unsafe-warning": lambda: _net("unsafe", ["P0", "A"],
+                                   [("t", ["P0"], ["A"])],
+                                   initial=["P0", "A"]),
+    "clean": lambda: _net("chain", ["S0", "S1"], [("t0", ["S0"], ["S1"])],
+                          initial=["S0"], final=["S1"]),
+}
+
+
+def _rebind(dfg_name, edit):
+    def build(request):
+        dfg = request.getfixturevalue(dfg_name)
+        binding = default_binding(dfg)
+        edit(binding)
+        return dfg, binding
+    return build
+
+
+BINDING_CASES = {
+    "unbound": lambda request: (request.getfixturevalue("chain_dfg"),
+                                Binding()),
+    "mixed-classes": _rebind("chain_dfg", lambda b: b.module_of.update(
+        N2="M_N1")),
+    "step-conflict": _rebind("diamond_dfg", lambda b: b.module_of.update(
+        N2="M_N1")),
+    "lifetime-overlap": _rebind("diamond_dfg", lambda b: b.register_of.update(
+        y=b.register_of["x"])),
+    "condition-register-warning": _rebind(
+        "loop_dfg", lambda b: b.register_of.update(c="R_c")),
+    "stale-warning": _rebind("chain_dfg", lambda b: (
+        b.module_of.update(N99="M_gone"),
+        b.register_of.update(ghost="R_gone"))),
+    "clean": _rebind("diamond_dfg", lambda b: None),
+}
+
+
+class TestValidatorsRunErrorRulesOnly:
+    """Each raise-style validator raises exactly what the errors of a
+    full layer run list, while running only the error rules."""
+
+    @pytest.mark.parametrize("case", sorted(DFG_CASES))
+    def test_validate_dfg_matches_full_layer(self, case, request):
+        dfg = DFG_CASES[case](request)
+        assert _raised(lambda: validate_dfg(dfg), DFGError) \
+            == _full_run_errors(lint_dfg(dfg))
+
+    @pytest.mark.parametrize("case", sorted(NET_CASES))
+    def test_petri_validate_matches_full_layer(self, case):
+        net = NET_CASES[case]()
+        assert _raised(net.validate, PetriNetError) \
+            == _full_run_errors(lint_petri(net))
+
+    @pytest.mark.parametrize("case", sorted(BINDING_CASES))
+    def test_validate_binding_matches_full_layer(self, case, request):
+        dfg, binding = BINDING_CASES[case](request)
+        steps = asap_schedule(dfg)
+        assert _raised(lambda: validate_binding(dfg, steps, binding),
+                       BindingError) \
+            == _full_run_errors(lint_binding(dfg, steps, binding))
+
+    def test_petri_validate_builds_no_structural_certificate(
+            self, monkeypatch):
+        import repro.lint.rules_structural as rules_structural
+        calls = []
+
+        def certificate(net, **kwargs):
+            calls.append(net.name)
+            raise AssertionError("validate() built a structural certificate")
+
+        monkeypatch.setattr(rules_structural, "structural_certificate",
+                            certificate)
+        for build in NET_CASES.values():
+            _raised(build().validate, PetriNetError)
+        control_net_from_schedule("loop", 6, loop_condition="c").validate()
+        assert calls == []
+        lint_petri(NET_CASES["clean"]())  # the full layer does build one
+        assert calls == ["chain"]
+
+
 class TestSynthesisHook:
     def test_debug_lint_passes_on_legal_mergers(self, diamond_dfg):
         result = synthesize(diamond_dfg, SynthesisParams(debug_lint=True))
@@ -511,12 +666,12 @@ class TestStructuralRules:
         # With the structural tier proving safety, NET007 must not
         # enumerate at all: a reachability graph constructor that blows
         # up on contact proves the dedupe.
-        import repro.analysis.reach_graph as reach_graph_mod
+        import repro.petri.reachability as reachability_mod
 
         def boom(*args, **kwargs):
             raise AssertionError("NET007 enumerated a proven-safe net")
 
-        monkeypatch.setattr(reach_graph_mod, "ReachabilityGraph", boom)
+        monkeypatch.setattr(reachability_mod, "ReachabilityGraph", boom)
         net = default_design(chain_dfg).control_net
         report = lint_petri(net)
         assert "NET007" not in codes(report)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.reach_graph import ReachabilityGraph
+from repro.petri.reachability import ReachabilityGraph
 from repro.atpg import ATPGConfig, RandomPhaseConfig, run_atpg
 from repro.bench import load
 from repro.etpn.from_dfg import default_design
