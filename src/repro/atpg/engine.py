@@ -153,6 +153,7 @@ def _deterministic_phase(netlist: GateNetlist, circuit: CompiledCircuit,
             # The model guarantees detection; reaching here indicates a
             # modelling divergence worth counting, not hiding.
             result.aborted_faults += 1
+            result.divergent_faults += 1
 
 
 def _assignment_to_sequence(circuit: CompiledCircuit,

@@ -8,11 +8,22 @@ frame, and decisions are made only at primary inputs with trail-based
 undo.  Effort is counted in implications (gate re-evaluations) and
 backtracks — the units the experiment harness reports as test
 generation effort.
+
+The engine keeps per-fault work proportional to what the fault
+touches: the fault-free state (constants propagated, every input X) is
+computed once per engine and each fault re-evaluates only the faulty
+machine forward of its sites; the set of D lines is kept current on
+every value change, so the D-frontier is read off the D lines' fanouts
+instead of a scan of every line.  Each gate's 3-valued function is
+bound once per engine from a table of per-op evaluators.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, Sequence
 
 from ..errors import ATPGError
 from ..runtime.budget import Budget
@@ -32,48 +43,69 @@ _CONTROL = {
     OP_XOR: (None, False), OP_XNOR: (None, True),
 }
 
+#: A gate's 3-valued function: (line values, the gate's fanin uids) ->
+#: output value.
+Evaluator = Callable[[Sequence[int], Sequence[int]], int]
 
-def _eval3(op: int, values: list[int]) -> int:
-    """3-valued evaluation of one gate."""
-    if op == OP_CONST0:
-        return ZERO
-    if op == OP_CONST1:
-        return ONE
-    if op == OP_BUF:
-        return values[0]
-    if op == OP_NOT:
-        v = values[0]
-        return X if v == X else 1 - v
-    if op in (OP_AND, OP_NAND):
-        if ZERO in values:
-            result = ZERO
-        elif X in values:
-            result = X
-        else:
-            result = ONE
-        if op == OP_NAND and result != X:
-            result = 1 - result
+
+def _const0(values: Sequence[int], fanins: Sequence[int]) -> int:
+    return ZERO
+
+
+def _const1(values: Sequence[int], fanins: Sequence[int]) -> int:
+    return ONE
+
+
+def _buf(values: Sequence[int], fanins: Sequence[int]) -> int:
+    return values[fanins[0]]
+
+
+def _not(values: Sequence[int], fanins: Sequence[int]) -> int:
+    v = values[fanins[0]]
+    return X if v == X else 1 - v
+
+
+def _controlled(control: int, inverts: bool) -> Evaluator:
+    """AND/NAND/OR/NOR: one controlling input decides the output."""
+    decided = control ^ inverts
+    undecided = decided ^ 1
+
+    def evaluate(values: Sequence[int], fanins: Sequence[int]) -> int:
+        result = undecided
+        for f in fanins:
+            v = values[f]
+            if v == control:
+                return decided
+            if v == X:
+                result = X
         return result
-    if op in (OP_OR, OP_NOR):
-        if ONE in values:
-            result = ONE
-        elif X in values:
-            result = X
-        else:
-            result = ZERO
-        if op == OP_NOR and result != X:
-            result = 1 - result
-        return result
-    if op in (OP_XOR, OP_XNOR):
-        if X in values:
-            return X
-        result = 0
-        for v in values:
+    return evaluate
+
+
+def _parity(start: int) -> Evaluator:
+    """XOR (``start`` 0) and XNOR (``start`` 1)."""
+    def evaluate(values: Sequence[int], fanins: Sequence[int]) -> int:
+        result = start
+        for f in fanins:
+            v = values[f]
+            if v == X:
+                return X
             result ^= v
-        if op == OP_XNOR:
-            result = 1 - result
         return result
-    raise ATPGError(f"cannot evaluate op {op}")
+    return evaluate
+
+
+def _unevaluable(values: Sequence[int], fanins: Sequence[int]) -> int:
+    raise ATPGError("a primary input has no gate function")
+
+
+#: The 3-valued evaluator of every gate op.
+EVAL3: dict[int, Evaluator] = {
+    OP_CONST0: _const0, OP_CONST1: _const1, OP_BUF: _buf, OP_NOT: _not,
+    OP_AND: _controlled(ZERO, False), OP_NAND: _controlled(ZERO, True),
+    OP_OR: _controlled(ONE, False), OP_NOR: _controlled(ONE, True),
+    OP_XOR: _parity(ZERO), OP_XNOR: _parity(ONE),
+}
 
 
 @dataclass
@@ -105,7 +137,12 @@ class PodemResult:
 
 
 class PodemEngine:
-    """Runs PODEM for faults on one unrolled circuit."""
+    """Runs PODEM for faults on one unrolled circuit.
+
+    Invariant: after the initial state of a fault and after every
+    :meth:`_set` and :meth:`_undo_to`, ``_dlines`` holds exactly the
+    lines whose good and faulty values are binary and differ.
+    """
 
     def __init__(self, model: UnrolledCircuit,
                  max_backtracks: int = 64,
@@ -115,14 +152,29 @@ class PodemEngine:
         self.max_backtracks = max_backtracks
         self.max_implications = max_implications
         self.budget = budget
+        self._evals = [EVAL3.get(op, _unevaluable) for op in model.ops]
+        self._pos = model.po_set()
+
+    @cached_property
+    def _fault_free(self) -> tuple[list[int], int]:
+        """The fault-free state with every PI X, and its implication
+        charge: one per gate the full pass evaluates (neither a PI nor
+        a constant)."""
+        model = self.model
+        values = [X] * model.size
+        charge = 0
+        for uid, (op, fanins) in enumerate(zip(model.ops, model.fanins)):
+            if op == OP_PI:
+                continue
+            values[uid] = self._evals[uid](values, fanins)
+            if op != OP_CONST0 and op != OP_CONST1:
+                charge += 1
+        return values, charge
 
     # ------------------------------------------------------------------
     def generate(self, fault: Fault) -> PodemResult:
         """Attempt to generate a test for ``fault``."""
         model = self.model
-        size = model.size
-        self.good = [X] * size
-        self.faulty = [X] * size
         self.sites = set(model.site_uids.get(fault.gid, []))
         if not self.sites:
             raise ATPGError(f"fault {fault} has no site in the model")
@@ -179,78 +231,89 @@ class PodemEngine:
     # Value maintenance
     # ------------------------------------------------------------------
     def _pin_and_init(self) -> None:
-        """Evaluate constants and pin the faulty value at every site."""
-        model = self.model
-        for uid in range(model.size):
-            op = model.ops[uid]
-            if op == OP_CONST0:
-                self.good[uid] = ZERO
-                self.faulty[uid] = ZERO
-            elif op == OP_CONST1:
-                self.good[uid] = ONE
-                self.faulty[uid] = ONE
-            elif op != OP_PI:
-                values_g = [self.good[f] for f in model.fanins[uid]]
-                values_f = [self.faulty[f] for f in model.fanins[uid]]
-                self.good[uid] = _eval3(op, values_g)
-                self.faulty[uid] = _eval3(op, values_f)
-                self.stats.implications += 1
-            if uid in self.sites:
-                self.faulty[uid] = self.stuck
+        """Start from the fault-free state, pin the faulty value at
+        every site and re-evaluate the faulty machine forward of the
+        sites in uid (topological) order."""
+        good, charge = self._fault_free
+        self.good = list(good)
+        self.faulty = faulty = list(good)
+        self._dlines: set[int] = set()
+        self.stats.implications += charge
+        sites, stuck = self.sites, self.stuck
+        evals, fanins, fanouts = (self._evals, self.model.fanins,
+                                  self.model.fanouts)
+        heap = sorted(sites)
+        queued = set(sites)
+        while heap:
+            uid = heapq.heappop(heap)
+            new = stuck if uid in sites else evals[uid](faulty, fanins[uid])
+            if new == faulty[uid]:
+                continue
+            faulty[uid] = new
+            if good[uid] ^ new == 1:
+                self._dlines.add(uid)
+            for out in fanouts[uid]:
+                if out not in queued:
+                    queued.add(out)
+                    heapq.heappush(heap, out)
 
     def _assign(self, uid: int, value: int) -> None:
         """Set a PI and propagate (event-driven, trail-recorded)."""
-        self._set(uid, value, value if uid not in self.sites else self.stuck)
-        queue = list(self.model.fanouts[uid])
+        sites, stuck = self.sites, self.stuck
+        self._set(uid, value, value if uid not in sites else stuck)
+        good, faulty = self.good, self.faulty
+        evals, fanins, fanouts = (self._evals, self.model.fanins,
+                                  self.model.fanouts)
+        queue = list(fanouts[uid])
+        evaluated = 0
         while queue:
             current = queue.pop()
-            op = self.model.ops[current]
-            values_g = [self.good[f] for f in self.model.fanins[current]]
-            values_f = [self.faulty[f] for f in self.model.fanins[current]]
-            new_g = _eval3(op, values_g)
-            new_f = (self.stuck if current in self.sites
-                     else _eval3(op, values_f))
-            self.stats.implications += 1
-            if new_g != self.good[current] or new_f != self.faulty[current]:
+            evaluate, inputs = evals[current], fanins[current]
+            new_g = evaluate(good, inputs)
+            new_f = stuck if current in sites else evaluate(faulty, inputs)
+            evaluated += 1
+            if new_g != good[current] or new_f != faulty[current]:
                 self._set(current, new_g, new_f)
-                queue.extend(self.model.fanouts[current])
+                queue.extend(fanouts[current])
+        self.stats.implications += evaluated
 
     def _set(self, uid: int, g: int, f: int) -> None:
         self._trail.append((uid, self.good[uid], self.faulty[uid]))
         self.good[uid] = g
         self.faulty[uid] = f
+        # With ZERO, ONE, X = 0, 1, 2, g ^ f == 1 exactly on a D.
+        if g ^ f == 1:
+            self._dlines.add(uid)
+        else:
+            self._dlines.discard(uid)
 
     def _undo_to(self, mark: int) -> None:
-        while len(self._trail) > mark:
-            uid, g, f = self._trail.pop()
-            self.good[uid] = g
-            self.faulty[uid] = f
+        trail, good, faulty = self._trail, self.good, self.faulty
+        dlines = self._dlines
+        while len(trail) > mark:
+            uid, g, f = trail.pop()
+            good[uid] = g
+            faulty[uid] = f
+            if g ^ f == 1:
+                dlines.add(uid)
+            else:
+                dlines.discard(uid)
 
     # ------------------------------------------------------------------
     # Objectives
     # ------------------------------------------------------------------
     def _detected(self) -> bool:
-        for uid in self.model.po_names:
-            g, f = self.good[uid], self.faulty[uid]
-            if g != X and f != X and g != f:
-                return True
-        return False
-
-    def _is_d(self, uid: int) -> bool:
-        g, f = self.good[uid], self.faulty[uid]
-        return g != X and f != X and g != f
+        return not self._dlines.isdisjoint(self._pos)
 
     def _objective(self) -> tuple[int, int] | None:
         """Next (uid, good-value) objective, or None at a dead end."""
-        activated = any(self._is_d(uid) for uid in self.sites)
-        if not activated:
+        if self._dlines.isdisjoint(self.sites):
             want = 1 - self.stuck
             for uid in sorted(self.sites):
                 if self.good[uid] == X:
                     return (uid, want)
             return None  # every site blocked: activation impossible
-        frontier = self._d_frontier()
-        for uid in frontier:
+        for uid in self._d_frontier():
             if not self._x_path_to_po(uid):
                 continue
             control, _ = _CONTROL.get(self.model.ops[uid], (None, False))
@@ -261,30 +324,26 @@ class PodemEngine:
         return None
 
     def _d_frontier(self) -> list[int]:
-        frontier = []
-        for uid in range(self.model.size):
-            if self.good[uid] != X and self.faulty[uid] != X \
-                    and self.good[uid] == self.faulty[uid]:
-                continue
-            if self._is_d(uid):
-                continue
-            if any(self._is_d(f) for f in self.model.fanins[uid]):
-                frontier.append(uid)
-        return frontier
+        """Gates with a D input whose good or faulty value is still X,
+        in ascending uid."""
+        good, faulty, fanouts = self.good, self.faulty, self.model.fanouts
+        return sorted({out for uid in self._dlines for out in fanouts[uid]
+                       if good[out] == X or faulty[out] == X})
 
     def _x_path_to_po(self, uid: int) -> bool:
         """Is there a path of not-fully-assigned lines to an output?"""
-        pos = self.model.po_set()
+        pos, fanouts = self._pos, self.model.fanouts
+        good, faulty = self.good, self.faulty
         stack = [uid]
         seen = {uid}
         while stack:
             current = stack.pop()
             if current in pos:
                 return True
-            for fanout in self.model.fanouts[current]:
+            for fanout in fanouts[current]:
                 if fanout in seen:
                     continue
-                g, f = self.good[fanout], self.faulty[fanout]
+                g, f = good[fanout], faulty[fanout]
                 blocked = g != X and f != X and g == f
                 if not blocked:
                     seen.add(fanout)

@@ -31,6 +31,10 @@ class ATPGResult:
     #: budget.  Disjoint from ``untestable_faults``, which PODEM proves
     #: the expensive way.
     untestable_by_analysis: int = 0
+    #: PODEM successes the fault simulator did not confirm (a modelling
+    #: divergence between the unrolled model and the simulator).  Also
+    #: counted in ``aborted_faults``; expected to be zero.
+    divergent_faults: int = 0
     random_cycles: int = 0
     deterministic_cycles: int = 0
     random_effort: int = 0
