@@ -10,11 +10,26 @@ constraints are discharged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
-from ..etpn.datapath import DataPath, NodeKind
+from ..etpn.datapath import DataPath
 from ..etpn.design import Design
 from .floorplan import Floorplan, floorplan
 from .library import DEFAULT_LIBRARY, ModuleLibrary
+
+
+def placement(datapath: DataPath, slot_pitch_mm: float) -> Floorplan:
+    """The floorplan of ``datapath``, placed once and kept on it.
+
+    Placement does not depend on the pitch, so a data path is placed at
+    most once whatever pitch it is priced at.
+    """
+    plan = datapath.placement
+    if plan is None:
+        plan = datapath.placement = floorplan(datapath, slot_pitch_mm)
+    if plan.slot_pitch_mm != slot_pitch_mm:
+        return Floorplan(plan.positions, slot_pitch_mm)
+    return plan
 
 
 @dataclass(frozen=True)
@@ -45,35 +60,36 @@ class CostModel:
     library: ModuleLibrary = field(default_factory=lambda: DEFAULT_LIBRARY)
 
     # ------------------------------------------------------------------
-    def node_area(self, datapath: DataPath, node_id: str) -> float:
-        """Area of one data-path node (ports and constants are free)."""
-        node = datapath.nodes[node_id]
-        if node.kind == NodeKind.MODULE:
-            return self.library.unit_area(datapath.module_class(node_id),
-                                          self.bits)
-        if node.kind == NodeKind.REGISTER:
-            return self.library.register_area(self.bits)
-        return 0.0
-
     def hardware(self, datapath: DataPath,
-                 plan: Floorplan | None = None) -> HardwareCost:
-        """Compute H for a data path (floorplanning it if needed)."""
-        if plan is None:
-            plan = floorplan(datapath, self.library.slot_pitch_mm)
-        units = sum(self.node_area(datapath, m.node_id)
+                 widths: Mapping[str, int] | None = None) -> HardwareCost:
+        """Compute H for a data path on its floorplan.
+
+        Every node is priced at ``bits`` unless ``widths`` gives it
+        another width (:mod:`repro.cost.narrow` prices proved widths).
+        A module or register costs its unit area at its width, a mux its
+        sink's width, and a wire the narrower end's width (conditions
+        are 1 bit); ports and constants are free.
+        """
+        library = self.library
+        plan = placement(datapath, library.slot_pitch_mm)
+        width = (widths or {}).get
+        bits = self.bits
+        units = sum(library.unit_area(datapath.module_class(m.node_id),
+                                      width(m.node_id, bits))
                     for m in datapath.modules())
-        registers = sum(self.node_area(datapath, r.node_id)
+        registers = sum(library.register_area(width(r.node_id, bits))
                         for r in datapath.registers())
         muxes = 0.0
         for node_id in datapath.nodes:
             for port in datapath.input_ports(node_id):
                 fanin = len(datapath.sources_of_port(node_id, port))
-                muxes += self.library.mux_area(fanin, self.bits)
+                muxes += library.mux_area(fanin, width(node_id, bits))
         wiring = 0.0
         for arc in datapath.arcs:
-            bits = 1 if arc.is_condition else self.bits
+            wire_bits = 1 if arc.is_condition else min(width(arc.src, bits),
+                                                       width(arc.dst, bits))
             wiring += (plan.wirelength_mm(arc.src, arc.dst)
-                       * self.library.wire_width(bits))
+                       * library.wire_width(wire_bits))
         return HardwareCost(units, registers, muxes, wiring)
 
     def hardware_total(self, datapath: DataPath) -> float:

@@ -10,11 +10,19 @@ place the unplaced vertex with the strongest connectivity to the placed
 set onto the free slot minimising its total Manhattan wirelength to its
 placed neighbours.  Deterministic (name-based tie-breaks) so that cost
 deltas between designs are stable.
+
+The slot scan stops early without changing the choice: free slots come
+in nondecreasing Chebyshev ring, and a slot on ring ``r`` is at least
+``r - R`` (Manhattan ≥ Chebyshev) from every placed neighbour, ``R``
+being the outermost neighbour's ring.  With ``W`` the candidate's total
+placed-neighbour weight, no slot from the first ring with
+``W·(r - R) ≥ best`` on can beat the best cost so far.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from ..etpn.datapath import DataPath
 
@@ -51,60 +59,79 @@ class Floorplan:
         return (max(xs) - min(xs) + 1, max(ys) - min(ys) + 1)
 
 
-def _spiral(limit: int):
-    """Yield grid slots in a deterministic spiral around the origin."""
-    yield Slot(0, 0)
+def _ring_slots(limit: int) -> Iterator[tuple[int, int, int]]:
+    """Yield ``(x, y, ring)`` in a deterministic spiral around the origin.
+
+    ``ring`` is the Chebyshev distance from the origin; it never
+    decreases along the spiral.
+    """
+    yield (0, 0, 0)
     produced = 1
     ring = 1
     while produced < limit:
         x, y = ring, ring
-        moves = [(-1, 0), (0, -1), (1, 0), (0, 1)]
-        for dx, dy in moves:
+        for dx, dy in ((-1, 0), (0, -1), (1, 0), (0, 1)):
             for _ in range(2 * ring):
                 if produced >= limit:
                     return
-                yield Slot(x, y)
+                yield (x, y, ring)
                 produced += 1
                 x, y = x + dx, y + dy
         ring += 1
 
 
+def _spiral(limit: int) -> Iterator[Slot]:
+    """Yield grid slots in a deterministic spiral around the origin."""
+    for x, y, _ in _ring_slots(limit):
+        yield Slot(x, y)
+
+
 def floorplan(datapath: DataPath, slot_pitch_mm: float) -> Floorplan:
     """Place all data-path nodes with the constructive heuristic."""
     nodes = sorted(datapath.nodes)
-    connectivity: dict[str, dict[str, int]] = {n: {} for n in nodes}
+    neighbours: dict[str, dict[str, int]] = {n: {} for n in nodes}
     for arc in datapath.arcs:
         if arc.src == arc.dst:
             continue
-        connectivity[arc.src][arc.dst] = connectivity[arc.src].get(arc.dst, 0) + 1
-        connectivity[arc.dst][arc.src] = connectivity[arc.dst].get(arc.src, 0) + 1
+        neighbours[arc.src][arc.dst] = neighbours[arc.src].get(arc.dst, 0) + 1
+        neighbours[arc.dst][arc.src] = neighbours[arc.dst].get(arc.src, 0) + 1
 
-    free_slots = list(_spiral(4 * len(nodes) + 16))
-    positions: dict[str, Slot] = {}
+    free = list(_ring_slots(4 * len(nodes) + 16))
+    unplaced = list(nodes)
+    placed: dict[str, tuple[int, int, int]] = {}
+    # Weight of each node's arcs into the placed set.
+    attraction = dict.fromkeys(nodes, 0)
 
-    def degree(node: str) -> int:
-        return sum(connectivity[node].values())
+    def place(node: str, slot: tuple[int, int, int]) -> None:
+        placed[node] = slot
+        unplaced.remove(node)
+        for other, weight in neighbours[node].items():
+            attraction[other] += weight
 
-    unplaced = set(nodes)
-    seed = max(nodes, key=lambda n: (degree(n), n))
-    positions[seed] = free_slots.pop(0)
-    unplaced.remove(seed)
-
+    place(max(nodes, key=lambda n: (sum(neighbours[n].values()), n)),
+          free.pop(0))
     while unplaced:
-        def attraction(node: str) -> int:
-            return sum(w for other, w in connectivity[node].items()
-                       if other in positions)
-        candidate = max(sorted(unplaced), key=attraction)
-        best_slot = None
-        best_cost = None
-        for index, slot in enumerate(free_slots):
-            cost = sum(w * slot.distance(positions[other])
-                       for other, w in connectivity[candidate].items()
-                       if other in positions)
-            if best_cost is None or cost < best_cost:
+        # The first maximum in name order.
+        candidate = max(unplaced, key=attraction.__getitem__)
+        anchors = [(placed[other], weight)
+                   for other, weight in neighbours[candidate].items()
+                   if other in placed]
+        total_weight = sum(weight for _, weight in anchors)
+        outer_ring = max((slot[2] for slot, _ in anchors), default=0)
+        best_index = 0
+        best_cost = -1
+        for index, (x, y, ring) in enumerate(free):
+            # The ring lower bound: no slot from here on costs less.
+            if best_cost >= 0 \
+                    and total_weight * (ring - outer_ring) >= best_cost:
+                break
+            cost = 0
+            for (px, py, _), weight in anchors:
+                cost += weight * (abs(x - px) + abs(y - py))
+            if best_cost < 0 or cost < best_cost:
                 best_cost = cost
-                best_slot = index
-        positions[candidate] = free_slots.pop(best_slot)
-        unplaced.remove(candidate)
+                best_index = index
+        place(candidate, free.pop(best_index))
 
-    return Floorplan(positions, slot_pitch_mm)
+    return Floorplan({node: Slot(x, y) for node, (x, y, _) in placed.items()},
+                     slot_pitch_mm)

@@ -34,7 +34,6 @@ from ..analysis.dataflow import DataflowCertificate, analyze_dataflow
 from ..etpn.datapath import DataPath, NodeKind
 from ..etpn.design import Design
 from .estimate import CostModel, HardwareCost
-from .floorplan import floorplan
 from .library import DEFAULT_LIBRARY, ModuleLibrary
 
 
@@ -142,36 +141,6 @@ def _node_width(datapath: DataPath, node_id: str, cert: DataflowCertificate,
     return 1  # COND: a 1-bit controller wire
 
 
-def _narrowed_hardware(datapath: DataPath, cert: DataflowCertificate,
-                       module_width: Mapping[str, int],
-                       register_width: Mapping[str, int],
-                       library: ModuleLibrary) -> HardwareCost:
-    """Mirror :meth:`CostModel.hardware` with per-node proved widths."""
-    plan = floorplan(datapath, library.slot_pitch_mm)
-
-    def width_of(node_id: str) -> int:
-        return _node_width(datapath, node_id, cert,
-                           module_width, register_width)
-
-    units = sum(library.unit_area(datapath.module_class(m.node_id),
-                                  width_of(m.node_id))
-                for m in datapath.modules())
-    registers = sum(library.register_area(width_of(r.node_id))
-                    for r in datapath.registers())
-    muxes = 0.0
-    for node_id in datapath.nodes:
-        for port in datapath.input_ports(node_id):
-            fanin = len(datapath.sources_of_port(node_id, port))
-            muxes += library.mux_area(fanin, width_of(node_id))
-    wiring = 0.0
-    for arc in datapath.arcs:
-        bits = 1 if arc.is_condition else min(width_of(arc.src),
-                                              width_of(arc.dst))
-        wiring += plan.wirelength_mm(arc.src, arc.dst) \
-            * library.wire_width(bits)
-    return HardwareCost(units, registers, muxes, wiring)
-
-
 def narrow_design(design: Design, bits: int,
                   assumptions: Optional[Mapping[str, tuple[int, int]]]
                   = None,
@@ -195,7 +164,8 @@ def narrow_design(design: Design, bits: int,
     from ..analysis.equivalence import certify
 
     lib = library if library is not None else DEFAULT_LIBRARY
-    baseline = CostModel(bits=bits, library=lib).hardware(design.datapath)
+    cost_model = CostModel(bits=bits, library=lib)
+    baseline = cost_model.hardware(design.datapath)
     if cert is None:
         cert = analyze_dataflow(design.dfg, bits, assumptions=assumptions)
     elif cert.bits != bits:
@@ -217,8 +187,11 @@ def narrow_design(design: Design, bits: int,
             baseline=baseline, narrowed=baseline, certificate=cert)
 
     module_width, register_width = proved_widths(design, cert)
-    narrowed = _narrowed_hardware(design.datapath, cert, module_width,
-                                  register_width, lib)
+    datapath = design.datapath
+    narrowed = cost_model.hardware(datapath, {
+        node_id: _node_width(datapath, node_id, cert, module_width,
+                             register_width)
+        for node_id in datapath.nodes})
     return NarrowingReport(
         name=design.dfg.name, bits=bits, applied=True, reason="",
         equivalence_valid=True, module_width=module_width,

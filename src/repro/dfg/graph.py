@@ -134,6 +134,15 @@ class DFG:
         for edge in self._edges:
             self._succ[edge.src].append(edge)
             self._pred[edge.dst].append(edge)
+        # Defining and reading ops per variable, in program order.
+        self._defs: dict[str, list[str]] = {}
+        self._uses: dict[str, list[str]] = {}
+        for op_id in self._op_order:
+            op = self._operations[op_id]
+            for var in set(op.src_variables()):
+                self._uses.setdefault(var, []).append(op_id)
+            if op.dst is not None:
+                self._defs.setdefault(op.dst, []).append(op_id)
 
     # ------------------------------------------------------------------
     # Accessors
@@ -195,12 +204,11 @@ class DFG:
 
     def defs_of(self, var: str) -> list[str]:
         """Op ids defining ``var``, in program order."""
-        return [o for o in self._op_order if self._operations[o].dst == var]
+        return list(self._defs.get(var, ()))
 
     def uses_of(self, var: str) -> list[str]:
-        """Op ids reading ``var``, in program order."""
-        return [o for o in self._op_order
-                if var in self._operations[o].src_variables()]
+        """Op ids reading ``var`` (once each), in program order."""
+        return list(self._uses.get(var, ()))
 
     def unit_classes(self) -> dict[str, UnitClass]:
         """Map each op_id to its functional-unit class."""

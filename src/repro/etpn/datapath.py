@@ -20,11 +20,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..alloc.binding import Binding
 from ..dfg import DFG, unit_class, UnitClass
 from ..dfg.graph import Const
 from ..errors import NetlistError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..cost.floorplan import Floorplan
 
 
 class NodeKind(enum.Enum):
@@ -78,13 +82,20 @@ class DataPathArc:
 
 
 class DataPath:
-    """The structural data path of a bound design."""
+    """The structural data path of a bound design.
+
+    Immutable once built: nothing outside this module changes its
+    nodes or arcs, so derived facts may be kept on it.
+    """
 
     def __init__(self, dfg: DFG, binding: Binding) -> None:
         self.dfg = dfg
         self.binding = binding
         self.nodes: dict[str, DataPathNode] = {}
         self.arcs: list[DataPathArc] = []
+        #: This data path's floorplan, placed on first use by
+        #: :func:`repro.cost.estimate.placement` and kept while it lives.
+        self.placement: Floorplan | None = None
         self._build()
         self._outgoing: dict[str, list[DataPathArc]] = {n: [] for n in self.nodes}
         self._incoming: dict[str, list[DataPathArc]] = {n: [] for n in self.nodes}

@@ -20,6 +20,12 @@ from ..sched.schedule import schedule_length
 from .datapath import DataPath
 
 
+#: The cached views of a :class:`Design` that depend only on its binding,
+#: and those that depend only on its steps (besides the shared DFG).
+_BINDING_VIEWS = ("datapath",)
+_STEPS_VIEWS = ("control_net", "lifetimes", "execution_time")
+
+
 class Design:
     """An ETPN design point produced by a synthesis flow."""
 
@@ -76,11 +82,22 @@ class Design:
     def replaced(self, steps: dict[str, int] | None = None,
                  binding: Binding | None = None,
                  label: str | None = None) -> "Design":
-        """A new design with some components swapped (others shared)."""
-        return Design(self.dfg,
-                      self.steps if steps is None else steps,
-                      self.binding if binding is None else binding,
-                      self.label if label is None else label)
+        """A new design with some components swapped (others shared).
+
+        The new design also shares the views already derived from what
+        it keeps: the data path when the binding stays, the control
+        net, lifetimes and execution time when the steps stay.
+        """
+        design = Design(self.dfg,
+                        self.steps if steps is None else steps,
+                        self.binding if binding is None else binding,
+                        self.label if label is None else label)
+        kept = (_BINDING_VIEWS if binding is None else ()) \
+            + (_STEPS_VIEWS if steps is None else ())
+        for view in kept:
+            if view in self.__dict__:
+                design.__dict__[view] = self.__dict__[view]
+        return design
 
     def summary(self) -> dict[str, int]:
         """Headline structural numbers used throughout the harness."""

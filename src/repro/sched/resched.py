@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from ..alloc.binding import Binding
 from ..dfg import DFG
 from ..dfg.analysis import edge_latency
+from ..dfg.lifetime import Lifetime, variable_lifetimes
 from ..errors import ScheduleError
 
 
@@ -195,9 +196,12 @@ def current_module_orders(dfg: DFG, binding: Binding,
 def current_register_orders(dfg: DFG, binding: Binding,
                             steps: dict[str, int]) -> dict[str, list[str]]:
     """Lifetime order of each shared register under the current schedule."""
-    from ..dfg.lifetime import variable_lifetimes
+    return lifetime_orders(binding, variable_lifetimes(dfg, steps))
 
-    lifetimes = variable_lifetimes(dfg, steps)
+
+def lifetime_orders(binding: Binding, lifetimes: dict[str, Lifetime]
+                    ) -> dict[str, list[str]]:
+    """Lifetime order of each shared register: by birth, then name."""
     orders = {}
     for register, variables in binding.registers().items():
         if len(variables) >= 2:

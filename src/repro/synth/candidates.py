@@ -60,35 +60,15 @@ def compatible_pairs(design: Design) -> list[CandidatePair]:
     return pairs
 
 
-def _post_merge_depth(design: Design, pair: CandidatePair) -> float:
-    """Mean controllable→observable register depth after the merge.
-
-    A cheap structural preview (no rescheduling): it realises rule SR1 —
-    prefer folds that shorten the path from controllable to observable
-    registers — directly in candidate ranking.
-    """
-    from ..etpn.datapath import DataPath
-    from ..testability.depth import register_depths
-
-    if pair.kind == "module":
-        binding = design.binding.merge_modules(pair.node_a, pair.node_b)
-    else:
-        binding = design.binding.merge_registers(pair.node_a, pair.node_b)
-    depths = register_depths(DataPath(design.dfg, binding))
-    if not depths:
-        return 0.0
-    return sum(d.total for d in depths.values()) / len(depths)
-
-
 def rank_candidates(design: Design, analysis: TestabilityAnalysis,
                     pairs: list[CandidatePair] | None = None
                     ) -> list[CandidatePair]:
     """Rank merger pairs by the C/O balance principle.
 
     The primary key is the merged node's balance quality (quantised so
-    near-ties fall through); ties break towards folds that shorten the
-    mean sequential depth (SR1), avoid creating self-loops, and have
-    the most complementary parents.
+    near-ties fall through); ties break towards the most complementary
+    parents, then folds that create no self-loop, then by kind and the
+    two node ids, so the order is total and deterministic.
     """
     if pairs is None:
         pairs = compatible_pairs(design)

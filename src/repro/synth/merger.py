@@ -21,7 +21,7 @@ from ..cost import CostModel
 from ..errors import BindingError
 from ..etpn.design import Design
 from ..runtime.chaos import chaos_point
-from ..sched.resched import (current_module_orders, current_register_orders,
+from ..sched.resched import (current_module_orders, lifetime_orders,
                              merge_order_candidates, reschedule)
 
 
@@ -89,8 +89,7 @@ def try_merge_modules(design: Design, keep: str, absorb: str,
                         key=lambda o: (design.steps[o], o))
     module_orders = current_module_orders(dfg, design.binding, design.steps)
     module_orders.pop(absorb, None)
-    register_orders = current_register_orders(dfg, design.binding,
-                                              design.steps)
+    register_orders = lifetime_orders(design.binding, design.lifetimes)
     candidates: list[Design] = []
     orders: dict[int, tuple[str, ...]] = {}
     for order in merge_order_candidates(seq_keep, seq_absorb, design.steps):
@@ -138,8 +137,7 @@ def try_merge_registers(design: Design, keep: str, absorb: str,
                         key=lambda v: (birth(v), v))
     birth_rank = {v: birth(v) for v in seq_keep + seq_absorb}
     module_orders = current_module_orders(dfg, design.binding, design.steps)
-    register_orders = current_register_orders(dfg, design.binding,
-                                              design.steps)
+    register_orders = lifetime_orders(design.binding, lifetimes)
     register_orders.pop(absorb, None)
     candidates: list[Design] = []
     orders: dict[int, tuple[str, ...]] = {}

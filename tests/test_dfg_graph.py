@@ -61,6 +61,19 @@ class TestGraphBasics:
         assert chain_dfg.uses_of("x") == ["N2"]
         assert chain_dfg.uses_of("a") == ["N1"]
 
+    def test_defs_and_uses_in_program_order_once_per_op(self,
+                                                         multidef_dfg):
+        for name in multidef_dfg.variables:
+            ops = [multidef_dfg.operation(o) for o in multidef_dfg.op_order]
+            assert multidef_dfg.defs_of(name) == [
+                op.op_id for op in ops if op.dst == name]
+            assert multidef_dfg.uses_of(name) == [
+                op.op_id for op in ops if name in op.src_variables()]
+        b = DFGBuilder("square")
+        b.inputs("a")
+        b.op("N1", "*", "x", "a", "a")
+        assert b.build().uses_of("a") == ["N1"]
+
     def test_len_and_iter(self, chain_dfg):
         assert len(chain_dfg) == 3
         assert [op.op_id for op in chain_dfg] == ["N1", "N2", "N3"]
