@@ -1,6 +1,6 @@
 """Static timing analysis over gate netlists.
 
-See DESIGN.md §15.  Public surface:
+See DESIGN.md §14.  Public surface:
 
 * :func:`analyze_timing` / :class:`TimingReport` — the engine;
 * :class:`DelayTable` / :func:`default_period` — the delay model and

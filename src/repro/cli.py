@@ -9,16 +9,13 @@ Examples::
     repro-hlts bench ex --flow ours --bits 8
     repro-hlts lint                   # design-rule check every benchmark
     repro-hlts lint diffeq my.hdl --strict --format json
-    repro-hlts analyze                # MHP races + equivalence certificates
+    repro-hlts analyze                # equivalence certificates
     repro-hlts analyze ewf --flow default --format json
-    repro-hlts analyze --structural   # invariant certificates only, no BFS
-    repro-hlts analyze --cross-check  # assert both tiers agree
     repro-hlts dataflow diffeq --bits 8 --narrow
     repro-hlts timing                 # STA every benchmark, default period
     repro-hlts timing tseng --flow ours --period 150 -v
     repro-hlts bench-dataflow         # write BENCH_dataflow.json
     repro-hlts bench-timing           # write BENCH_timing.json
-    repro-hlts bench-analysis         # time structural vs enumerative
     repro-hlts table1 --workers 4 --cache-dir .repro-cache
     repro-hlts serve submit ex --bits 8
     repro-hlts serve run              # drain the queue, then exit
@@ -436,91 +433,24 @@ def _lint_command(args) -> int:
 
 
 def _analyze_command(args) -> int:
-    """The ``analyze`` subcommand: MHP races + equivalence certificates,
-    or the structural certificates alone, or the tier cross-check."""
+    """The ``analyze`` subcommand: equivalence certificates."""
     from .analysis import analyze_design
-    from .petri.reachability import DEFAULT_MAX_MARKINGS
-
-    designs = list(_designs(args, "analyzing"))
-    if args.structural:
-        return _structural_results(args, designs)
-    max_markings = args.max_markings or DEFAULT_MAX_MARKINGS
-    if args.cross_check:
-        return _cross_check(designs, max_markings)
-
-    def _decision(decision):
-        if decision is None:
-            return None
-        return {"value": decision.value, "tier": str(decision.tier),
-                "detail": decision.detail}
 
     results: list[TargetResult] = []
-    for target, design in designs:
-        result = analyze_design(design, max_markings=max_markings,
-                                tier=args.tier)
+    for target, design in _designs(args, "analyzing"):
+        result = analyze_design(design)
         ok = result.report.ok(strict=args.strict) and result.verified
         lines = [f"== {result.summary()} [{_status(ok)}]"]
-        if result.safe is not None:
-            lines.append(f"   {result.safe}; {result.deadlock_free}")
         lines += _diagnostic_lines(result.report)
         if result.certificate is not None and args.verbose:
             lines += [f"   {line}" for line
                       in result.certificate.summary().splitlines()]
         results.append((ok, {
             "name": target, "ok": ok, "verified": result.verified,
-            "markings": result.markings, "races": len(result.races),
             "certificate": (result.certificate.to_dict()
                             if result.certificate else None),
-            "structural": (result.structural.to_dict()
-                           if result.structural else None),
-            "safe": _decision(result.safe),
-            "deadlock_free": _decision(result.deadlock_free),
             **result.report.to_dict()}, lines))
-    return _print_results(args, results, flow=args.flow, tier=args.tier,
-                          strict=args.strict)
-
-
-def _structural_results(args, designs) -> int:
-    """``analyze --structural``: certificate-only fast mode, no BFS."""
-    from .analysis import Verdict, structural_certificate
-
-    results: list[TargetResult] = []
-    for target, design in designs:
-        cert = structural_certificate(design.control_net)
-        problems = cert.check(design.control_net)
-        refuted = [name for name, verdict in
-                   (("safe", cert.safe), ("bounded", cert.bounded),
-                    ("deadlock_free", cert.deadlock_free))
-                   if verdict is Verdict.REFUTED]
-        ok = not problems and not refuted
-        lines = [f"== {cert.summary()} [{_status(ok)}]"]
-        if args.verbose:
-            lines += [f"   P-invariant: {inv}" for inv in cert.p_invariants]
-            lines += [f"   T-invariant: {inv}" for inv in cert.t_invariants]
-        lines += [f"   REFUTED: {name}" for name in refuted]
-        lines += [f"   CHECK: {problem}" for problem in problems]
-        results.append((ok, {"name": target, "ok": ok, "refuted": refuted,
-                             "check_problems": problems, **cert.to_dict()},
-                        lines))
-    return _print_results(args, results, flow=args.flow, mode="structural")
-
-
-def _cross_check(designs, max_markings: int) -> int:
-    """``analyze --cross-check``: assert the two tiers agree."""
-    from .analysis import cross_check
-
-    mismatches = []
-    for target, design in designs:
-        found = cross_check(design.control_net, max_markings=max_markings)
-        verdict = "agree" if not found else "MISMATCH"
-        print(f"== {target}: structural vs enumerative: {verdict}")
-        for line in found:
-            print(f"   {line}")
-        mismatches.extend(found)
-    total = "all tiers agree" if not mismatches else \
-        f"{len(mismatches)} disagreement(s)"
-    print(f"cross-check: {len(designs)} design(s), {total}")
-    return 0 if not mismatches else 1
+    return _print_results(args, results, flow=args.flow, strict=args.strict)
 
 
 def _timing_command(args) -> int:
@@ -622,17 +552,6 @@ def _bench_dataflow_command(args) -> int:
           f"with narrowing savings: "
           f"{report['benchmarks_with_area_delta']}")
     return 0 if report["all_certs_ok"] else 1
-
-
-def _bench_analysis_command(args) -> int:
-    from .harness.bench_analysis import run_bench_analysis
-    report = run_bench_analysis(bits=args.bits, repeats=args.repeats,
-                                output=args.output, progress=_progress)
-    print(f"wrote {args.output}: {report['cells_total']} cells, "
-          f"structural faster on "
-          f"{report['structural_faster']}/{report['cells_total']}")
-    return 0 if report["structural_faster"] == report["cells_total"] \
-        else 1
 
 
 #: One ``add_argument`` call: (flags, keyword arguments).
@@ -758,24 +677,9 @@ def _commands() -> list[Command]:
           _arg("--list-rules", action="store_true",
                help="print the rule table and exit")], {}),
         ("analyze",
-         "concurrency analysis: MHP races + equivalence certificates",
-         _analyze_command,
+         "equivalence certificates: every output computes the DFG's "
+         "expression", _analyze_command,
          [targets, flow, bits, fmt, strict,
-          _arg("--max-markings", type=int, default=None,
-               help="bound on the reachability-graph exploration"),
-          _arg("--structural", action="store_true",
-               help="fast mode: print only the structural certificates "
-                    "(invariants, siphons, verdicts); never enumerates "
-                    "the state space"),
-          _arg("--tier", choices=["auto", "structural", "enumerative"],
-               default="auto",
-               help="which analysis tier decides safety/deadlock verdicts "
-                    "(default: auto = structure first, enumerate only "
-                    "when inconclusive)"),
-          _arg("--cross-check", action="store_true",
-               help="run both tiers to completion and fail on any "
-                    "disagreement between structural and enumerative "
-                    "verdicts"),
           verbose("also print the per-output certificate expressions")],
          {}),
         ("dataflow",
@@ -817,12 +721,6 @@ def _commands() -> list[Command]:
           _arg("--input-bits", type=int, default=8,
                help="narrowing cells assume inputs occupy at most "
                     "min(this, bits) bits (default: 8)")], {}),
-        ("bench-analysis",
-         "time structural certificates vs reachability BFS and write "
-         "BENCH_analysis.json", _bench_analysis_command,
-         [_arg("--bits", type=int, nargs="+", default=[4, 8],
-               help="data-path widths to benchmark (default: 4 8)"),
-          *writes("BENCH_analysis.json", 3)], {}),
     ]
 
 

@@ -1,7 +1,8 @@
 """Hardware and execution-time estimation (paper §4.2).
 
 ``H = Σ Area(V_i) + Σ Len(A_j) × Wid(A_j)`` over the floorplanned data
-path; ``E`` is the critical path of the control Petri net.  The
+path; ``E`` is the critical path of the control Petri net, which is
+the schedule's step count (:attr:`Design.execution_time`).  The
 synthesis algorithm compares candidate mergers by ΔE and ΔH, the
 increases these two numbers suffer when the merger's scheduling
 constraints are discharged.
@@ -97,13 +98,9 @@ class CostModel:
         return self.hardware(datapath).total_mm2
 
     # ------------------------------------------------------------------
-    def execution(self, design: Design) -> int:
-        """E: the control-part critical path of a design."""
-        return design.execution_time
-
     def delta(self, before: Design, after: Design) -> tuple[float, float]:
         """(ΔE, ΔH) of a candidate transformation."""
-        delta_e = float(self.execution(after) - self.execution(before))
+        delta_e = float(after.execution_time - before.execution_time)
         delta_h = (self.hardware_total(after.datapath)
                    - self.hardware_total(before.datapath))
         return delta_e, delta_h

@@ -2,9 +2,10 @@
 
 A :class:`Design` bundles the three facts that fully determine an
 RT-level implementation and lazily derives the expensive views: the
-structural data path, the control Petri net, variable lifetimes and the
-execution time (Petri-net critical path).  Designs are immutable;
-transformations produce new ones via :meth:`Design.replaced`.
+structural data path, the control Petri net and variable lifetimes.
+The execution time is the schedule's step count (DESIGN.md §8).
+Designs are immutable; transformations produce new ones via
+:meth:`Design.replaced`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from functools import cached_property
 from ..alloc.binding import Binding, validate_binding
 from ..dfg import DFG
 from ..dfg.lifetime import Lifetime, variable_lifetimes
-from ..petri import PetriNet, control_net_for_design, execution_time
+from ..petri import PetriNet, control_net_for_design
 from ..sched.constraints import check_precedence
 from ..sched.schedule import schedule_length
 from .datapath import DataPath
@@ -23,7 +24,7 @@ from .datapath import DataPath
 #: The cached views of a :class:`Design` that depend only on its binding,
 #: and those that depend only on its steps (besides the shared DFG).
 _BINDING_VIEWS = ("datapath",)
-_STEPS_VIEWS = ("control_net", "lifetimes", "execution_time")
+_STEPS_VIEWS = ("control_net", "lifetimes")
 
 
 class Design:
@@ -58,10 +59,14 @@ class Design:
         """Variable lifetimes under this design's schedule."""
         return variable_lifetimes(self.dfg, self.steps)
 
-    @cached_property
+    @property
     def execution_time(self) -> int:
-        """E: the critical path of the control part (paper §4.2)."""
-        return execution_time(self.control_net)
+        """E: the critical path of the control part (paper §4.2).
+
+        The control part is a chain of :attr:`num_steps` places, so E is
+        the step count (DESIGN.md §8).
+        """
+        return self.num_steps
 
     # ------------------------------------------------------------------
     def validate(self) -> None:
@@ -86,7 +91,7 @@ class Design:
 
         The new design also shares the views already derived from what
         it keeps: the data path when the binding stays, the control
-        net, lifetimes and execution time when the steps stay.
+        net and lifetimes when the steps stay.
         """
         design = Design(self.dfg,
                         self.steps if steps is None else steps,

@@ -13,7 +13,6 @@ Layers and code prefixes::
 
     DFG  data-flow graph          SCH  schedule       BND  binding
     NET  control Petri net        GAT  gate netlist   TST  testability
-    STR  structural invariants    RAC  concurrency races
     EQV  value-flow equivalence   LNT  pipeline-stage failure
     DFA  abstract-interpretation value facts
     TIM  static timing analysis
@@ -24,17 +23,17 @@ See ``repro-hlts lint --list-rules`` or DESIGN.md for the full table.
 from .diagnostic import Diagnostic, LintReport, Severity
 from .registry import (LAYERS, LintContext, Rule, all_rules, get_rule, rule,
                        rules_for_layer, run_layer)
-from .runner import (PIPELINE_FAILURE_CODE, lint_analysis, lint_binding,
-                     lint_dataflow, lint_datapath, lint_design, lint_dfg,
-                     lint_netlist, lint_petri, lint_pipeline, lint_schedule,
-                     lint_structural, lint_timing, run_analysis_layer)
+from .runner import (PIPELINE_FAILURE_CODE, lint_binding, lint_dataflow,
+                     lint_datapath, lint_design, lint_dfg, lint_netlist,
+                     lint_petri, lint_pipeline, lint_schedule, lint_timing,
+                     run_analysis_layer)
 
 __all__ = [
     "Diagnostic", "LintReport", "Severity",
     "LAYERS", "LintContext", "Rule", "all_rules", "get_rule", "rule",
     "rules_for_layer", "run_layer",
-    "PIPELINE_FAILURE_CODE", "lint_analysis", "lint_binding",
-    "lint_dataflow", "lint_datapath", "lint_design", "lint_dfg",
-    "lint_netlist", "lint_petri", "lint_pipeline", "lint_schedule",
-    "lint_structural", "lint_timing", "run_analysis_layer",
+    "PIPELINE_FAILURE_CODE", "lint_binding", "lint_dataflow",
+    "lint_datapath", "lint_design", "lint_dfg", "lint_netlist",
+    "lint_petri", "lint_pipeline", "lint_schedule", "lint_timing",
+    "run_analysis_layer",
 ]

@@ -9,9 +9,9 @@ builds the context for each layer and collects every emission into a
 :class:`~repro.lint.diagnostic.LintReport`.
 
 Codes are stable and unique: ``DFG``/``DFA``/``SCH``/``BND``/``NET``/
-``STR``/``GAT``/``TIM``/``TST`` prefixes map to the dfg, dataflow,
-schedule, binding, Petri-net, structural-invariant, gate, timing and
-testability layers (see DESIGN.md for the full table).
+``EQV``/``GAT``/``TIM``/``TST`` prefixes map to the dfg, dataflow,
+schedule, binding, Petri-net, analysis, gate, timing and testability
+layers (see DESIGN.md for the full table).
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from typing import Any, Callable, Optional
 from .diagnostic import Diagnostic, LintReport, Severity
 
 #: The checkable layers, in pipeline order.
-LAYERS = ("dfg", "dataflow", "sched", "binding", "petri", "structural",
-          "analysis", "gates", "timing", "testability")
+LAYERS = ("dfg", "dataflow", "sched", "binding", "petri", "analysis",
+          "gates", "timing", "testability")
 
 
 @dataclass
@@ -37,15 +37,13 @@ class LintContext:
         bits: word width the dataflow layer analyses values at.
         steps: the schedule, op_id -> control step (sched/binding).
         binding: the allocation (binding/analysis layers).
-        net: the control Petri net (petri/analysis layers).
+        net: the control Petri net (petri layer).
         netlist: the gate-level netlist (gates/timing layers).
         datapath: the structural data path (testability layer).
         depth_limit: sequential C/O depth above which TST002 fires.
         period: clock period the timing layer audits against; None
             derives the library default (at which findings mean the
             netlist drifted from the model the allocator priced).
-        placement: op_id -> control place, for analysis rules checking a
-            hand-built control part; derived from ``steps`` when None.
         cache: scratch space shared by the rules of one run, used to
             memoise expensive whole-design analyses.
     """
@@ -60,7 +58,6 @@ class LintContext:
     datapath: Any = None
     depth_limit: float = 8.0
     period: Optional[float] = None
-    placement: Optional[dict[str, str]] = None
     cache: dict[str, Any] = field(default_factory=dict)
 
 
@@ -189,6 +186,5 @@ def _load_builtin_rules() -> None:
     from . import rules_gates  # noqa: F401
     from . import rules_petri  # noqa: F401
     from . import rules_sched  # noqa: F401
-    from . import rules_structural  # noqa: F401
     from . import rules_testability  # noqa: F401
     from . import rules_timing  # noqa: F401

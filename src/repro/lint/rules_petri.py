@@ -1,17 +1,40 @@
-"""Petri-net-layer design rules (codes ``NET001``-``NET007``).
+"""Petri-net-layer design rules (codes ``NET001``-``NET006``).
 
 Reachability in ``NET003``-``NET005`` is the token-flow closure
-(:func:`~repro.petri.reachability.token_flow_closure`): exact for the
-safe, conflict-light control nets this library builds, an
-over-approximation in general (a place the closure cannot reach is
-certainly unreachable, so the warnings are sound).
+(:func:`token_flow_closure`): exact for the chain control nets this
+library builds, an over-approximation in general (a place the closure
+cannot reach is certainly unreachable, so the warnings are sound).
 """
 
 from __future__ import annotations
 
-from ..petri.reachability import token_flow_closure
+from ..petri.net import PetriNet
 from .diagnostic import Severity
 from .registry import Emit, LintContext, rule
+
+
+def token_flow_closure(net: PetriNet) -> tuple[set[str], set[str]]:
+    """(reachable places, fireable transitions) without enumeration.
+
+    A transition counts as fireable once all its input places have ever
+    been producible from the initial marking (sourceless ones never).
+    Exact for the chain control nets this library builds, an
+    over-approximation in general, so its negative facts are sound: a
+    place outside it is never marked, a transition never fires.
+    """
+    reachable = set(net.initial_marking)
+    fireable: set[str] = set()
+    changed = True
+    while changed:
+        changed = False
+        for transition in net.transitions.values():
+            if transition.trans_id in fireable or not transition.inputs:
+                continue
+            if all(p in reachable for p in transition.inputs):
+                fireable.add(transition.trans_id)
+                reachable.update(transition.outputs)
+                changed = True
+    return reachable, fireable
 
 
 @rule("NET001", layer="petri", severity=Severity.ERROR, title="no places")
@@ -83,41 +106,3 @@ def check_transition_inputs(ctx: LintContext, emit: Emit) -> None:
             emit(f"{ctx.net.name}: transition {trans_id!r} has no input "
                  f"places", location=trans_id)
 
-
-#: Reachability bound for the NET007 safeness audit: control nets this
-#: library builds stay far below it, and genuinely huge nets should not
-#: stall an interactive lint run.
-SAFENESS_MAX_MARKINGS = 20_000
-
-
-@rule("NET007", layer="petri", severity=Severity.WARNING,
-      title="unsafe firing")
-def check_safe(ctx: LintContext, emit: Emit) -> None:
-    """ETPN control parts must be *safe*: no reachable firing may put a
-    second token into a place.  A warning (not an error) because the
-    raise-style validators run this lint layer — an error would make an
-    unsafe net unconstructible and hence unreportable.
-
-    Two-tier: when the structural certificate (shared with the
-    ``STR00x`` rules through ``ctx.cache``) already *proves* safety,
-    the reachability BFS is skipped entirely — a proved-safe net has no
-    unsafe firing to report, so the tiers can never disagree here."""
-    from ..analysis.structural import Verdict
-    from ..errors import PetriNetError
-    from ..petri.reachability import ReachabilityGraph
-    from .rules_structural import cached_structural
-    net = ctx.net
-    if not net.initial_marking:
-        return  # NET002 already fired
-    cert = cached_structural(ctx)
-    if cert is not None and cert.safe is Verdict.PROVED:
-        return  # structural tier decided; no enumeration needed
-    try:
-        graph = ReachabilityGraph(net, max_markings=SAFENESS_MAX_MARKINGS)
-    except PetriNetError:
-        return  # state space too large to audit; not a finding
-    for firing in graph.unsafe_firings:
-        emit(f"{net.name}: firing {firing.trans_id!r} in marking "
-             f"{sorted(firing.marking)} would double-mark "
-             f"{list(firing.places)}", location=firing.trans_id,
-             hint="the net is not safe; serialise the conflicting branches")

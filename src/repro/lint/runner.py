@@ -3,9 +3,8 @@
 Entry points by granularity:
 
 * :func:`lint_dfg`, :func:`lint_schedule`, :func:`lint_binding`,
-  :func:`lint_petri`, :func:`lint_structural`, :func:`lint_netlist`,
-  :func:`lint_timing`, :func:`lint_datapath` — audit one intermediate
-  representation;
+  :func:`lint_petri`, :func:`lint_netlist`, :func:`lint_timing`,
+  :func:`lint_datapath` — audit one intermediate representation;
 * :func:`lint_design` — audit a bound, scheduled ETPN design point
   (schedule + binding + control net + testability smells);
 * :func:`lint_pipeline` — audit everything derivable from a DFG:
@@ -66,18 +65,8 @@ def lint_binding(dfg, steps: dict[str, int], binding) -> LintReport:
 
 
 def lint_petri(net) -> LintReport:
-    """Run every Petri-net-layer rule over ``net``.
-
-    The context is fresh, so ``NET007`` computes (and caches) the
-    structural certificate itself before deciding whether a
-    reachability audit is needed.
-    """
+    """Run every Petri-net-layer rule over ``net``."""
     return run_layer("petri", LintContext(name=net.name, net=net))
-
-
-def lint_structural(net) -> LintReport:
-    """Run every structural-layer rule (``STR00x``) over ``net``."""
-    return run_layer("structural", LintContext(name=net.name, net=net))
 
 
 def lint_netlist(netlist) -> LintReport:
@@ -107,29 +96,6 @@ def lint_datapath(datapath, depth_limit: float = 8.0) -> LintReport:
                                  depth_limit=depth_limit))
 
 
-def lint_analysis(dfg, steps: dict[str, int], binding, net=None,
-                  placement=None, max_markings=None) -> LintReport:
-    """Run the analysis-layer rules (RAC/EQV) over one design point.
-
-    Args:
-        dfg: the data-flow graph.
-        steps: the schedule, op_id -> control step.
-        binding: the module/register allocation.
-        net: the control Petri net; derived from the schedule when None.
-        placement: op_id -> control place for hand-built nets; derived
-            from ``steps`` (``S<step>``) when None.
-        max_markings: bound on the reachability exploration.
-
-    When an analysis cannot even be constructed (incomplete schedule,
-    unexplorable net) the skip is reported as ``LNT001``.
-    """
-    ctx = LintContext(name=dfg.name, dfg=dfg, steps=steps, binding=binding,
-                      net=net, placement=placement)
-    if max_markings is not None:
-        ctx.cache["analysis.max_markings"] = max_markings
-    return run_analysis_layer(ctx)
-
-
 def run_analysis_layer(ctx: LintContext) -> LintReport:
     """Run the analysis layer on a prepared context, reporting skips.
 
@@ -138,11 +104,10 @@ def run_analysis_layer(ctx: LintContext) -> LintReport:
     analysis objects.
     """
     report = run_layer("analysis", ctx)
-    for stage, key in (("concurrency analysis", "analysis.concurrency"),
-                       ("equivalence certificate", "analysis.certificate")):
-        reason = ctx.cache.get(f"{key}_error")
-        if ctx.cache.get(key) is None and reason:
-            report.add(_pipeline_failure(ctx.name, stage, reason))
+    reason = ctx.cache.get("analysis.certificate_error")
+    if ctx.cache.get("analysis.certificate") is None and reason:
+        report.add(_pipeline_failure(ctx.name, "equivalence certificate",
+                                     reason))
     return report
 
 
@@ -154,17 +119,15 @@ def lint_design(design, depth_limit: float = 8.0,
     """Audit one ETPN design point across every derivable layer.
 
     Checks the schedule, the binding, the value-flow facts, the control
-    Petri net, the MHP/equivalence analyses and the testability smells
+    Petri net, the equivalence certificate and the testability smells
     of the data path.  Derivation failures become ``LNT001``
     diagnostics.
     """
     dfg = design.dfg
     report = lint_schedule(dfg, design.steps)
     report.extend(lint_binding(dfg, design.steps, design.binding))
-    # One shared context for the whole-design layers: the structural
-    # certificate is computed once (NET007 reuses it to skip its
-    # reachability BFS on provably-safe nets) and the dataflow
-    # certificate likewise serves every DFA rule in one analysis.
+    # One shared context for the whole-design layers: the dataflow
+    # certificate is computed once and serves every DFA rule.
     shared = LintContext(name=dfg.name, dfg=dfg, bits=bits,
                          steps=design.steps, binding=design.binding,
                          net=design.control_net)
@@ -177,13 +140,10 @@ def lint_design(design, depth_limit: float = 8.0,
     except Exception as exc:
         report.add(_pipeline_failure(dfg.name, "control net", exc))
     try:
-        report.extend(run_layer("structural", shared))
-    except Exception as exc:
-        report.add(_pipeline_failure(dfg.name, "structural analysis", exc))
-    try:
         report.extend(run_analysis_layer(shared))
     except Exception as exc:
-        report.add(_pipeline_failure(dfg.name, "concurrency analysis", exc))
+        report.add(_pipeline_failure(dfg.name, "equivalence certificate",
+                                     exc))
     try:
         report.extend(lint_datapath(design.datapath, depth_limit))
     except Exception as exc:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..errors import PetriNetError
+from ..sched.schedule import schedule_length
 from .net import Guard, PetriNet
 
 
@@ -74,13 +75,15 @@ def control_net_for_design(dfg, steps: dict[str, int]) -> PetriNet:
 
     Control-step labels list the operations executing in each step, which
     the harness uses when rendering the paper's schedule figures.
+
+    Raises:
+        PetriNetError: when ``steps`` is empty (no control step).
     """
-    num_steps = max(steps.values()) + 1 if steps else 1
     labels: dict[int, str] = {}
     for op_id in sorted(steps, key=lambda o: (steps[o], o)):
         labels.setdefault(steps[op_id], "")
         separator = " " if labels[steps[op_id]] else ""
         labels[steps[op_id]] += f"{separator}{op_id}"
-    return control_net_from_schedule(dfg.name, num_steps,
+    return control_net_from_schedule(dfg.name, schedule_length(steps),
                                      loop_condition=dfg.loop_condition,
                                      step_labels=labels)

@@ -115,40 +115,6 @@ class PetriNet:
         self.final_places = frozenset(place_ids)
 
     # ------------------------------------------------------------------
-    def enabled(self, marking: frozenset[str]) -> list[Transition]:
-        """Transitions whose every input place is marked."""
-        return [t for t in self.transitions.values()
-                if all(p in marking for p in t.inputs)]
-
-    def fire(self, marking: frozenset[str],
-             transition: Transition) -> frozenset[str]:
-        """Return the marking after firing ``transition``.
-
-        Raises:
-            PetriNetError: when the transition is not enabled or firing
-                would violate safeness (double-mark a place).
-        """
-        if not all(p in marking for p in transition.inputs):
-            raise PetriNetError(f"{self.name}: {transition.trans_id} not "
-                                f"enabled in {sorted(marking)}")
-        after = set(marking) - set(transition.inputs)
-        for out in transition.outputs:
-            if out in after:
-                raise PetriNetError(f"{self.name}: firing "
-                                    f"{transition.trans_id} double-marks "
-                                    f"{out!r}")
-            after.add(out)
-        return frozenset(after)
-
-    def is_final(self, marking: frozenset[str]) -> bool:
-        """True when the marking contains any designated final place."""
-        return bool(self.final_places & marking)
-
-    def conditions(self) -> set[str]:
-        """All condition signals referenced by guards."""
-        return {t.guard.condition for t in self.transitions.values()
-                if t.guard is not None}
-
     def validate(self) -> None:
         """Check structural sanity: initial marking set, non-empty net,
         every transition sourced (the error rules of the lint layer,

@@ -1,9 +1,9 @@
 """repro.runtime — budgets, graceful degradation and chaos testing.
 
 The hardening layer of the pipeline: :class:`Budget` bounds every
-long-running kernel (PODEM, random TPG, fault simulation, reachability
-BFS, the merger loop) with wall-clock deadlines, step ceilings and
-cooperative cancellation; :mod:`~repro.runtime.atomic` makes every
+long-running kernel (PODEM, random TPG, fault simulation, the merger
+loop) with wall-clock deadlines, step ceilings and cooperative
+cancellation; :mod:`~repro.runtime.atomic` makes every
 result-file write crash-safe; :class:`Journal` checkpoints experiment
 grids so crashed runs resume instead of restarting; and
 :mod:`~repro.runtime.chaos` injects deterministic failures at

@@ -5,10 +5,10 @@ search (PODEM backtrack limits, §5) — the same discipline every other
 long loop in the pipeline should obey.  A :class:`Budget` carries a
 wall-clock deadline, an abstract step ceiling and a cooperative
 cancellation flag; the PODEM search, the random test-generation phase,
-fault simulation, the reachability BFS and the merger loop all
-:meth:`charge` it as they work and stop *cleanly* once it is exhausted,
-returning a well-formed partial result tagged with
-``budget_exhausted`` provenance instead of hanging or raising.
+fault simulation and the merger loop all :meth:`charge` it as they
+work and stop *cleanly* once it is exhausted, returning a well-formed
+partial result tagged with ``budget_exhausted`` provenance instead of
+hanging or raising.
 
 Budgets are sticky: once exhausted (for any reason) they stay
 exhausted, so a budget threaded through several stages shuts the whole

@@ -1,7 +1,7 @@
 """Durable synthesis-as-a-service: spool + WAL ledger + supervisor.
 
 The service turns the one-shot experiment harness into a
-crash-recoverable job queue (DESIGN.md §16):
+crash-recoverable job queue (DESIGN.md §15):
 
 * :mod:`repro.service.spool` — a filesystem spool directory is the
   whole transport; job ids are content hashes, so resubmission is

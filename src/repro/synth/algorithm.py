@@ -48,11 +48,11 @@ class SynthesisParams:
             debugging new transformations, not production runs.
         verify_mergers: statically verify every candidate merger with
             :func:`repro.analysis.verify.merger_preserves_semantics`
-            (MHP race analysis + symbolic equivalence certificate) and
-            reject candidates that fail; the loop then only ever commits
+            (a valid symbolic equivalence certificate) and reject
+            candidates that fail; the loop then only ever commits
             provably semantics-preserving design points.  Slower than
-            ``debug_lint`` but catches control-level races and
-            value-flow corruption the structural lint rules cannot see.
+            ``debug_lint`` but catches value-flow corruption the
+            structural lint rules cannot see.
         check_timing: gate module mergers on static timing — a
             candidate whose merged module's measured critical path no
             longer closes at ``clock_period`` is rejected

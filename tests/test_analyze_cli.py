@@ -20,9 +20,7 @@ class TestAnalyzeCli:
     def test_default_flow_text(self, capsys):
         assert main(["analyze", "ex", "--flow", "default"]) == 0
         out = capsys.readouterr().out
-        assert "certificate valid" in out
-        assert "0 races" in out
-        assert "[ok]" in out
+        assert "ex: certificate valid [ok]" in out
 
     def test_all_benchmarks_default_flow(self, capsys):
         assert main(["analyze", "--flow", "default"]) == 0
@@ -41,8 +39,6 @@ class TestAnalyzeCli:
         target = data["targets"][0]
         assert target["name"] == "ex"
         assert target["verified"] is True
-        assert target["races"] == 0
-        assert target["markings"] > 0
         assert target["certificate"]["valid"] is True
 
     def test_json_is_byte_stable(self, capsys):
@@ -66,11 +62,3 @@ class TestAnalyzeCli:
         source.write_text(HDL_SOURCE)
         assert main(["analyze", str(source), "--flow", "default"]) == 0
         assert "certificate valid" in capsys.readouterr().out
-
-    def test_max_markings_flag(self, capsys):
-        # A tiny bound makes the control net unexplorable: the analysis
-        # reports the skip (LNT001) and the run fails.
-        assert main(["analyze", "ewf", "--flow", "default",
-                     "--max-markings", "2"]) == 1
-        out = capsys.readouterr().out
-        assert "LNT001" in out and "[FAIL]" in out

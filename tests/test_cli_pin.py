@@ -92,22 +92,14 @@ CASES = [
       "list_rules": True, "no_gates": False, "optimize": False,
       "strict": False, "targets": [], "traceback": False}),
     (["analyze"],
-     {"bits": 8, "command": "analyze", "cross_check": False,
-      "flow": "ours", "fmt": "text", "max_markings": None,
-      "strict": False, "structural": False, "targets": [], "tier": "auto",
-      "traceback": False, "verbose": False}),
-    (["analyze", "ex", "--structural", "--flow", "default", "--format",
-      "json", "-v"],
-     {"bits": 8, "command": "analyze", "cross_check": False,
-      "flow": "default", "fmt": "json", "max_markings": None,
-      "strict": False, "structural": True, "targets": ["ex"],
-      "tier": "auto", "traceback": False, "verbose": True}),
-    (["analyze", "--cross-check", "--max-markings", "500", "--tier",
-      "enumerative", "--strict"],
-     {"bits": 8, "command": "analyze", "cross_check": True, "flow": "ours",
-      "fmt": "text", "max_markings": 500, "strict": True,
-      "structural": False, "targets": [], "tier": "enumerative",
-      "traceback": False, "verbose": False}),
+     {"bits": 8, "command": "analyze", "flow": "ours", "fmt": "text",
+      "strict": False, "targets": [], "traceback": False,
+      "verbose": False}),
+    (["analyze", "ex", "--flow", "default", "--format", "json", "--bits",
+      "4", "--strict", "-v"],
+     {"bits": 4, "command": "analyze", "flow": "default", "fmt": "json",
+      "strict": True, "targets": ["ex"], "traceback": False,
+      "verbose": True}),
     (["dataflow", "tseng", "--bits", "16", "--narrow", "--input-bits", "8",
       "--format", "json", "--vectors", "8", "--flow", "default"],
      {"bits": [16], "command": "dataflow", "flow": "default",
@@ -127,9 +119,6 @@ CASES = [
      {"bits": [4], "command": "bench-dataflow", "input_bits": 8,
       "output": "bd.json", "repeats": 3, "traceback": False,
       "vectors": 64}),
-    (["bench-analysis"],
-     {"bits": [4, 8], "command": "bench-analysis",
-      "output": "BENCH_analysis.json", "repeats": 3, "traceback": False}),
 ]
 
 

@@ -120,8 +120,7 @@ class TestCostModel:
         assert delta_h < 0.0            # one register saved
 
     def test_execution_cost(self, chain_dfg):
-        model = CostModel(bits=8)
-        assert model.execution(default_design(chain_dfg)) == 3
+        assert default_design(chain_dfg).execution_time == 3
 
     def test_area_calibration_magnitude(self, chain_dfg):
         # A small design at 8 bits should land well under 1 mm² —

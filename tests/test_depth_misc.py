@@ -1,5 +1,5 @@
-"""Deeper edge-case tests: Petri branching, FDS at scale, simulator
-lane independence, and flow determinism."""
+"""Deeper edge-case tests: FDS at scale, simulator lane independence,
+and flow determinism."""
 
 import random
 
@@ -8,55 +8,7 @@ import pytest
 from repro.bench import load
 from repro.dfg import UnitClass
 from repro.gates import CompiledCircuit, GateNetlist, GateType
-from repro.petri import (FINAL_PLACE, Guard, PetriNet, ReachabilityGraph,
-                         critical_path, execution_time)
 from repro.sched import check_precedence, fds_schedule, peak_usage
-
-
-class TestPetriBranching:
-    def _if_else_net(self, then_steps: int, else_steps: int) -> PetriNet:
-        """A guarded branch: cond ? then-chain : else-chain, then join."""
-        net = PetriNet("branch")
-        net.add_place("P0", delay=1)
-        for i in range(then_steps):
-            net.add_place(f"T{i}", delay=1)
-        for i in range(else_steps):
-            net.add_place(f"E{i}", delay=1)
-        net.add_place(FINAL_PLACE, delay=0)
-        net.add_transition("t_then", ["P0"], ["T0"], guard=Guard("c"))
-        net.add_transition("t_else", ["P0"], ["E0"],
-                           guard=Guard("c", negated=True))
-        for i in range(then_steps - 1):
-            net.add_transition(f"tt{i}", [f"T{i}"], [f"T{i+1}"])
-        for i in range(else_steps - 1):
-            net.add_transition(f"te{i}", [f"E{i}"], [f"E{i+1}"])
-        net.add_transition("t_tj", [f"T{then_steps-1}"], [FINAL_PLACE])
-        net.add_transition("t_ej", [f"E{else_steps-1}"], [FINAL_PLACE])
-        net.set_initial("P0")
-        net.set_final(FINAL_PLACE)
-        return net
-
-    def test_both_branches_explored(self):
-        net = self._if_else_net(2, 4)
-        graph = ReachabilityGraph(net)
-        assert graph.contains(frozenset({"T0"}))
-        assert graph.contains(frozenset({"E0"}))
-
-    def test_critical_path_takes_longer_branch(self):
-        net = self._if_else_net(2, 4)
-        # 1 (P0) + 4 (else chain) dominates.
-        assert execution_time(net) == 5
-        cp = critical_path(net)
-        assert "E3" in cp.places
-
-    def test_symmetric_branches(self):
-        net = self._if_else_net(3, 3)
-        assert execution_time(net) == 4
-        # Equally long branches that continue past their first firing:
-        # the tie goes to the later one in transition order.
-        cp = critical_path(net)
-        assert cp.places == ("P0", "E0", "E1", "E2")
-        assert cp.transitions == ("t_else", "te0", "te1", "t_ej")
 
 
 class TestFdsAtScale:

@@ -10,7 +10,7 @@ from repro.errors import BindingError
 from repro.etpn import default_design
 from repro.gates import GateNetlist, GateType
 from repro.gates.prune import observable_gates, prune_unobservable
-from repro.petri import control_net_from_schedule, critical_path
+from repro.petri import control_net_from_schedule
 from repro.synth import SynthesisResult, run_ours
 
 
@@ -20,10 +20,6 @@ class TestPetriCorners:
                                         step_labels={0: "N1 N2", 1: "N3"})
         assert net.places["S0"].label == "N1 N2"
         assert net.places["S1"].label == "N3"
-
-    def test_critical_path_transitions(self):
-        cp = critical_path(control_net_from_schedule("t", 3))
-        assert len(cp.transitions) == 3   # t0, t1, t2 (into Pfinal)
 
 
 class TestBindingCorners:

@@ -23,8 +23,7 @@ from repro.gates.netlist import Gate, GateNetlist, GateType
 from repro.lint import (Diagnostic, LintReport, Severity, all_rules,
                         lint_binding, lint_datapath, lint_design, lint_dfg,
                         lint_netlist, lint_petri, lint_pipeline,
-                        lint_schedule, lint_structural)
-from repro.petri import control_net_from_schedule
+                        lint_schedule)
 from repro.petri.net import PetriNet, Transition
 from repro.sched.asap_alap import asap_schedule
 from repro.synth import SynthesisParams, synthesize
@@ -237,6 +236,21 @@ class TestPetriRules:
     def test_validate_delegates_to_rules(self):
         with pytest.raises(PetriNetError, match="no places"):
             PetriNet("void").validate()
+
+    def test_free_choice_join_is_closure_reachable(self):
+        # The token-flow closure over-approximates reachability: it
+        # reaches the join of two mutually exclusive branches, so the
+        # NET003-NET005 warnings stay quiet.
+        net = PetriNet("choice")
+        for place in ("S0", "A", "B", "J"):
+            net.add_place(place)
+        net.add_transition("ta", ["S0"], ["A"])
+        net.add_transition("tb", ["S0"], ["B"])
+        net.add_transition("join", ["A", "B"], ["J"])
+        net.set_initial("S0")
+        net.set_final("J")
+        report = lint_petri(net)
+        assert not any(d.code.startswith("NET") for d in report)
 
 
 def seeded_gate_netlist() -> GateNetlist:
@@ -522,24 +536,6 @@ class TestValidatorsRunErrorRulesOnly:
                        BindingError) \
             == _full_run_errors(lint_binding(dfg, steps, binding))
 
-    def test_petri_validate_builds_no_structural_certificate(
-            self, monkeypatch):
-        import repro.lint.rules_structural as rules_structural
-        calls = []
-
-        def certificate(net, **kwargs):
-            calls.append(net.name)
-            raise AssertionError("validate() built a structural certificate")
-
-        monkeypatch.setattr(rules_structural, "structural_certificate",
-                            certificate)
-        for build in NET_CASES.values():
-            _raised(build().validate, PetriNetError)
-        control_net_from_schedule("loop", 6, loop_condition="c").validate()
-        assert calls == []
-        lint_petri(NET_CASES["clean"]())  # the full layer does build one
-        assert calls == ["chain"]
-
 
 class TestSynthesisHook:
     def test_debug_lint_passes_on_legal_mergers(self, diamond_dfg):
@@ -622,72 +618,6 @@ class TestReportDeterminism:
         assert first == second
 
 
-def invariant_dead_net() -> PetriNet:
-    """Free choice feeding a join: structure proves the join dead
-    (its inputs are mutually exclusive) and the closed net has an
-    uncontrolled siphon — yet every place is closure-reachable, so the
-    NET layer sees nothing wrong."""
-    net = PetriNet("invdead")
-    for p in ("S0", "A", "B", "J"):
-        net.add_place(p)
-    net.add_transition("ta", ["S0"], ["A"])
-    net.add_transition("tb", ["S0"], ["B"])
-    net.add_transition("join", ["A", "B"], ["J"])
-    net.set_initial("S0")
-    net.set_final("J")
-    return net
-
-
-class TestStructuralRules:
-    def test_invariant_dead_transition_found(self):
-        report = lint_structural(invariant_dead_net())
-        dead = [d for d in report if d.code == "STR004"]
-        assert [d.location for d in dead] == ["join"]
-
-    def test_uncontrolled_siphon_found(self):
-        report = lint_structural(invariant_dead_net())
-        assert "STR005" in codes(report)
-
-    def test_petri_layer_is_blind_to_invariant_deadness(self):
-        # The closure reaches every place, so NET004/NET005 stay quiet:
-        # only the invariant arithmetic exposes the dead join.
-        report = lint_petri(invariant_dead_net())
-        assert not any(d.code.startswith("NET") for d in report)
-
-    def test_benchmark_designs_are_structurally_clean(self):
-        for name in PAPER_BENCHMARKS:
-            design = default_design(load(name))
-            report = lint_structural(design.control_net)
-            assert len(report) == 0, report.format_text()
-
-    def test_net007_skips_bfs_when_structure_proves_safety(self,
-                                                           monkeypatch,
-                                                           chain_dfg):
-        # With the structural tier proving safety, NET007 must not
-        # enumerate at all: a reachability graph constructor that blows
-        # up on contact proves the dedupe.
-        import repro.petri.reachability as reachability_mod
-
-        def boom(*args, **kwargs):
-            raise AssertionError("NET007 enumerated a proven-safe net")
-
-        monkeypatch.setattr(reachability_mod, "ReachabilityGraph", boom)
-        net = default_design(chain_dfg).control_net
-        report = lint_petri(net)
-        assert "NET007" not in codes(report)
-        assert not report.has_errors
-
-    def test_certificate_self_check_rule_exists(self):
-        assert "STR006" in {r.code for r in all_rules()}
-
-    def test_lint_design_includes_structural_layer(self, chain_dfg):
-        report = lint_design(default_design(chain_dfg))
-        assert not report.has_errors
-        # The layer ran (its rules are registered and the run crashed
-        # nowhere), even though a healthy design yields no findings.
-        assert "LNT001" not in codes(report)
-
-
 class TestAnalysisLayerIntegration:
     def test_lint_design_includes_analysis_layer(self, diamond_dfg):
         design = default_design(diamond_dfg)
@@ -703,3 +633,11 @@ class TestAnalysisLayerIntegration:
     def test_clean_design_still_clean(self, chain_dfg):
         report = lint_design(default_design(chain_dfg))
         assert not report.has_errors
+
+    def test_uncertifiable_design_reports_lnt001(self, chain_dfg):
+        from repro.analysis import analyze_design
+        # An incomplete schedule cannot be certified.
+        design = default_design(chain_dfg).replaced(steps={"N1": 0})
+        result = analyze_design(design)
+        assert "LNT001" in codes(result.report)
+        assert result.certificate is None and not result.verified

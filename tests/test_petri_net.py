@@ -1,21 +1,11 @@
-"""Unit tests for the Petri net structure and firing rules."""
+"""Unit tests for the Petri net structure and the control-net builders."""
 
 import pytest
 
+from repro.dfg import DFGBuilder
 from repro.errors import PetriNetError
-from repro.petri import Guard, PetriNet
-
-
-def simple_net():
-    net = PetriNet("simple")
-    net.add_place("P0", delay=1)
-    net.add_place("P1", delay=1)
-    net.add_place("P2", delay=0)
-    net.add_transition("t0", ["P0"], ["P1"])
-    net.add_transition("t1", ["P1"], ["P2"])
-    net.set_initial("P0")
-    net.set_final("P2")
-    return net
+from repro.petri import (Guard, PetriNet, control_net_for_design,
+                         control_net_from_schedule)
 
 
 class TestStructure:
@@ -55,41 +45,34 @@ class TestStructure:
             net.validate()
 
 
-class TestFiring:
-    def test_enabled(self):
-        net = simple_net()
-        enabled = net.enabled(net.initial_marking)
-        assert [t.trans_id for t in enabled] == ["t0"]
-
-    def test_fire_moves_token(self):
-        net = simple_net()
-        after = net.fire(net.initial_marking, net.transitions["t0"])
-        assert after == frozenset({"P1"})
-
-    def test_fire_not_enabled(self):
-        net = simple_net()
-        with pytest.raises(PetriNetError):
-            net.fire(frozenset({"P1"}), net.transitions["t0"])
-
-    def test_fire_safeness_violation(self):
-        net = PetriNet("unsafe")
-        net.add_place("P0")
-        net.add_place("P1")
-        net.add_transition("t0", ["P0"], ["P1"])
-        with pytest.raises(PetriNetError):
-            net.fire(frozenset({"P0", "P1"}), net.transitions["t0"])
-
-    def test_final_detection(self):
-        net = simple_net()
-        assert net.is_final(frozenset({"P2"}))
-        assert not net.is_final(frozenset({"P0"}))
-
+class TestGuard:
     def test_guard_complement(self):
         g = Guard("c")
         assert g.complement() == Guard("c", negated=True)
         assert g.complement().complement() == g
 
-    def test_conditions_collected(self):
-        net = simple_net()
-        net.add_transition("t2", ["P2"], ["P0"], guard=Guard("loop"))
-        assert net.conditions() == {"loop"}
+
+class TestBuilders:
+    def test_zero_steps_rejected(self):
+        with pytest.raises(PetriNetError):
+            control_net_from_schedule("bad", 0)
+
+    def test_empty_schedule_rejected(self, chain_dfg):
+        with pytest.raises(PetriNetError, match="at least one step"):
+            control_net_for_design(chain_dfg, {})
+
+    def test_control_net_for_design(self):
+        b = DFGBuilder("d")
+        b.inputs("a", "b")
+        b.op("N1", "+", "x", "a", "b")
+        b.op("N2", "*", "y", "x", "b")
+        dfg = b.build()
+        net = control_net_for_design(dfg, {"N1": 0, "N2": 1})
+        assert net.places["S0"].label == "N1"
+        assert net.places["S1"].label == "N2"
+
+    def test_control_net_for_loop_design(self, loop_dfg):
+        net = control_net_for_design(loop_dfg, {"N1": 0, "N2": 1})
+        assert "t_loop" in net.transitions
+        assert net.transitions["t_loop"].guard == Guard("c")
+        assert net.transitions["t_exit"].guard == Guard("c", negated=True)

@@ -10,14 +10,18 @@ semantics on random operand pairs.
 from __future__ import annotations
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from repro.alloc import left_edge
+from repro.bench import names
 from repro.dfg import DFGBuilder, OpKind, variable_lifetimes
 from repro.dfg.analysis import (alap_steps, asap_steps, critical_path_length)
 from repro.dfg.lifetime import max_overlap
 from repro.etpn import default_design
-from repro.petri import control_net_from_schedule, execution_time
+from repro.harness.experiment import FLOW_ORDER, synthesize_flow
+from repro.lint import lint_petri
+from repro.petri import FINAL_PLACE, Guard, step_place
 from repro.rtl import apply_op
 from repro.sched import check_precedence, compact, schedule_length
 from repro.sched.resched import merge_order_candidates
@@ -28,8 +32,11 @@ _BINARY_KINDS = [OpKind.ADD, OpKind.SUB, OpKind.MUL, OpKind.AND, OpKind.OR,
 
 
 @st.composite
-def dfgs(draw):
-    """Random acyclic DFGs: each op reads earlier values or inputs."""
+def dfgs(draw, looped=False):
+    """Random acyclic DFGs: each op reads earlier values or inputs.
+
+    With ``looped``, a final comparison drives a ``loop while`` back
+    edge."""
     num_inputs = draw(st.integers(2, 5))
     num_ops = draw(st.integers(1, 12))
     builder = DFGBuilder("prop")
@@ -49,6 +56,10 @@ def dfgs(draw):
         builder.op(f"N{index}", kind, target, lhs, rhs)
         if target not in available:
             available.append(target)
+    if looped:
+        builder.compare("C", "<", "c", draw(st.sampled_from(available)),
+                        draw(st.sampled_from(available)))
+        builder.loop("c")
     return builder.build()
 
 
@@ -135,12 +146,42 @@ def test_first_feasible_merger_revalidates(dfg, seed):
         assert outcome.design.num_steps >= 1
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.integers(1, 30), st.booleans())
-def test_control_net_execution_time(steps, looped):
-    net = control_net_from_schedule("p", steps,
-                                    loop_condition="c" if looped else None)
-    assert execution_time(net) == steps
+def assert_chain(design) -> None:
+    """The control part is the chain whose critical path E is the step
+    count: ``S0 .. S{n-1}`` in a row, then the final place, with the
+    loop's guarded back edge to ``S0`` when the DFG loops."""
+    net = design.control_net
+    n = design.num_steps
+    chain = [step_place(step) for step in range(n)]
+    assert {p: place.delay for p, place in net.places.items()} \
+        == {**{p: 1 for p in chain}, FINAL_PLACE: 0}
+    expected = {f"t{i}": ((chain[i],), (chain[i + 1],), None)
+                for i in range(n - 1)}
+    condition = design.dfg.loop_condition
+    if condition is None:
+        expected[f"t{n - 1}"] = ((chain[-1],), (FINAL_PLACE,), None)
+    else:
+        expected["t_exit"] = ((chain[-1],), (FINAL_PLACE,),
+                              Guard(condition, negated=True))
+        expected["t_loop"] = ((chain[-1],), (chain[0],), Guard(condition))
+    assert {t.trans_id: (t.inputs, t.outputs, t.guard)
+            for t in net.transitions.values()} == expected
+    assert net.initial_marking == {chain[0]}
+    assert net.final_places == {FINAL_PLACE}
+    assert len(lint_petri(net)) == 0
+    assert design.execution_time == n
+
+
+@pytest.mark.parametrize("dfg_name", names())
+def test_flow_control_nets_are_chains(dfg_name):
+    for flow in FLOW_ORDER:
+        assert_chain(synthesize_flow(dfg_name, flow, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.booleans().flatmap(lambda looped: dfgs(looped=looped)))
+def test_random_control_nets_are_chains(dfg):
+    assert_chain(default_design(dfg))
 
 
 @settings(max_examples=100, deadline=None)

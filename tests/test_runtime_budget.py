@@ -2,12 +2,9 @@
 
 import pytest
 
-from repro.petri.reachability import ReachabilityGraph
 from repro.atpg import ATPGConfig, RandomPhaseConfig, run_atpg
 from repro.bench import load
-from repro.etpn.from_dfg import default_design
 from repro.gates import expand_to_gates
-from repro.petri.builders import control_net_for_design
 from repro.rtl import generate_rtl
 from repro.runtime import (Budget, REASON_CANCELLED, REASON_DEADLINE,
                            REASON_STEPS)
@@ -145,14 +142,3 @@ class TestKernelIntegration:
         result = run_atpg(netlist, config)
         assert result.budget_exhausted
         assert result.budget_reason == REASON_DEADLINE
-
-    def test_reachability_budget_truncates_instead_of_raising(self):
-        design = default_design(load("ex"))
-        net = control_net_for_design(design.dfg, design.steps)
-        full = ReachabilityGraph(net)
-        partial = ReachabilityGraph(net, budget=Budget(max_steps=1))
-        assert not full.truncated
-        assert partial.truncated
-        assert partial.truncation_reason == "budget_exhausted"
-        assert set(partial.markings) <= set(full.markings)
-        assert net.initial_marking in set(partial.markings)
