@@ -17,14 +17,8 @@ Examples::
     repro-hlts bench-dataflow         # write BENCH_dataflow.json
     repro-hlts bench-timing           # write BENCH_timing.json
     repro-hlts table1 --workers 4 --cache-dir .repro-cache
-    repro-hlts serve submit ex --bits 8
-    repro-hlts serve run              # drain the queue, then exit
-    repro-hlts serve status           # the WAL-replayed job table
-    repro-hlts serve result <job-id-prefix>
-    repro-hlts serve --stats          # WAL-derived service metrics
 
-Each subcommand is one row of :func:`_commands` or, under ``serve``,
-:func:`_serve_commands`.
+Each subcommand is one row of :func:`_commands`.
 """
 
 from __future__ import annotations
@@ -193,134 +187,6 @@ def _chaos_command(args) -> int:
     survived = sum(outcome.ok for outcome in outcomes)
     print(f"chaos: {survived}/{len(outcomes)} scenarios survived")
     return 0 if survived == len(outcomes) else 1
-
-
-def _spool(args):
-    from .service import Spool
-    return Spool(args.spool)
-
-
-def _job_id(spool, job: str) -> str:
-    """The full id of the job ``job`` prefixes (exit 1 when unknown or
-    ambiguous)."""
-    try:
-        return spool.resolve(job)
-    except KeyError as exc:
-        raise _CommandError(exc.args[0], 1) from exc
-
-
-def _state_name(spool, jid: str) -> str:
-    state = spool.states().get(jid)
-    return state.state if state else "unledgered"
-
-
-def _serve_stats(args) -> int:
-    """``serve --stats`` and ``serve stats``: WAL-derived metrics (a bare
-    ``serve`` exits 2)."""
-    from .service import render_stats, service_stats
-    spool = _spool(args)
-    if args.serve_command is None and not args.stats:
-        raise _CommandError("serve needs a subcommand or --stats "
-                            "(try: serve submit ex)", 2)
-    print(render_stats(service_stats(spool)))
-    return 0
-
-
-def _serve_submit(args) -> int:
-    from .service import JobRequest
-    jid, queued = _spool(args).submit(JobRequest(
-        benchmark=args.benchmark, flow=args.flow, bits=args.bits,
-        deadline_seconds=args.deadline_seconds, max_steps=args.max_steps,
-        fault_fraction=args.fault_fraction,
-        max_sequences=args.max_sequences, saturation=args.saturation,
-        sequence_length=args.sequence_length,
-        max_backtracks=args.max_backtracks))
-    print(f"{jid} {'queued' if queued else 'already spooled'}")
-    return 0
-
-
-def _serve_run(args) -> int:
-    """``serve run``: supervise the spool until drained or signalled."""
-    import signal
-
-    from .harness.cache import ResultCache
-    from .service import RetryPolicy, Supervisor
-
-    spool = _spool(args)
-    cache = None if args.no_cache else ResultCache(
-        cache_dir=Path(args.cache_dir or spool.root / "cache"))
-    supervisor = Supervisor(
-        spool, workers=args.workers, isolate=args.isolate,
-        retry=RetryPolicy(max_attempts=args.max_attempts,
-                          backoff_base=args.backoff_base,
-                          backoff_cap=args.backoff_cap),
-        default_deadline=args.default_deadline, cache=cache,
-        progress=_progress)
-
-    def _drain(signum: int, _frame) -> None:
-        supervisor.request_stop(signal.Signals(signum).name)
-
-    previous = {}
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            previous[signum] = signal.signal(signum, _drain)
-        except ValueError:  # not the main thread (in-process tests)
-            pass
-    try:
-        outcome = supervisor.run(
-            max_jobs=args.max_jobs,
-            idle_seconds=None if args.daemon else args.idle_seconds)
-    finally:
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
-    stopped = (f", stopped by {outcome.stopped_reason} (drained "
-               f"gracefully)" if outcome.stopped else "")
-    print(f"serve: {outcome.done} done ({outcome.recovered} recovered), "
-          f"{outcome.retried} retried, {outcome.quarantined} quarantined, "
-          f"{outcome.reaped} reaped in {outcome.elapsed_seconds:.1f}s"
-          f"{stopped}")
-    return 0 if outcome.ok() else 1
-
-
-def _serve_status(args) -> int:
-    spool = _spool(args)
-    states = spool.states()
-    if args.job:
-        jid = _job_id(spool, args.job)
-        state = states.get(jid)
-        if state is None:
-            print(f"{jid} spooled (not yet ledgered)")
-        else:
-            print(json.dumps(state.to_dict(), indent=2, sort_keys=True))
-        return 0
-    for jid, state in states.items():
-        line = (f"{jid[:12]}  {state.state:<11}  "
-                f"attempts={state.attempts} failures={state.failures}")
-        if state.reason:
-            line += f"  {state.reason}"
-        print(line)
-    return 0
-
-
-def _serve_result(args) -> int:
-    spool = _spool(args)
-    jid = _job_id(spool, args.job)
-    record = spool.read_result(jid)
-    if record is None:
-        raise _CommandError(f"no result for {jid[:12]} "
-                            f"(state: {_state_name(spool, jid)})", 1)
-    print(json.dumps(record, sort_keys=True, indent=2))
-    return 0
-
-
-def _serve_cancel(args) -> int:
-    spool = _spool(args)
-    jid = _job_id(spool, args.job)
-    if not spool.cancel(jid, reason=args.reason):
-        raise _CommandError(f"cannot cancel {jid[:12]} "
-                            f"(state: {_state_name(spool, jid)})", 1)
-    print(f"{jid} cancelled")
-    return 0
 
 
 #: One target's outcome: (ok, its JSON object, its text lines).
@@ -655,14 +521,6 @@ def _commands() -> list[Command]:
                     "(default: a fresh temp dir)"),
           _arg("--list", action="store_true", dest="list_scenarios",
                help="print the scenario table and exit")], {}),
-        ("serve",
-         "durable synthesis job service: filesystem spool + WAL ledger + "
-         "supervised queue", _serve_stats,
-         [_arg("--spool", metavar="DIR", default=".repro-spool",
-               help="service spool directory — the whole transport "
-                    "(default: .repro-spool)"),
-          _arg("--stats", action="store_true",
-               help="print WAL-derived service metrics and exit")], {}),
         ("lint",
          "design-rule check (DFG -> ETPN -> schedule -> binding -> gates)",
          _lint_command,
@@ -724,86 +582,12 @@ def _commands() -> list[Command]:
     ]
 
 
-def _serve_commands() -> list[Command]:
-    """The subcommands of ``serve``.  Each repeats ``--spool`` with a
-    suppressed default, so it overrides the one given before the
-    subcommand only when given after it."""
-    spool = _arg("--spool", metavar="DIR", default=argparse.SUPPRESS,
-                  help="service spool directory (default: .repro-spool)")
-    job = _arg("job", metavar="JOB", help="job id (unique prefix ok)")
-    return [
-        ("submit",
-         "spool one synthesis job (idempotent: identical content gets the "
-         "same job id)", _serve_submit,
-         [_arg("benchmark",
-               help="benchmark name; an unknown name is accepted and "
-                    "quarantined after retries — poison input must not "
-                    "crash the queue"),
-          _arg("--flow", choices=FLOW_ORDER, default="ours"),
-          _arg("--bits", type=int, default=8),
-          _arg("--deadline-seconds", type=float, default=None,
-               help="per-job wall-clock budget; also the reap horizon in "
-                    "process mode"),
-          _arg("--max-steps", type=int, default=None,
-               help="per-job abstract step ceiling"),
-          _arg("--fault-fraction", type=float, default=None,
-               help="override the quick config's ATPG fault sample"),
-          _arg("--max-sequences", type=int, default=None),
-          _arg("--saturation", type=int, default=None),
-          _arg("--sequence-length", type=int, default=None),
-          _arg("--max-backtracks", type=int, default=None), spool], {}),
-        ("run",
-         "supervise the queue: dispatch, retry, quarantine; SIGTERM "
-         "drains gracefully (exit 0)", _serve_run,
-         [_arg("--workers", type=int, default=1, metavar="N",
-               help="worker processes (default: 1 = evaluate inline)"),
-          _arg("--isolate", action="store_true",
-               help="one process per job even with --workers 1 (enables "
-                    "hung-worker reaping)"),
-          _arg("--max-attempts", type=int, default=3,
-               help="consecutive failures before quarantine (default: 3)"),
-          _arg("--backoff-base", type=float, default=0.5,
-               help="first retry delay, doubled per failure "
-                    "(default: 0.5s)"),
-          _arg("--backoff-cap", type=float, default=30.0,
-               help="retry delay ceiling (default: 30s)"),
-          _arg("--default-deadline", type=float, default=None,
-               help="reap horizon for jobs without their own "
-                    "--deadline-seconds (process mode)"),
-          _arg("--max-jobs", type=int, default=None,
-               help="stop after this many dispatch attempts"),
-          _arg("--idle-seconds", type=float, default=0.0,
-               help="after draining, keep polling for new submissions "
-                    "this long (default: exit on drain)"),
-          _arg("--daemon", action="store_true",
-               help="serve until a signal arrives, never exit on drain"),
-          _arg("--cache-dir", metavar="PATH", default=None,
-               help="result cache directory (default: <spool>/cache)"),
-          _arg("--no-cache", action="store_true",
-               help="evaluate every job from scratch"), spool], {}),
-        ("status", "job table, or one job's full state", _serve_status,
-         [_arg("job", nargs="?", metavar="JOB",
-               help="job id (unique prefix ok); omit for the table"),
-          spool], {}),
-        ("result", "print one finished job's cell record", _serve_result,
-         [job, spool], {}),
-        ("cancel", "cancel a queued or retry-pending job", _serve_cancel,
-         [job, _arg("--reason", default="cancelled by user"), spool], {}),
-        ("stats", "print WAL-derived service metrics", _serve_stats,
-         [spool], {}),
-    ]
-
-
-def _add_commands(subparsers, commands: list[Command]
-                  ) -> dict[str, argparse.ArgumentParser]:
-    parsers = {}
+def _add_commands(subparsers, commands: list[Command]) -> None:
     for name, help_, run, arguments, defaults in commands:
         parser = subparsers.add_parser(name, help=help_)
         for flags, kwargs in arguments:
             parser.add_argument(*flags, **kwargs)
         parser.set_defaults(run=run, **defaults)
-        parsers[name] = parser
-    return parsers
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -815,10 +599,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--traceback", action="store_true",
                         help="print the full traceback on pipeline errors "
                              "instead of a one-line message")
-    parsers = _add_commands(
-        parser.add_subparsers(dest="command", required=True), _commands())
-    _add_commands(parsers["serve"].add_subparsers(dest="serve_command"),
-                  _serve_commands())
+    _add_commands(parser.add_subparsers(dest="command", required=True),
+                  _commands())
     args = parser.parse_args(argv)
     try:
         return args.run(args)

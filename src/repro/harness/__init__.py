@@ -2,8 +2,8 @@
 
 :func:`~repro.harness.experiment.run_cell` produces one table cell;
 :func:`~repro.harness.cache.evaluate_cell`, the one evaluator every grid
-cell and service job goes through, runs it through the content-hash
-cache.  Grids run through :func:`~repro.runtime.run_journaled_grid`.
+cell goes through, runs it through the content-hash cache.  Grids run
+through :func:`~repro.runtime.run_journaled_grid`.
 """
 
 from .cache import (CacheStats, ResultCache, cell_key, evaluate_cell,

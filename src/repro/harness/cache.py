@@ -146,31 +146,22 @@ class CacheStats:
 # ----------------------------------------------------------------------
 # The cache
 # ----------------------------------------------------------------------
-#: Default in-memory tier cap (entries).  A synthesis payload for a
-#: large benchmark is tens of kilobytes, so an unbounded dict in a
-#: long-lived service daemon is a slow leak; 1024 entries covers every
-#: grid the harness runs while bounding the tier to a few dozen MB.
-DEFAULT_MEMORY_CAP = 1024
-
-
 @dataclass
 class ResultCache:
     """Two-tier content-addressed result cache.
 
-    The in-memory tier is an LRU-capped dict private to this process
-    (``memory_cap`` entries; 0 or negative = unbounded); the optional
-    disk tier (``cache_dir``) is shared between processes and across
-    runs and is never evicted — an entry pushed out of memory is still
-    a disk hit.  Disk entries are one JSON file per key under a
-    two-character fan-out directory, written atomically; unreadable or
-    mismatched entries are treated as misses, never as errors — a
-    corrupt cache can only cost time, not correctness.
+    The in-memory tier is a plain dict private to this process: its
+    longest-lived holder is one CLI command, whose grid stores a few
+    dozen entries at most.  The optional disk tier (``cache_dir``) is
+    shared between processes and across runs.  Disk entries are one
+    JSON file per key under a two-character fan-out directory, written
+    atomically; unreadable or mismatched entries are treated as misses,
+    never as errors — a corrupt cache can only cost time, not
+    correctness.
     """
 
     cache_dir: Optional[Path] = None
     stats: CacheStats = field(default_factory=CacheStats)
-    memory_cap: int = DEFAULT_MEMORY_CAP
-    evictions: int = 0
     _memory: dict[str, dict] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -181,18 +172,6 @@ class ResultCache:
     def _disk_path(self, key: str) -> Path:
         assert self.cache_dir is not None
         return self.cache_dir / key[:2] / f"{key}.json"
-
-    def _remember(self, key: str, payload: dict) -> None:
-        """Insert into the memory tier as most-recently-used, evicting
-        the least-recently-used entries past ``memory_cap`` (dicts are
-        insertion-ordered, so re-inserting on every touch makes the
-        iteration head the LRU end)."""
-        self._memory.pop(key, None)
-        self._memory[key] = payload
-        if self.memory_cap > 0:
-            while len(self._memory) > self.memory_cap:
-                self._memory.pop(next(iter(self._memory)))
-                self.evictions += 1
 
     def get(self, key: str,
             restore: Callable[[dict], Any] = lambda payload: payload
@@ -212,10 +191,10 @@ class ResultCache:
             except Exception:  # noqa: BLE001 - corrupt entry == miss
                 value = None
             if value is not None:
-                self._remember(key, payload)  # (re)insert as most recent
                 if tier == "memory":
                     self.stats.memory_hits += 1
                 else:
+                    self._memory[key] = payload
                     self.stats.disk_hits += 1
                 return value
             self._memory.pop(key, None)
@@ -237,7 +216,7 @@ class ResultCache:
 
     def put(self, key: str, payload: dict) -> None:
         """Store ``payload`` in every configured tier."""
-        self._remember(key, payload)
+        self._memory[key] = payload
         self.stats.stores += 1
         if self.cache_dir is not None:
             path = self._disk_path(key)
@@ -338,11 +317,11 @@ def run_cell_cached(benchmark: str, flow: str, config: Any,
 def evaluate_cell(benchmark: str, flow: str, config: Any,
                   cache: Optional[ResultCache] = None,
                   budget: Any = None) -> tuple[Any, dict]:
-    """Evaluate one cell, a grid cell or a service job: visit the
-    ``harness.worker`` chaos seam, run :func:`run_cell_cached`, and
-    return ``(cell, journal record)``.  The record's provenance keeps
-    the cache key and a degraded cell's reasons (the why, not just the
-    row's degraded bit); a cache hit's stored record is kept as is."""
+    """Evaluate one grid cell: visit the ``harness.worker`` chaos seam,
+    run :func:`run_cell_cached`, and return ``(cell, journal record)``.
+    The record's provenance keeps the cache key and a degraded cell's
+    reasons (the why, not just the row's degraded bit); a cache hit's
+    stored record is kept as is."""
     from ..runtime.chaos import chaos_point
     from ..runtime.checkpoint import cell_record
 

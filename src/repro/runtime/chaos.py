@@ -21,26 +21,14 @@ Seams (see DESIGN.md §11):
                           :func:`repro.sched.resched.reschedule`
 ``atpg.podem_step``       top of the PODEM decision loop (payload: the
                           active :class:`~repro.runtime.budget.Budget`)
-``journal.pre_write``     immediately before a journal rename commits
-``harness.worker``        top of one cell's evaluation (a grid cell or
-                          a service job, inline or in a worker; payload:
-                          the cell's (benchmark, flow, bits) key)
+``journal.pre_write``     immediately before a journal record commits
+``harness.worker``        top of one grid cell's evaluation, inline or
+                          in its worker process (payload: the cell's
+                          (benchmark, flow, bits) key)
 ``timing.cone_eval``      inside the static timing analyser's
                           per-endpoint barrier, just before one
                           endpoint's cone is resolved (payload: the
                           (endpoint name, driver gid) pair)
-``service.dequeue``       the synthesis service supervisor, just after
-                          it picks the next job off the queue
-                          (payload: the job id)
-``service.dispatch``      just before a dequeued job's evaluation
-                          starts (payload: the job id) — a raise here
-                          is the canonical transient worker failure
-``service.ledger_write``  immediately before one WAL transition is
-                          committed to the service ledger (payload:
-                          the transition record)
-``service.worker_reap``   the supervisor's completion of a finished
-                          job — after its result is spooled but before
-                          ``done`` is ledgered (payload: the job id)
 ====================== ==================================================
 """
 
@@ -60,10 +48,6 @@ SEAMS = frozenset({
     "journal.pre_write",
     "harness.worker",
     "timing.cone_eval",
-    "service.dequeue",
-    "service.dispatch",
-    "service.ledger_write",
-    "service.worker_reap",
 })
 
 #: Injection actions.

@@ -115,25 +115,15 @@ class Journal:
     file must start with a record carrying the journal's format tag and
     end on a newline); a missing, headerless or torn file falls back to
     the original atomic whole-file rewrite (write-temp, fsync, rename),
-    which also serves first creation and :meth:`compact`.  A crash
+    which also serves first creation and repairs a torn tail.  A crash
     mid-append can tear at most the newest line, which :meth:`records`
     drops — exactly the loses-at-most-one-record contract the
     ``journal.pre_write`` chaos seam (sitting right before either
     write) proves.
-
-    ``fmt`` and ``seam`` parameterise the format tag the header check
-    demands and the chaos seam visited before every commit, so other
-    append-only ledgers (the service WAL in
-    :mod:`repro.service.ledger`) reuse the identical crash contract
-    under their own seam.
     """
 
-    def __init__(self, path: str | Path, *,
-                 fmt: str = JOURNAL_FORMAT,
-                 seam: str = "journal.pre_write") -> None:
+    def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self.fmt = fmt
-        self.seam = seam
 
     # ------------------------------------------------------------------
     def records(self) -> list[dict]:
@@ -178,7 +168,7 @@ class Journal:
                     return False
                 first = json.loads(head)
                 if not (isinstance(first, dict)
-                        and first.get("format") == self.fmt):
+                        and first.get("format") == JOURNAL_FORMAT):
                     return False
                 handle.seek(-1, os.SEEK_END)
                 return handle.read(1) == b"\n"
@@ -188,7 +178,7 @@ class Journal:
     def append(self, record: dict) -> None:
         """Commit one record (O(1) append, or full rewrite on repair)."""
         line = json.dumps(record, sort_keys=True)
-        chaos_point(self.seam)
+        chaos_point("journal.pre_write")
         self.path.parent.mkdir(parents=True, exist_ok=True)
         if self._appendable():
             with open(self.path, "a") as handle:
@@ -199,17 +189,6 @@ class Journal:
         lines = [json.dumps(r, sort_keys=True) for r in self.records()]
         lines.append(line)
         atomic_write_text(self.path, "\n".join(lines) + "\n")
-
-    def compact(self) -> None:
-        """Atomically rewrite the file from its parsed records.
-
-        Repairs a torn tail and re-canonicalises every line; a no-op
-        for a journal that never crashed mid-append.
-        """
-        lines = [json.dumps(r, sort_keys=True) for r in self.records()]
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        text = "\n".join(lines) + "\n" if lines else ""
-        atomic_write_text(self.path, text)
 
 
 def scrubbed_records(records: list[dict],

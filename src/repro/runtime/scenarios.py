@@ -257,160 +257,6 @@ def scenario_timing_cone_raise(benchmark: str, bits: int,
     ])
 
 
-def _service_spool(workdir: Path, bits: int,
-                   benchmarks: tuple[str, ...]) -> tuple:
-    """A fresh spool with one quick job per benchmark (in order)."""
-    from ..service import JobRequest, Spool
-    spool = Spool(workdir / "spool")
-    job_ids = []
-    for bench in benchmarks:
-        jid, _ = spool.submit(JobRequest(
-            benchmark=bench, flow="ours", bits=bits, fault_fraction=0.25,
-            max_sequences=4, saturation=2, sequence_length=6,
-            max_backtracks=16))
-        job_ids.append(jid)
-    return spool, job_ids
-
-
-def _service_reference(workdir: Path, bits: int,
-                       benchmarks: tuple[str, ...]) -> str:
-    """Scrubbed results of an uninterrupted drain of the same jobs."""
-    from ..service import RetryPolicy, Supervisor
-    spool, job_ids = _service_spool(workdir / "reference", bits,
-                                    benchmarks)
-    Supervisor(spool, retry=RetryPolicy(backoff_base=0.0)).run()
-    return scrubbed_records([spool.read_result(j) for j in job_ids])
-
-
-def scenario_service_transient_retry(benchmark: str, bits: int,
-                                     workdir: Path) -> tuple[bool, str]:
-    """A job's first dispatch raises (transient worker failure): the
-    supervisor must retry it with backoff and the retry must succeed —
-    one failure costs one extra attempt, never the job."""
-    from ..service import RetryPolicy, Supervisor
-    spool, (jid,) = _service_spool(workdir, bits, (benchmark,))
-    with ChaosInjector(Injection("service.dispatch", ACTION_RAISE,
-                                 at_visit=1)):
-        outcome = Supervisor(spool, retry=RetryPolicy(
-            max_attempts=3, backoff_base=0.0)).run()
-    state = spool.states()[jid]
-    return _check([
-        ("first attempt failed and was retried", outcome.retried == 1),
-        ("retry completed the job",
-         outcome.done == 1 and state.state == "done"),
-        ("exactly two attempts ledgered", state.attempts == 2),
-        ("success reset the consecutive-failure counter",
-         state.failures == 0),
-        ("result spooled", spool.read_result(jid) is not None),
-        ("queue drained", outcome.drained),
-    ])
-
-
-def scenario_service_poison_quarantine(benchmark: str, bits: int,
-                                       workdir: Path) -> tuple[bool, str]:
-    """A poison job (unknown benchmark) fails every attempt: the
-    circuit breaker must quarantine it after max_attempts while the
-    healthy job still drains to done."""
-    from ..service import JobRequest, RetryPolicy, Supervisor
-    spool, (healthy,) = _service_spool(workdir, bits, (benchmark,))
-    poison, _ = spool.submit(JobRequest(benchmark="chaos-poison-bench",
-                                        bits=bits))
-    outcome = Supervisor(spool, retry=RetryPolicy(
-        max_attempts=2, backoff_base=0.0)).run()
-    states = spool.states()
-    return _check([
-        ("poison job quarantined",
-         states[poison].state == "quarantined"),
-        ("circuit breaker tripped at max_attempts",
-         states[poison].attempts == 2),
-        ("quarantine reason names the failure",
-         "unknown benchmark" in states[poison].reason),
-        ("healthy job drained to done",
-         states[healthy].state == "done"
-         and spool.read_result(healthy) is not None),
-        ("outcome charged exactly one quarantine",
-         outcome.quarantined == 1),
-        ("queue drained despite the poison", outcome.drained),
-    ])
-
-
-def scenario_service_ledger_crash_replay(benchmark: str, bits: int,
-                                         workdir: Path) -> tuple[bool, str]:
-    """The daemon dies inside a WAL commit — after the second job's
-    result was spooled but before its ``done`` transition landed.  A
-    restarted supervisor must replay the WAL, adopt the spooled result
-    without re-evaluating, and end byte-identical to an uninterrupted
-    run."""
-    from ..service import RetryPolicy, Supervisor
-    benchmarks = (benchmark, "paulin")
-    reference = _service_reference(workdir, bits, benchmarks)
-    spool, job_ids = _service_spool(workdir, bits, benchmarks)
-    died = False
-    try:
-        # ledger_write visits: run(j1)=1, done(j1)=2, run(j2)=3,
-        # done(j2)=4 — so visit 4 dies with j2's result spooled but
-        # its final transition lost.
-        with ChaosInjector(Injection("service.ledger_write", ACTION_CRASH,
-                                     at_visit=4)):
-            Supervisor(spool, retry=RetryPolicy(backoff_base=0.0)).run()
-    except ChaosCrash:
-        died = True
-    mid_states = spool.states()
-    outcome = Supervisor(spool,
-                         retry=RetryPolicy(backoff_base=0.0)).run()
-    states = spool.states()
-    return _check([
-        ("injected crash killed the daemon mid-commit", died),
-        ("WAL survived with the second job still running",
-         mid_states[job_ids[1]].state == "running"),
-        ("restart adopted the spooled result without re-evaluating",
-         outcome.recovered == 1 and states[job_ids[1]].attempts == 1),
-        ("every job done after replay",
-         all(states[j].state == "done" for j in job_ids)),
-        ("results byte-identical to an uninterrupted run",
-         scrubbed_records([spool.read_result(j) for j in job_ids])
-         == reference),
-    ])
-
-
-def scenario_service_dequeue_crash(benchmark: str, bits: int,
-                                   workdir: Path) -> tuple[bool, str]:
-    """The daemon dies at the dequeue seam while picking the second
-    job: nothing about that job was ledgered yet, so a restart must
-    simply run it — completing the queue with no duplicated or lost
-    work."""
-    from ..service import RetryPolicy, Supervisor
-    benchmarks = (benchmark, "paulin")
-    reference = _service_reference(workdir, bits, benchmarks)
-    spool, job_ids = _service_spool(workdir, bits, benchmarks)
-    died = False
-    try:
-        with ChaosInjector(Injection("service.dequeue", ACTION_CRASH,
-                                     at_visit=2)):
-            Supervisor(spool, retry=RetryPolicy(backoff_base=0.0)).run()
-    except ChaosCrash:
-        died = True
-    mid_states = spool.states()
-    outcome = Supervisor(spool,
-                         retry=RetryPolicy(backoff_base=0.0)).run()
-    states = spool.states()
-    return _check([
-        ("injected crash killed the daemon at dequeue", died),
-        ("first job already safe in the WAL",
-         mid_states[job_ids[0]].state == "done"),
-        ("second job untouched at the crash",
-         mid_states[job_ids[1]].state == "submitted"),
-        ("restart ran each job exactly once",
-         all(states[j].attempts == 1 for j in job_ids)
-         and outcome.processed == 1),
-        ("every job done after restart",
-         all(states[j].state == "done" for j in job_ids)),
-        ("results byte-identical to an uninterrupted run",
-         scrubbed_records([spool.read_result(j) for j in job_ids])
-         == reference),
-    ])
-
-
 #: The registered matrix, in execution order.
 SCENARIOS: list[tuple[str, Callable[[str, int, Path],
                                     tuple[bool, str]], str]] = [
@@ -428,14 +274,6 @@ SCENARIOS: list[tuple[str, Callable[[str, int, Path],
      "grid worker process dies; partial grid + resume completes"),
     ("timing-cone-raise", scenario_timing_cone_raise,
      "timing cone evaluation raises; endpoints skipped, report degraded"),
-    ("service-transient-retry", scenario_service_transient_retry,
-     "job dispatch raises once; supervisor retries and completes it"),
-    ("service-poison-quarantine", scenario_service_poison_quarantine,
-     "poison job fails every attempt; quarantined while queue drains"),
-    ("service-ledger-crash-replay", scenario_service_ledger_crash_replay,
-     "daemon dies mid-WAL-commit; restart adopts spooled result"),
-    ("service-dequeue-crash", scenario_service_dequeue_crash,
-     "daemon dies at dequeue; restart completes queue, no double work"),
 ]
 
 

@@ -1,9 +1,9 @@
 """Task runners: inline, or one worker process per task.
 
-The grid runner (:func:`~repro.runtime.checkpoint.run_journaled_grid`),
-the ``explore`` sweep and the service supervisor run their work through
-one of two runners with the same small interface, so each writes its
-dispatch loop once.  This is the only module that starts processes.
+The grid runner (:func:`~repro.runtime.checkpoint.run_journaled_grid`)
+and the ``explore`` sweep run their work through one of two runners
+with the same small interface, so each writes its dispatch loop once.
+This is the only module that starts processes.
 
 * :class:`InlineRunner` runs a task in the calling process when it
   starts: the path that honours a shared :class:`~repro.runtime.budget.
@@ -15,9 +15,9 @@ dispatch loop once.  This is the only module that starts processes.
   at once.  The task's return value comes back over a pipe that the
   parent drains *before* it joins the child: a child blocked writing a
   payload larger than the pipe buffer never exits.  A task with a
-  ``deadline`` is terminated once it outlives ``max(deadline * grace,
-  floor)`` seconds and reported as reaped; a child that raises or dies
-  is reported with its exit code.
+  ``deadline`` is terminated once it outlives ``max(deadline *
+  DEADLINE_GRACE, REAP_FLOOR_SECONDS)`` seconds and reported as
+  reaped; a child that raises or dies is reported with its exit code.
 
 ``multiprocessing`` is imported only when a process runner is made.
 """
@@ -61,8 +61,6 @@ class Finished:
     value: Any = None
     #: "" when the task returned normally.
     error: str = ""
-    #: True when the runner terminated the task at its reap horizon.
-    reaped: bool = False
     #: The exception an inline task raised, traceback included (a
     #: worker process can only report it as ``error``).
     exception: Optional[BaseException] = None
@@ -100,7 +98,7 @@ class InlineRunner:
         finished, self._finished = self._finished, []
         return finished
 
-    def wait(self, timeout: Optional[float] = None) -> None:
+    def wait(self) -> None:
         """Nothing runs in the background."""
 
     def close(self) -> None:
@@ -137,8 +135,7 @@ def _child(inherited: list[Any], conn: Any, fn: Callable[..., Any],
 class ProcessRunner:
     """One forked worker process per task, at most ``slots`` at once."""
 
-    def __init__(self, slots: int, *, grace: float = DEADLINE_GRACE,
-                 floor: float = REAP_FLOOR_SECONDS) -> None:
+    def __init__(self, slots: int) -> None:
         import multiprocessing
 
         methods = multiprocessing.get_all_start_methods()
@@ -148,8 +145,6 @@ class ProcessRunner:
         self._context: Any = multiprocessing.get_context(
             "fork" if "fork" in methods else None)
         self.slots = max(1, slots)
-        self.grace = grace
-        self.floor = floor
         self._running: list[_Running] = []
 
     @property
@@ -176,7 +171,7 @@ class ProcessRunner:
             # visible as end-of-file on the reader.
             writer.close()
         reap_at = (None if deadline is None else time.monotonic()
-                   + max(deadline * self.grace, self.floor))
+                   + max(deadline * DEADLINE_GRACE, REAP_FLOOR_SECONDS))
         self._running.append(_Running(key, process, reader, deadline,
                                       reap_at))
 
@@ -189,25 +184,23 @@ class ProcessRunner:
             elif task.reap_at is not None and now >= task.reap_at:
                 self._kill(task)
                 finished.append(Finished(
-                    task.key, reaped=True,
+                    task.key,
                     error=f"reaped: exceeded deadline {task.deadline:g}s "
-                          f"x grace {self.grace:g}"))
+                          f"x grace {DEADLINE_GRACE:g}"))
             else:
                 continue
             self._running.remove(task)
         return finished
 
-    def wait(self, timeout: Optional[float] = None) -> None:
-        """Block until a task reports, the next reap horizon passes or
-        ``timeout`` seconds elapse (None = no limit of its own)."""
+    def wait(self) -> None:
+        """Block until a task reports or the next reap horizon passes."""
         if not self._running:
             return
         from multiprocessing.connection import wait
 
         horizons = [t.reap_at for t in self._running if t.reap_at is not None]
-        if horizons:
-            left = max(0.0, min(horizons) - time.monotonic())
-            timeout = left if timeout is None else min(timeout, left)
+        timeout = (max(0.0, min(horizons) - time.monotonic())
+                   if horizons else None)
         wait([task.conn for task in self._running], timeout)
 
     def close(self) -> None:
@@ -231,8 +224,6 @@ class ProcessRunner:
 
     @staticmethod
     def _kill(task: _Running) -> None:
-        # SIGKILL: a child may have inherited a SIGTERM handler that
-        # only asks for a graceful drain (``serve run``).
         task.process.kill()
         task.process.join()
         task.conn.close()

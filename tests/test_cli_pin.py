@@ -51,37 +51,6 @@ CASES = [
      {"benchmark": "ex", "bits": 4, "command": "chaos",
       "list_scenarios": True, "scenarios": ["a", "b"], "traceback": False,
       "workdir": None}),
-    (["serve", "--stats"],
-     {"command": "serve", "serve_command": None, "spool": ".repro-spool",
-      "stats": True, "traceback": False}),
-    (["serve", "--spool", "sp", "submit", "ex", "--bits", "4",
-      "--fault-fraction", "0.3", "--max-backtracks", "50"],
-     {"benchmark": "ex", "bits": 4, "command": "serve",
-      "deadline_seconds": None, "fault_fraction": 0.3, "flow": "ours",
-      "max_backtracks": 50, "max_sequences": None, "max_steps": None,
-      "saturation": None, "sequence_length": None,
-      "serve_command": "submit", "spool": "sp", "stats": False,
-      "traceback": False}),
-    (["serve", "run", "--spool", "sp2", "--workers", "2", "--isolate",
-      "--max-attempts", "2", "--backoff-base", "0", "--no-cache"],
-     {"backoff_base": 0.0, "backoff_cap": 30.0, "cache_dir": None,
-      "command": "serve", "daemon": False, "default_deadline": None,
-      "idle_seconds": 0.0, "isolate": True, "max_attempts": 2,
-      "max_jobs": None, "no_cache": True, "serve_command": "run",
-      "spool": "sp2", "stats": False, "traceback": False, "workers": 2}),
-    (["serve", "status", "abc"],
-     {"command": "serve", "job": "abc", "serve_command": "status",
-      "spool": ".repro-spool", "stats": False, "traceback": False}),
-    (["serve", "result", "abc"],
-     {"command": "serve", "job": "abc", "serve_command": "result",
-      "spool": ".repro-spool", "stats": False, "traceback": False}),
-    (["serve", "cancel", "abc", "--reason", "why"],
-     {"command": "serve", "job": "abc", "reason": "why",
-      "serve_command": "cancel", "spool": ".repro-spool", "stats": False,
-      "traceback": False}),
-    (["serve", "stats"],
-     {"command": "serve", "serve_command": "stats",
-      "spool": ".repro-spool", "stats": False, "traceback": False}),
     (["--traceback", "lint", "ex", "x.hdl", "--strict", "--format", "json",
       "--bits", "4", "--optimize", "--no-gates", "--depth-limit", "6"],
      {"bits": 4, "command": "lint", "depth_limit": 6.0, "fmt": "json",
@@ -160,9 +129,5 @@ def test_parsed_attributes_are_pinned(argv, expected, monkeypatch):
 
 def test_every_subcommand_is_pinned(monkeypatch):
     commands = _subcommands(_parse(["fig2"], monkeypatch).parser)
-    serve = _subcommands(commands["serve"])
     pinned = {expected["command"] for _, expected in CASES}
-    pinned_serve = {expected["serve_command"] for _, expected in CASES
-                    if expected.get("serve_command")}
     assert pinned == set(commands)
-    assert pinned_serve == set(serve)

@@ -135,37 +135,3 @@ class TestCellTier:
         reader = ResultCache(cache_dir=tmp_path)
         reader._disk_path = lambda key: moved  # type: ignore[method-assign]
         assert reader.get("cc" + "0" * 62) is None
-
-
-class TestMemoryLru:
-    def test_cap_evicts_the_least_recently_used(self):
-        cache = ResultCache(memory_cap=2)
-        for key in ("k1", "k2", "k3"):
-            cache.put(key, {"kind": "cell", "id": key})
-        assert len(cache) == 2 and cache.evictions == 1
-        assert cache.get("k1") is None  # no disk tier: evicted == gone
-        assert cache.get("k3")["id"] == "k3"
-
-    def test_get_refreshes_recency(self):
-        cache = ResultCache(memory_cap=2)
-        cache.put("old", {"kind": "cell"})
-        cache.put("young", {"kind": "cell"})
-        assert cache.get("old") is not None  # touch: old is now MRU
-        cache.put("newest", {"kind": "cell"})
-        assert cache.get("old") is not None
-        assert cache.get("young") is None
-
-    def test_zero_cap_means_unbounded(self):
-        cache = ResultCache(memory_cap=0)
-        for n in range(2000):
-            cache.put(f"k{n}", {"kind": "cell"})
-        assert len(cache) == 2000 and cache.evictions == 0
-
-    def test_evicted_entry_is_still_a_disk_hit(self, tmp_path):
-        cache = ResultCache(cache_dir=tmp_path, memory_cap=1)
-        cache.put("aa" + "0" * 62, {"kind": "cell", "id": "first"})
-        cache.put("bb" + "0" * 62, {"kind": "cell", "id": "second"})
-        assert cache.evictions == 1
-        payload = cache.get("aa" + "0" * 62)
-        assert payload is not None and payload["id"] == "first"
-        assert cache.stats.disk_hits == 1  # served by the durable tier

@@ -1,12 +1,16 @@
 """Chaos primitives, the merger loop's failure barriers, and TST004."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.bench import load
 from repro.errors import ScheduleError
 from repro.runtime import (ACTION_CANCEL_BUDGET, ACTION_CORRUPT,
-                           ACTION_CRASH, ACTION_RAISE, Budget, ChaosCrash,
-                           ChaosError, ChaosInjector, Injection,
+                           ACTION_CRASH, ACTION_RAISE, SEAMS, Budget,
+                           ChaosCrash, ChaosError, ChaosInjector, Injection,
                            active_injector, chaos_point)
 from repro.synth import run_ours
 
@@ -31,6 +35,34 @@ class TestInjection:
                               at_visit=3, count=2)
         assert [injection.fires_at(v) for v in range(1, 6)] == \
             [False, False, True, True, False]
+
+
+class TestSeamRegistry:
+    def test_registry_equals_the_seams_the_source_visits(self):
+        # Every chaos_point call names its seam with a literal, so the
+        # source says which seams exist; a seam no code visits any more
+        # must leave the registry too.
+        visited, indirect = set(), []
+        root = Path(repro.__file__).resolve().parent
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not (isinstance(node, ast.Call) and node.args):
+                    continue
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name) else
+                        func.attr if isinstance(func, ast.Attribute)
+                        else None)
+                if name != "chaos_point":
+                    continue
+                seam = node.args[0]
+                if isinstance(seam, ast.Constant) and \
+                        isinstance(seam.value, str):
+                    visited.add(seam.value)
+                else:
+                    indirect.append(f"{path.relative_to(root)}:"
+                                    f"{node.lineno}")
+        assert indirect == []
+        assert visited == SEAMS
 
 
 class TestChaosPoint:

@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -148,15 +151,6 @@ class TestAppendFastPath:
         with pytest.raises(ValueError):
             Journal(path).records()
 
-    def test_compact_repairs_a_torn_tail(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        path.write_text(json.dumps(_formatted("camad")) + "\n"
-                        + '{"torn": tr')
-        journal = Journal(path)
-        journal.compact()
-        assert journal._appendable()
-        assert len(journal.records()) == 1
-
 
 class TestScrubbedRecords:
     def test_masks_wall_clock_and_sorts_by_grid_key(self):
@@ -208,3 +202,48 @@ class TestJournaledGrid:
         cells = run_journaled_grid("ex", [("ours", 4)], _tiny_config)
         assert len(cells) == 1
         assert cells[0].row()["flow"] == "ours"
+
+    def test_hard_kill_between_commits_resumes_to_an_uninterrupted_run(
+            self, tmp_path):
+        # os._exit runs no unwinding and no finally: the process is gone
+        # between the first cell's commit and the second's.
+        script = (
+            "import os, sys\n"
+            "from repro.atpg import RandomPhaseConfig\n"
+            "from repro.harness import ExperimentConfig\n"
+            "from repro.runtime import Journal, run_journaled_grid\n"
+            "def tiny_config(bits):\n"
+            "    return ExperimentConfig(\n"
+            "        bits=bits, fault_fraction=0.25,\n"
+            "        random=RandomPhaseConfig(max_sequences=4, saturation=2,\n"
+            "                                 sequence_length=12),\n"
+            "        max_backtracks=16)\n"
+            "real_append = Journal.append\n"
+            "calls = []\n"
+            "def append(self, record):\n"
+            "    calls.append(record)\n"
+            "    if len(calls) == 2:\n"
+            "        os._exit(7)\n"
+            "    real_append(self, record)\n"
+            "Journal.append = append\n"
+            "run_journaled_grid('ex', [('camad', 4), ('ours', 4)],\n"
+            "                   tiny_config, journal=Journal(sys.argv[1]))\n")
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        killed = Journal(tmp_path / "killed.jsonl")
+        done = subprocess.run([sys.executable, "-c", script,
+                               str(killed.path)],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 7, done.stderr
+        assert len(killed.records()) == 1
+
+        grid = [("camad", 4), ("ours", 4)]
+        resumed = run_journaled_grid("ex", grid, _tiny_config,
+                                     journal=killed, resume=True)
+        assert resumed.replayed == 1 and resumed.computed == 1
+        reference = Journal(tmp_path / "reference.jsonl")
+        run_journaled_grid("ex", grid, _tiny_config, journal=reference)
+        assert scrubbed_records(killed.records()) == \
+            scrubbed_records(reference.records())
