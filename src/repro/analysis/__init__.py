@@ -11,26 +11,22 @@ transformations are semantics-preserving, checked per design point.
 
 :mod:`repro.analysis.timing` extends the family below the RTL:
 :func:`analyze_timing` runs deterministic static timing analysis over
-the expanded gate netlist (arrivals, slack, false-path pruning,
-incremental :class:`ConeCache`), the ``timing`` lint layer and
-``repro-hlts timing`` expose it, and
-``SynthesisParams(check_timing=True)`` gates module mergers on
-:func:`merged_module_fits`.
+the expanded gate netlist (arrivals, slack, false-path pruning), and
+the ``timing`` lint layer and ``repro-hlts timing`` expose it.
 """
 
 from .dataflow import (AbstractValue, DataflowCertificate, analyze_dataflow,
                        infer_feedback)
 from .equivalence import (COMMUTATIVE, Divergence, EquivalenceCertificate,
                           ValueNumbering, certify)
-from .timing import (ConeCache, DEFAULT_TABLE, DelayTable, TimingReport,
-                     analyze_timing, default_period, merged_module_fits)
+from .timing import (DEFAULT_TABLE, DelayTable, TimingReport, analyze_timing,
+                     default_period)
 from .verify import AnalysisResult, analyze_design, merger_preserves_semantics
 
 __all__ = [
     "AbstractValue",
     "AnalysisResult",
     "COMMUTATIVE",
-    "ConeCache",
     "DEFAULT_TABLE",
     "DelayTable",
     "TimingReport",
@@ -44,6 +40,5 @@ __all__ = [
     "certify",
     "default_period",
     "infer_feedback",
-    "merged_module_fits",
     "merger_preserves_semantics",
 ]

@@ -1,45 +1,34 @@
 """Deterministic static timing analysis over a gate netlist.
 
-The engine levelizes every combinational cone between launch points
+The engine times every combinational path between launch points
 (primary inputs, constants, DFF Q outputs) and capture points (DFF D
-inputs, primary outputs), propagates arrival times forward with the
+inputs, primary outputs): it propagates arrival times forward with the
 :class:`~repro.analysis.timing.delays.DelayTable`, derives required
 times and slack from the clock period, and extracts the K worst paths
 with named endpoints.
 
-**False-path pruning.**  Before arrival propagation, each cone is
-evaluated in ternary logic (the shared evaluator of
-:mod:`repro.gates.ternary` — the gate-level counterpart of the PR-8
-known-bits facts): inputs are X, constants are 0/1, and DFFs launch X
-unless ``sequential_constants`` seeds them with the reset-reachable
-constants of :func:`repro.atpg.prune.constant_lines`.  A gate whose
-ternary value is decided carries no transition for *any* input/state
-valuation, so it contributes no arrival and every path through it is
-false — the constant-padded words and never-hot control cones the
-expander emits drop out of the critical-path search instead of
-dominating it.
+**One forward pass.**  :meth:`GateNetlist.add` makes gid order
+topological, so the whole netlist is timed in one pass in that order:
+each gate's arrival and logic level follow from its fanins', which the
+pass has already set.  Endpoints then read their driver's entry.
 
-**Incrementality.**  Cones are memoised in a :class:`ConeCache` keyed
-on *cone content*: every gate carries a structural node id
-(hash-consed at construction by :class:`~repro.gates.netlist
-.GateNetlist`; type + sorted child ids, DFFs keyed on their seed only,
-cutting the feedback), so an endpoint's cone key is invariant under
-gate-id renumbering.  Two cache tiers hang off those ids: endpoint
-summaries (a hit skips the cone entirely) and per-node facts (value,
-arrival, level), at which the cone walk stops descending.
-Re-expanding a design after one merger renumbers every gate, but
-untouched cones intern to the same ids and are served whole, and even
-the *changed* cones re-evaluate only the gates the merger actually
-created — their unchanged sub-logic is a known frontier
-(``repro-hlts bench-timing`` measures the effect).
+**False-path pruning.**  Before arrival propagation, the netlist is
+valued in ternary logic (:func:`repro.gates.ternary.propagate`, the
+same pass the ATPG fault pruner runs): inputs are X, constants are
+0/1, and DFFs launch X unless ``sequential_constants`` seeds them with
+the reset-reachable constants of
+:func:`repro.atpg.prune.constant_lines`.  A gate whose ternary value
+is decided carries no transition for *any* input/state valuation, so
+it contributes no arrival and every path through it is false — the
+constant-padded words and never-hot control cones the expander emits
+drop out of the critical-path search instead of dominating it.
 
-**Degradation.**  The engine is budget-aware (cooperative
-:meth:`~repro.runtime.budget.Budget.charge` in the id fallback, cone
-evaluation and path enumeration) and carries a per-endpoint exception
-barrier around the registered chaos seam ``timing.cone_eval``: a
-starved or injected-faulty endpoint is tagged and skipped, and the
-report stays well-formed with ``budget_exhausted``/``degraded``
-provenance.
+**Degradation.**  The engine is budget-aware (one cooperative
+:meth:`~repro.runtime.budget.Budget.charge` per timed gate) and
+carries a per-endpoint exception barrier around the registered chaos
+seam ``timing.cone_eval``: a starved or injected-faulty endpoint is
+tagged and skipped, and the report stays well-formed with
+``budget_exhausted``/``degraded`` provenance.
 """
 
 from __future__ import annotations
@@ -47,284 +36,102 @@ from __future__ import annotations
 from typing import Optional
 
 from ...cost.library import DEFAULT_LIBRARY, ModuleLibrary
-from ...gates.netlist import (STRUCT_DFF_KEYS, GateNetlist, GateType,
-                              SOURCE_TYPES, combinational_cycle,
-                              intern_structural, structural_key)
-from ...gates.ternary import Ternary, eval_gate
+from ...gates.netlist import (SOURCE_TYPES, GateNetlist, GateType,
+                              combinational_cycle, in_topological_order)
+from ...gates.ternary import Ternary, propagate
 from ...runtime.budget import Budget
 from ...runtime.chaos import ChaosCrash, chaos_point
 from .delays import (DEFAULT_TABLE, DelayTable, chain_allowance,
                      default_period, library_disagreements)
 from .report import EndpointTiming, PathStep, TimingPath, TimingReport
 
-#: A cone summary: (arrival, cone_size, pruned, levels).  ``cone_size``
-#: counts the distinct gate structures *evaluated* for the endpoint —
-#: under incremental evaluation that is the changed suffix, not the
-#: full fanin cone.
-Summary = tuple[Optional[float], int, int, int]
 
-#: Per-node timing facts: (ternary value, arrival, logic level).
-Fact = tuple[Ternary, Optional[float], int]
+def _propagate_arrivals(netlist: GateNetlist, values: list[Ternary],
+                        arrival: list[Optional[float]], level: list[int],
+                        table: DelayTable, budget: Optional[Budget]) -> int:
+    """Fill ``arrival`` and ``level`` for every gate whose value is X.
 
-
-class _Exhausted(Exception):
-    """Internal: the budget drained mid-cone (never escapes the engine)."""
-
-
-class ConeCache:
-    """Persistent per-cone memoisation, shared across analyses.
-
-    Both tiers are keyed on the structural node ids of
-    :mod:`repro.gates.netlist` — exact hash-consing, so a cache hit is
-    equality of cone content by construction, never a collision
-    gamble.  ``summaries`` maps an endpoint driver's node id to its
-    cone summary; ``facts`` memoises every evaluated *interior* node,
-    so a missed cone is re-evaluated only down to the already-known
-    frontier — after one merger, that is the handful of gates the
-    merger actually created.  Bound to one delay table and seed mode:
-    binding a different configuration clears the cache instead of
-    serving stale arrivals.
+    Inputs launch at 0.0 and unseeded DFF Qs at ``clk_q``; a
+    combinational gate arrives one gate delay after its latest live
+    fanin, one level above its deepest.  An X output needs an X input,
+    and every X line has an arrival.  Returns the gid the pass reached:
+    the number of gates when it finished, the first untimed gate when
+    the budget drained.
     """
-
-    def __init__(self) -> None:
-        self.summaries: dict[int, Summary] = {}
-        self.facts: dict[int, Fact] = {}
-        self.hits = 0
-        self.misses = 0
-        self._config: Optional[tuple] = None
-
-    def bind(self, table: DelayTable, sequential_constants: bool) -> None:
-        config = (table, sequential_constants)
-        if self._config is not None and self._config != config:
-            self.summaries.clear()
-            self.facts.clear()
-        self._config = config
-
-    def clone(self) -> "ConeCache":
-        """An independent copy (bench repeats re-warm from one state)."""
-        other = ConeCache()
-        other.summaries = dict(self.summaries)
-        other.facts = dict(self.facts)
-        other._config = self._config
-        return other
-
-    def __len__(self) -> int:
-        return len(self.summaries)
-
-
-# ----------------------------------------------------------------------
-# Structural id resolution
-# ----------------------------------------------------------------------
-def _intern_pass(netlist: GateNetlist, seeds: dict[int, Ternary],
-                 budget: Optional[Budget]
-                 ) -> Optional[tuple[list[int], list]]:
-    """(node id per gate, DFF gates) recomputed from scratch.
-
-    The fallback for netlists whose construction-time ids are
-    unusable: sequential-constant seeding changes DFF keys, and
-    hand-assembled gate lists desync theirs.  Returns None when the
-    budget drains (the pass is all-or-nothing — a partial map is
-    unusable).  Raises IndexError when gates are not in topological
-    (gid) order; the caller treats that as "check for cycles".
-    """
-    gates = netlist.gates
-    if budget is not None and not budget.charge(len(gates)):
-        return None
-    nids: list[int] = []
-    dffs: list = []
-    for gate in gates:
+    clk_q = table.clk_q
+    delays: dict[tuple[GateType, int], float] = {}
+    input_, dff = GateType.INPUT, GateType.DFF
+    for gate in netlist.gates:
+        gid = gate.gid
+        if values[gid] is not None:
+            continue  # proved constant: every path through it is false
         gtype = gate.gtype
-        if gtype is GateType.DFF:
-            dffs.append(gate)
-            key: object = STRUCT_DFF_KEYS[seeds.get(gate.gid)]
-        elif gtype in SOURCE_TYPES:
-            key = structural_key(gtype)
-        else:
-            key = structural_key(gtype,
-                                 tuple(nids[f] for f in gate.fanins))
-        nids.append(intern_structural(key))
-    return nids, dffs
-
-
-def _intern_unordered(netlist: GateNetlist, seeds: dict[int, Ternary],
-                      budget: Optional[Budget]
-                      ) -> Optional[tuple[list[int], list]]:
-    """Rare fallback for hand-assembled netlists whose combinational
-    gates are not in gid order (but acyclic — the caller has already
-    ruled cycles out): same keys, computed in an explicit topological
-    order.  Out-of-range fanins (other lint layers flag those) are
-    dropped from keys rather than crashing the analysis.  Clarity over
-    speed here."""
-    gates = netlist.gates
-    n = len(gates)
-    if budget is not None and not budget.charge(n):
-        return None
-    order: list[int] = []
-    marked = [False] * n
-    for root in range(n):
-        if marked[root]:
+        if gtype is input_:
+            arrival[gid] = 0.0
             continue
-        stack = [(root, False)]
-        while stack:
-            gid, expanded = stack.pop()
-            if expanded:
-                order.append(gid)
-                continue
-            if marked[gid]:
-                continue
-            marked[gid] = True
-            stack.append((gid, True))
-            gate = gates[gid]
-            if gate.gtype is not GateType.DFF:
-                stack.extend((f, False) for f in gate.fanins
-                             if 0 <= f < n and not marked[f])
-    nids = [0] * n
-    for gid in order:
-        gate = gates[gid]
-        gtype = gate.gtype
-        if gtype is GateType.DFF:
-            key: object = STRUCT_DFF_KEYS[seeds.get(gid)]
-        elif gtype in SOURCE_TYPES:
-            key = structural_key(gtype)
-        else:
-            key = structural_key(gtype, tuple(nids[f] for f in gate.fanins
-                                              if 0 <= f < n))
-        nids[gid] = intern_structural(key)
-    return nids, [g for g in gates if g.gtype is GateType.DFF]
-
-
-# ----------------------------------------------------------------------
-# Cone evaluation
-# ----------------------------------------------------------------------
-def _launch(gate, seeds: dict[int, Ternary],
-            table: DelayTable) -> tuple[Ternary, Optional[float]]:
-    """(ternary value, arrival) of one launch point."""
-    if gate.gtype is GateType.INPUT:
-        return None, 0.0
-    if gate.gtype is GateType.CONST0:
-        return 0, None
-    if gate.gtype is GateType.CONST1:
-        return 1, None
-    # DFF Q: a seeded reset-constant register launches nothing.
-    seed = seeds.get(gate.gid)
-    return (seed, None) if seed is not None else (None, table.clk_q)
-
-
-def _evaluate_cone(netlist: GateNetlist, driver: int, nids: list[int],
-                   facts: dict[int, Fact], seeds: dict[int, Ternary],
-                   table: DelayTable,
-                   budget: Optional[Budget]) -> Summary:
-    """Levelize one cone: ternary values, arrivals, levels.
-
-    Iterative post-order DFS from the endpoint driver, with ``facts``
-    as both the memo and the visited set: descent stops at any gate
-    whose structural node id is already known, so incremental
-    evaluation walks only the changed suffix of the cone — and
-    isomorphic per-bit structures cost once even in a cold run,
-    because the first bit's facts are every other bit's frontier.
-    """
-    gates = netlist.gates
-    facts_get = facts.get
-    evaluated = 0
-    pruned = 0
-    stack: list[int] = [driver]
-    # A cone over V gates pushes at most one entry per fanin edge; a
-    # stack beyond that bound means the netlist was mutated into a
-    # cycle behind the GateNetlist API (the per-endpoint barrier turns
-    # this into a skipped endpoint instead of a hang).
-    guard = 8 * len(gates) + 64
-    while stack:
-        if len(stack) > guard:
-            raise RuntimeError(
-                "cone traversal exceeded its bound — netlist mutated "
-                "outside the GateNetlist API?")
-        gid = stack[-1]
-        nid = nids[gid]
-        if facts_get(nid) is not None:
-            stack.pop()
+        if gtype is dff:
+            arrival[gid] = clk_q
             continue
         if budget is not None and not budget.charge():
-            raise _Exhausted
-        gate = gates[gid]
-        gtype = gate.gtype
-        if gtype in SOURCE_TYPES or gtype is GateType.DFF:
-            val, arr = _launch(gate, seeds, table)
-            facts[nid] = (val, arr, 0)
-            stack.pop()
-            continue
-        ready = True
-        for fin in gate.fanins:
-            if facts_get(nids[fin]) is None:
-                stack.append(fin)
-                ready = False
-        if not ready:
-            continue
-        stack.pop()
-        fanin_facts = [facts[nids[f]] for f in gate.fanins]
-        out = eval_gate(gtype, [ff[0] for ff in fanin_facts])
-        evaluated += 1
-        if out is not None:
-            # Proved constant: every path through this gate is false.
-            facts[nid] = (out, None, 0)
-            pruned += 1
-            continue
-        # An X output needs an X input, and every X line has an arrival.
-        best = max(ff[1] for ff in fanin_facts if ff[1] is not None)
-        arr = best + table.gate_delay(gtype, len(gate.fanins))
-        lvl = 1 + max(ff[2] for ff in fanin_facts if ff[1] is not None)
-        facts[nid] = (None, arr, lvl)
-    driver_fact = facts[nids[driver]]
-    return driver_fact[1], evaluated, pruned, driver_fact[2]
+            return gid
+        latest = -1.0
+        deepest = 0
+        fanins = gate.fanins
+        for fin in fanins:
+            fin_arrival = arrival[fin]
+            if fin_arrival is not None:
+                if fin_arrival > latest:
+                    latest = fin_arrival
+                if level[fin] > deepest:
+                    deepest = level[fin]
+        key = (gtype, len(fanins))
+        delay = delays.get(key)
+        if delay is None:
+            delay = delays[key] = table.gate_delay(gtype, len(fanins))
+        arrival[gid] = latest + delay
+        level[gid] = deepest + 1
+    return len(netlist.gates)
 
 
 def _worst_path(netlist: GateNetlist, endpoint: EndpointTiming,
-                driver: int, nids: list[int],
-                facts: dict[int, Fact]) -> Optional[TimingPath]:
+                driver: int, arrival: list[Optional[float]],
+                level: list[int]) -> TimingPath:
     """Backtrack the arrival-defining chain of one endpoint.
 
-    Pure dict walk over the memoised per-node facts — O(path length),
-    no re-levelization: from the endpoint driver, follow the latest
-    non-pruned fanin down to its launch point.  Ties break toward the
-    lowest gate id, keeping the reported path deterministic.
+    From the endpoint driver, follow the latest non-pruned fanin down
+    to its launch point.  Ties break toward the lowest gate id, keeping
+    the reported path deterministic.
     """
-    fact = facts.get(nids[driver])
-    if fact is None or fact[1] is None:
-        return None
     gates = netlist.gates
     chain = [driver]
     current = driver
-    while facts[nids[current]][2] > 0:
-        best = None
+    while level[current] > 0:
+        best = -1
         best_key: Optional[tuple[float, int]] = None
         for fin in gates[current].fanins:
-            fin_fact = facts.get(nids[fin])
-            if fin_fact is None or fin_fact[1] is None:
+            fin_arrival = arrival[fin]
+            if fin_arrival is None:
                 continue
-            key = (fin_fact[1], -fin)
+            key = (fin_arrival, -fin)
             if best_key is None or key > best_key:
                 best_key = key
                 best = fin
-        if best is None:  # pragma: no cover - facts always cover the cone
-            return None
         current = best
         chain.append(current)
     chain.reverse()
     steps = tuple(
         PathStep(gid=g, gtype=gates[g].gtype.value, name=gates[g].name,
-                 arrival=facts[nids[g]][1])  # type: ignore[arg-type]
+                 arrival=arrival[g])  # type: ignore[arg-type]
         for g in chain)
     return TimingPath(endpoint=endpoint.name,
-                      arrival=fact[1], slack=endpoint.slack, steps=steps)
+                      arrival=arrival[driver],  # type: ignore[arg-type]
+                      slack=endpoint.slack, steps=steps)
 
 
-# ----------------------------------------------------------------------
-# Entry point
-# ----------------------------------------------------------------------
 def analyze_timing(netlist: GateNetlist, *, bits: int = 8,
                    table: Optional[DelayTable] = None,
                    period: Optional[float] = None,
                    library: ModuleLibrary = DEFAULT_LIBRARY,
-                   cache: Optional[ConeCache] = None,
                    budget: Optional[Budget] = None,
                    k_paths: int = 4,
                    sequential_constants: bool = False) -> TimingReport:
@@ -337,10 +144,9 @@ def analyze_timing(netlist: GateNetlist, *, bits: int = 8,
         period: clock period in gate units; None derives the library's
             implied period via :func:`default_period`.
         library: the module library validated against (``TIM005``).
-        cache: persistent :class:`ConeCache` for incremental re-analysis
-            across netlists; None uses a throwaway cache.
-        budget: cooperative budget; on exhaustion remaining endpoints
-            are tagged and the partial report stays well-formed.
+        budget: cooperative budget; on exhaustion the endpoints the
+            pass did not reach are tagged and the partial report stays
+            well-formed.
         k_paths: how many worst paths to extract with named gates.
         sequential_constants: seed DFF launches with the reset-reachable
             constants of :func:`repro.atpg.prune.constant_lines`
@@ -368,45 +174,20 @@ def analyze_timing(netlist: GateNetlist, *, bits: int = 8,
         return report
     report.library_problems = library_disagreements(bits, period, table,
                                                     library)
-
-    seeds: dict[int, Ternary] = {}
-    if sequential_constants:
-        from ...atpg.prune import constant_lines
-        constants = constant_lines(netlist)
-        seeds = {g.gid: constants[g.gid] for g in netlist.dffs()
-                 if g.gid in constants}
-    cache = cache if cache is not None else ConeCache()
-    cache.bind(table, sequential_constants)
-
-    # Structural ids: trust the construction-time ones when they are
-    # in sync and unseeded; otherwise recompute.  The fallback doubles
-    # as the topological-order check — a fanin that does not precede
-    # its gate (impossible via GateNetlist.add) raises IndexError, and
-    # only then is the explicit cycle search run.
-    gates = netlist.gates
-    nids: Optional[list[int]]
-    if not seeds and len(netlist.nids) == len(gates):
-        nids = netlist.nids
-        dff_gates = [gates[g] for g in netlist.dff_gids]
-    else:
-        try:
-            interned = _intern_pass(netlist, seeds, budget)
-        except IndexError:
-            report.cycle = combinational_cycle(netlist)
-            if report.cycle:
-                return report  # levelization impossible; TIM003 reports
-            interned = _intern_unordered(netlist, seeds, budget)
-        if interned is not None:
-            nids, dff_gates = interned
-        else:
-            nids, dff_gates = None, netlist.dffs()
+    ordered = in_topological_order(netlist)
+    if not ordered:
+        report.cycle = combinational_cycle(netlist)
+        if report.cycle:
+            return report  # no arrival on the loop is defined; TIM003
 
     # Endpoint order is deterministic: outputs by name, then DFFs by id.
+    gates = netlist.gates
+    dffs = netlist.dffs()
     endpoints: list[tuple[EndpointTiming, int]] = []
     for name, gid in sorted(netlist.outputs.items()):
         endpoints.append((EndpointTiming(name=name, kind="output", gid=gid),
                           gid))
-    for gate in dff_gates:
+    for gate in dffs:
         name = gate.name or f"dff{gate.gid}"
         if not gate.fanins:
             ep = EndpointTiming(name=name, kind="dff", gid=gate.gid,
@@ -418,58 +199,62 @@ def analyze_timing(netlist: GateNetlist, *, bits: int = 8,
         endpoints.append((EndpointTiming(name=name, kind="dff",
                                          gid=gate.gid), gate.fanins[0]))
 
-    summaries = cache.summaries
-    facts = cache.facts
+    n = len(gates)
+    arrival: list[Optional[float]] = [None] * n
+    level = [0] * n
+    if ordered:
+        seeds: dict[int, Ternary] = {}
+        if sequential_constants:
+            from ...atpg.prune import constant_lines
+            constants = constant_lines(netlist)
+            seeds = {g.gid: constants[g.gid] for g in dffs
+                     if g.gid in constants}
+        values = propagate(netlist, seeds)
+        report.pruned_total = sum(
+            1 for gate in gates if values[gate.gid] is not None
+            and gate.gtype not in SOURCE_TYPES
+            and gate.gtype is not GateType.DFF)
+        # Every gate below ``reached`` is timed.
+        reached = _propagate_arrivals(netlist, values, arrival, level,
+                                      table, budget)
+        unreached = "budget_exhausted"
+    else:
+        reached = 0
+        unreached = "gates not in topological (gid) order"
+        report.degraded = True
+
     dff_required = period - table.setup
     for ep, driver in endpoints:
         report.endpoints.append(ep)
-        report.cones_total += 1
-        if nids is None or (budget is not None and budget.exhausted()):
+        if reached <= driver < n:
             ep.analysed = False
-            ep.skip_reason = "budget_exhausted"
+            ep.skip_reason = unreached
             continue
         try:
             chaos_point("timing.cone_eval", (ep.name, driver))
-            key = nids[driver]
-            summary = summaries.get(key)
-            if summary is not None:
-                ep.cached = True
-                cache.hits += 1
-                report.cone_hits += 1
-            else:
-                cache.misses += 1
-                report.cone_misses += 1
-                summary = _evaluate_cone(netlist, driver, nids, facts,
-                                         seeds, table, budget)
-                summaries[key] = summary
+            ep.arrival = arrival[driver]
+            ep.levels = level[driver]
         except ChaosCrash:
             raise  # simulated process death must not be absorbed
-        except _Exhausted:
-            ep.analysed = False
-            ep.skip_reason = "budget_exhausted"
-            continue
         except Exception as exc:  # noqa: BLE001 - per-endpoint barrier
             ep.analysed = False
             ep.skip_reason = f"{type(exc).__name__}: {exc}"
             report.degraded = True
             continue
-        ep.arrival, ep.cone_size, ep.pruned, ep.levels = summary
-        report.pruned_total += ep.pruned
         ep.required = dff_required if ep.kind == "dff" else period
         if ep.arrival is not None:
             ep.slack = ep.required - ep.arrival
 
     # K worst paths, named gate by gate, worst slack first.
-    if k_paths > 0 and nids is not None:
+    if k_paths > 0:
         timed = [(ep, driver) for ep, driver in endpoints
                  if ep.analysed and ep.arrival is not None]
         timed.sort(key=lambda item: (item[0].slack, item[0].name))
-        for ep, driver in timed[:k_paths]:
-            path = _worst_path(netlist, ep, driver, nids, facts)
-            if path is not None:
-                report.paths.append(path)
+        report.paths = [_worst_path(netlist, ep, driver, arrival, level)
+                        for ep, driver in timed[:k_paths]]
 
     if budget is not None and budget.exhausted():
         report.budget_exhausted = True
         report.budget_reason = budget.reason
     return report
+

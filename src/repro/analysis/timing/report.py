@@ -12,11 +12,7 @@ class EndpointTiming:
 
     ``arrival`` is None for an *unconstrained* endpoint: no timed
     launch (input or register output) reaches it — it is fed entirely
-    by constants, so it carries no transition to time.  ``cone_size``
-    and ``pruned`` count the distinct gate structures *evaluated* for
-    this endpoint — incremental evaluation examines only the changed
-    suffix of a cone, and a cache hit examines none (the stored counts
-    are served with the summary).
+    by constants, so it carries no transition to time.
     """
 
     name: str
@@ -26,9 +22,6 @@ class EndpointTiming:
     required: Optional[float] = None
     slack: Optional[float] = None
     levels: int = 0                 # logic levels on the worst path
-    cone_size: int = 0              # combinational gates in the cone
-    pruned: int = 0                 # cone gates proved constant
-    cached: bool = False            # served from the cone cache
     analysed: bool = True
     skip_reason: str = ""
 
@@ -41,9 +34,7 @@ class EndpointTiming:
             "name": self.name, "kind": self.kind, "gid": self.gid,
             "arrival": self.arrival, "required": self.required,
             "slack": self.slack, "levels": self.levels,
-            "cone_size": self.cone_size, "pruned": self.pruned,
-            "cached": self.cached, "analysed": self.analysed,
-            "skip_reason": self.skip_reason,
+            "analysed": self.analysed, "skip_reason": self.skip_reason,
         }
 
 
@@ -106,10 +97,9 @@ class TimingReport:
     degraded: bool = False
     budget_exhausted: bool = False
     budget_reason: Optional[str] = None
-    cones_total: int = 0
-    cone_hits: int = 0
-    cone_misses: int = 0
     gates_total: int = 0
+    #: Combinational gates whose ternary value is decided: constant
+    #: for every input/state valuation, so timed as false paths.
     pruned_total: int = 0
 
     # ------------------------------------------------------------------
@@ -152,7 +142,6 @@ class TimingReport:
                                        else ""),
                  f"wns {wns:+.2f}" if wns is not None else "wns -",
                  f"{len(self.violations())} violation(s)",
-                 f"{self.cone_hits}/{self.cones_total} cones cached",
                  f"{self.pruned_total} constant gates pruned"]
         if self.cycle:
             parts.append(f"BLOCKED by combinational cycle "
@@ -179,9 +168,6 @@ class TimingReport:
             "degraded": self.degraded,
             "budget_exhausted": self.budget_exhausted,
             "budget_reason": self.budget_reason,
-            "cones_total": self.cones_total,
-            "cone_hits": self.cone_hits,
-            "cone_misses": self.cone_misses,
             "gates_total": self.gates_total,
             "pruned_total": self.pruned_total,
         }

@@ -26,30 +26,11 @@ regions of the data path to fixed values.
 
 from __future__ import annotations
 
-from ..gates.netlist import GateNetlist, GateType
-from ..gates.ternary import Ternary, eval_gate
+from ..gates.netlist import GateNetlist
+from ..gates.ternary import Ternary, propagate
 from .faults import Fault
 
 __all__ = ["Ternary", "constant_lines", "prune_untestable"]
-
-
-def _propagate(netlist: GateNetlist,
-               dff_state: dict[int, Ternary]) -> list[Ternary]:
-    """One ternary pass in topological order under a given DFF state."""
-    values: list[Ternary] = [None] * len(netlist.gates)
-    for gate in netlist.gates:
-        if gate.gtype is GateType.INPUT:
-            values[gate.gid] = None
-        elif gate.gtype is GateType.CONST0:
-            values[gate.gid] = 0
-        elif gate.gtype is GateType.CONST1:
-            values[gate.gid] = 1
-        elif gate.gtype is GateType.DFF:
-            values[gate.gid] = dff_state[gate.gid]
-        else:
-            values[gate.gid] = eval_gate(
-                gate.gtype, [values[f] for f in gate.fanins])
-    return values
 
 
 def constant_lines(netlist: GateNetlist) -> dict[int, int]:
@@ -65,7 +46,7 @@ def constant_lines(netlist: GateNetlist) -> dict[int, int]:
     # state lattice only descends (known -> X), so this terminates in
     # at most |DFF| + 1 passes; in practice a handful.
     for _ in range(len(dffs) + 1):
-        values = _propagate(netlist, state)
+        values = propagate(netlist, state)
         changed = False
         for gate in dffs:
             nxt = values[gate.fanins[0]] if gate.fanins else None
@@ -74,7 +55,7 @@ def constant_lines(netlist: GateNetlist) -> dict[int, int]:
                 changed = True
         if not changed:
             break
-    values = _propagate(netlist, state)
+    values = propagate(netlist, state)
     return {gid: v for gid, v in enumerate(values) if v is not None}
 
 

@@ -15,7 +15,6 @@ Examples::
     repro-hlts timing                 # STA every benchmark, default period
     repro-hlts timing tseng --flow ours --period 150 -v
     repro-hlts bench-dataflow         # write BENCH_dataflow.json
-    repro-hlts bench-timing           # write BENCH_timing.json
     repro-hlts table1 --workers 4 --cache-dir .repro-cache
 
 Each subcommand is one row of :func:`_commands`.
@@ -321,20 +320,15 @@ def _analyze_command(args) -> int:
 
 def _timing_command(args) -> int:
     """The ``timing`` subcommand: static timing analysis of the gates."""
-    from .analysis.timing import ConeCache, analyze_timing
+    from .analysis.timing import analyze_timing
     from .gates import expand_to_gates
     from .rtl import generate_rtl
 
-    # One cache across targets: benchmarks share expander idioms, so
-    # isomorphic cones (interned to the same structural ids) are
-    # evaluated once for the whole run.
-    cache = ConeCache()
     results: list[TargetResult] = []
     for target, design in _designs(args, "timing"):
         netlist = expand_to_gates(generate_rtl(design, args.bits))
         report = analyze_timing(
-            netlist, bits=args.bits, period=args.period, cache=cache,
-            k_paths=args.paths,
+            netlist, bits=args.bits, period=args.period, k_paths=args.paths,
             sequential_constants=args.sequential_constants)
         ok = report.ok and (not args.strict or not report.unconstrained())
         lines = [f"== {report.summary()} [{_status(ok)}]"]
@@ -394,18 +388,6 @@ def _dataflow_command(args) -> int:
     return _print_results(args, results, strict=args.strict)
 
 
-def _bench_timing_command(args) -> int:
-    from .harness.bench_timing import run_bench_timing
-    report = run_bench_timing(bits=args.bits, repeats=args.repeats,
-                              output=args.output, progress=_progress)
-    print(f"wrote {args.output}: {report['cells_total']} cells, "
-          f"incremental speedup {report['speedup_total']}x "
-          f"(target {report['target_speedup']}x, "
-          f"met: {report['meets_target']}), "
-          f"reports identical: {report['reports_match']}")
-    return 0 if report["reports_match"] else 1
-
-
 def _bench_dataflow_command(args) -> int:
     from .harness.bench_dataflow import run_bench_dataflow
     report = run_bench_dataflow(
@@ -431,10 +413,23 @@ def _arg(*flags: str, **kwargs: Any) -> Argument:
     return flags, kwargs
 
 
+def _width(text: str) -> int:
+    """The ``type`` of every bit-width flag: a positive integer, so a
+    zero or negative width exits 2 with a usage message."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive bit width, got {text!r}")
+    return value
+
+
 def _commands() -> list[Command]:
     """Every top-level subcommand (built when the parser is, so benchmark
     choices are read from the registry at that moment)."""
-    bits_list = _arg("--bits", type=int, nargs="+", default=[4, 8, 16],
+    bits_list = _arg("--bits", type=_width, nargs="+", default=[4, 8, 16],
                      help="data-path bit widths (default: 4 8 16)")
     journal = [
         _arg("--journal", metavar="PATH", default=None,
@@ -457,7 +452,7 @@ def _commands() -> list[Command]:
                         "(default: every registered benchmark)")
     fmt = _arg("--format", choices=["text", "json"], default="text",
                dest="fmt", help="output format (default: text)")
-    bits = _arg("--bits", type=int, default=8,
+    bits = _arg("--bits", type=_width, default=8,
                 help="data-path bit width (default: 8)")
     flow = _arg("--flow", choices=["ours", "default"], default="ours",
                 help="the synthesised design (ours) or the unmerged default "
@@ -482,7 +477,7 @@ def _commands() -> list[Command]:
                [bits_list, *journal, *parallel], {"benchmark": bench})
               for n, bench in ((1, "ex"), (2, "dct"), (3, "diffeq"))]
     figures = [(figure, f"reproduce {figure} schedule(s)", _figure_command,
-                [_arg("--figure-bits", type=int, default=8)],
+                [_arg("--figure-bits", type=_width, default=8)],
                 {"benchmarks": benches})
                for figure, benches in (("fig2", ["ex"]),
                                        ("fig3", ["dct", "diffeq"]))]
@@ -514,7 +509,7 @@ def _commands() -> list[Command]:
                     "whole matrix)"),
           _arg("--benchmark", choices=names(), default="ex",
                help="benchmark the scenarios run on (default: ex)"),
-          _arg("--bits", type=int, default=4,
+          _arg("--bits", type=_width, default=4,
                help="data-path width for the scenarios (default: 4)"),
           _arg("--workdir", default=None,
                help="directory for scenario artifacts such as journals "
@@ -544,7 +539,7 @@ def _commands() -> list[Command]:
          "abstract-interpretation dataflow facts: value ranges, known "
          "bits, certificate self-check, DFA findings", _dataflow_command,
          [targets, bits_list, vectors,
-          _arg("--input-bits", type=int, default=None,
+          _arg("--input-bits", type=_width, default=None,
                help="assume primary inputs occupy at most this many bits "
                     "(default: the full datapath width)"),
           _arg("--narrow", action="store_true",
@@ -568,15 +563,11 @@ def _commands() -> list[Command]:
                help="treat unconstrained endpoints as failures for the "
                     "exit status"),
           fmt, verbose("also print the K worst paths gate by gate")], {}),
-        ("bench-timing",
-         "time cold vs incremental re-analysis after one merger and write "
-         "BENCH_timing.json", _bench_timing_command,
-         [bits, *writes("BENCH_timing.json", 5)], {}),
         ("bench-dataflow",
          "time the dataflow fixpoint, fault pruning and width narrowing "
          "and write BENCH_dataflow.json", _bench_dataflow_command,
          [bits_list, *writes("BENCH_dataflow.json", 3), vectors,
-          _arg("--input-bits", type=int, default=8,
+          _arg("--input-bits", type=_width, default=8,
                help="narrowing cells assume inputs occupy at most "
                     "min(this, bits) bits (default: 8)")], {}),
     ]

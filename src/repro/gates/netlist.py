@@ -11,6 +11,14 @@ methodology, the controller is assumed modifiable for test (§1), so
 control signals (mux selects, load enables, ALU op selects) enter the
 netlist as primary inputs and the data path's registers are the only
 state.
+
+:meth:`GateNetlist.add` only accepts fanins that already exist, so gid
+order is a topological order of the combinational logic; DFF D inputs,
+connected after the fact, close the sequential feedback.  The ternary
+pass (:func:`repro.gates.ternary.propagate`) and the static timing
+analyser value a whole netlist in one pass in that order, and
+:func:`in_topological_order` tells them when a netlist written around
+the API has broken it.
 """
 
 from __future__ import annotations
@@ -44,89 +52,6 @@ SOURCE_TYPES = frozenset({GateType.INPUT, GateType.CONST0, GateType.CONST1})
 UNARY_TYPES = frozenset({GateType.BUF, GateType.NOT, GateType.DFF})
 
 
-# ----------------------------------------------------------------------
-# Structural identity (hash-consing)
-# ----------------------------------------------------------------------
-# Every gate built through the GateNetlist API is hash-consed into a
-# process-global *structural node id*: two gates get the same id
-# exactly when the combinational logic below them is identical (same
-# type, structurally identical children — child ids are sorted, every
-# multi-input type here is commutative).  Launch points collapse to
-# fixed keys: all primary inputs are interchangeable for structure, and
-# a DFF's key deliberately excludes its D fanin, cutting the sequential
-# feedback so keys are well-founded (this also keeps ids valid when
-# scan insertion rewires a DFF's D input in place).  The static timing
-# analyser keys its cone caches on these ids, which is what makes its
-# re-analysis incremental under gate-id renumbering; maintaining them
-# here, one O(1) step per add(), means no consumer ever pays a second
-# full-netlist pass to recover them.
-#
-# Ids are only meaningful while ``len(netlist.nids) == len(gates)`` —
-# growing ``gates`` behind the API's back (as some lint tests do, to
-# forge degenerate netlists) desyncs the lists, which consumers detect
-# by exactly that length comparison.
-
-#: Child-id ceiling for packed two-input keys (tuples beyond it).
-_PACK_LIMIT = 1 << 24
-#: Launch-point keys: small even ints (combinational keys are odd).
-STRUCT_KEY_INPUT = 0
-STRUCT_KEY_CONST0 = 2
-STRUCT_KEY_CONST1 = 4
-#: DFF keys by ternary seed value (None = free-running state bit).
-STRUCT_DFF_KEYS = {None: 6, 0: 8, 1: 10}
-
-#: Gate-type index used in packed keys (stable: enum definition order,
-#: so combinational types are 3..10 and fit the 5-bit type field).
-#: Keyed by ``id()`` of the (permanent, singleton) enum members because
-#: ``Enum.__hash__`` is a Python-level call — one per gate adds up.
-_TCODE_ID = {id(t): i for i, t in enumerate(GateType)}
-_CODE_INPUT = _TCODE_ID[id(GateType.INPUT)]
-_CODE_CONST0 = _TCODE_ID[id(GateType.CONST0)]
-_CODE_DFF = _TCODE_ID[id(GateType.DFF)]
-
-#: The process-global hash-cons table: structural key -> dense node id.
-_struct_intern: dict[object, int] = {
-    STRUCT_KEY_INPUT: 0, STRUCT_KEY_CONST0: 1, STRUCT_KEY_CONST1: 2,
-    STRUCT_DFF_KEYS[None]: 3, STRUCT_DFF_KEYS[0]: 4, STRUCT_DFF_KEYS[1]: 5,
-}
-
-
-def intern_structural(key: object) -> int:
-    """The dense node id of one structural key (allocating if new)."""
-    nid = _struct_intern.get(key)
-    if nid is None:
-        nid = len(_struct_intern)
-        _struct_intern[key] = nid
-    return nid
-
-
-def structural_key(gtype: GateType, child_nids: tuple[int, ...] = (),
-                   dff_seed: int | None = None) -> object:
-    """The structural key of one gate over its children's node ids.
-
-    One/two-input combinational gates pack (sorted child ids, type
-    index) into a single odd int — tuple building and hashing per gate
-    would triple the cost of every consumer's hot loop; wider gates
-    fall back to tuples.  ``dff_seed`` distinguishes DFFs proved stuck
-    at a reset-reachable constant (the timing analyser's optional
-    sequential seeding) from free-running ones.
-    """
-    t = _TCODE_ID[id(gtype)]
-    if 3 <= t <= 10:
-        children = sorted(child_nids)
-        if len(children) == 2 and children[1] < _PACK_LIMIT:
-            a, b = children
-            return (((a << 24) + b) << 6) + (t << 1) + 1
-        if len(children) == 1:
-            return (children[0] << 6) + (t << 1) + 1
-        return (t, *children)
-    if t == _CODE_INPUT:
-        return STRUCT_KEY_INPUT
-    if t == _CODE_DFF:
-        return STRUCT_DFF_KEYS[dff_seed]
-    return STRUCT_KEY_CONST0 if t == _CODE_CONST0 else STRUCT_KEY_CONST1
-
-
 @dataclass(frozen=True)
 class Gate:
     """One gate: an output net driven by ``gtype`` over ``fanins``."""
@@ -147,12 +72,6 @@ class GateNetlist:
         self.inputs: dict[str, int] = {}
         #: Primary output name -> driving gate id.
         self.outputs: dict[str, int] = {}
-        #: Structural node id per gate (see the hash-consing note
-        #: above); valid only while as long as ``gates`` — forged
-        #: appends desync the lengths and analyses must recompute.
-        self.nids: list[int] = []
-        #: Gate ids of DFFs, in creation order.
-        self.dff_gids: list[int] = []
 
     # ------------------------------------------------------------------
     def add(self, gtype: GateType, fanins: tuple[int, ...] = (),
@@ -170,13 +89,6 @@ class GateNetlist:
                                    f"(gates are added in topological order)")
         gid = len(self.gates)
         self.gates.append(Gate(gid, gtype, tuple(fanins), name))
-        nids = self.nids
-        if gtype is GateType.DFF:
-            self.dff_gids.append(gid)
-            nids.append(intern_structural(STRUCT_DFF_KEYS[None]))
-        else:
-            key = structural_key(gtype, tuple(nids[f] for f in fanins))
-            nids.append(intern_structural(key))
         return gid
 
     def add_input(self, name: str) -> int:
@@ -196,8 +108,6 @@ class GateNetlist:
         """
         gid = len(self.gates)
         self.gates.append(Gate(gid, GateType.DFF, (), name))
-        self.nids.append(intern_structural(STRUCT_DFF_KEYS[None]))
-        self.dff_gids.append(gid)
         return gid
 
     def connect_dff(self, gid: int, d_input: int) -> None:
@@ -218,7 +128,7 @@ class GateNetlist:
         implementation (``GAT001``) and reports every floating DFF, not
         just the first; cycle detection shares
         :func:`combinational_cycle` with rule ``GAT002`` and the static
-        timing analyser's levelizer, and reports the offending gate ids.
+        timing analyser, and reports the offending gate ids.
         """
         from ..lint.rules_gates import floating_dffs
         floating = floating_dffs(self)
@@ -243,7 +153,8 @@ class GateNetlist:
     # ------------------------------------------------------------------
     def dffs(self) -> list[Gate]:
         """All state elements, in id order."""
-        return [g for g in self.gates if g.gtype == GateType.DFF]
+        dff = GateType.DFF
+        return [g for g in self.gates if g.gtype is dff]
 
     def combinational_count(self) -> int:
         """Number of combinational (non-source, non-DFF) gates."""
@@ -280,6 +191,24 @@ class GateNetlist:
                 f"{s['dffs']} dffs, {s['inputs']} PIs, {s['outputs']} POs)")
 
 
+def in_topological_order(netlist: GateNetlist) -> bool:
+    """Does every combinational fanin precede the gate that reads it?
+
+    :meth:`GateNetlist.add` guarantees it, so gid order is a
+    topological order and one pass in gid order values every gate after
+    its fanins (:func:`repro.gates.ternary.propagate`, the static timing
+    analyser).  DFF D inputs are exempt: they close the sequential
+    feedback, which a combinational pass never follows.  Only gates
+    written into ``gates`` directly can break the order.
+    """
+    dff = GateType.DFF
+    for gate in netlist.gates:
+        for fin in gate.fanins:
+            if fin >= gate.gid and gate.gtype is not dff:
+                return False
+    return True
+
+
 def combinational_cycle(netlist: GateNetlist) -> list[int]:
     """One combinational cycle as a gate-id list, or [] when none exists.
 
@@ -288,28 +217,11 @@ def combinational_cycle(netlist: GateNetlist) -> list[int]:
     a cycle (fanins must already exist), so this only fires on netlists
     assembled or transformed by other means — which is exactly where
     :meth:`GateNetlist.check_complete`, lint rule ``GAT002`` and the
-    static timing levelizer (which all share this function) need it.
+    static timing analyser (which all share this function) need it.
     """
-    gates = netlist.gates
-    n = len(gates)
-    # Fast path: gates appended through add() only reference earlier
-    # gates, and DFF feedback edges are excluded — when every
-    # combinational fanin precedes its gate, gid order is already
-    # topological and no cycle can exist.  One scan of int compares
-    # settles the common case without the DFS bookkeeping (the static
-    # timing analyser runs this check on every analysis).
-    for gate in gates:
-        if gate.gtype is GateType.DFF:
-            continue
-        gid = gate.gid
-        for fin in gate.fanins:
-            if fin >= gid:
-                break
-        else:
-            continue
-        break
-    else:
+    if in_topological_order(netlist):
         return []
+    n = len(netlist.gates)
     white, grey, black = 0, 1, 2
     colour = [white] * n
     for root in range(n):

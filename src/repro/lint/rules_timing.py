@@ -63,8 +63,9 @@ def check_violations(ctx: LintContext, emit: Emit) -> None:
              f"(arrival {e.arrival:.2f}, required {e.required:.2f}, "
              f"{e.levels} levels)",
              location=e.name,
-             hint="slow the clock, or synthesise with check_timing=True "
-                  "so the merger loop rejects period-breaking candidates")
+             hint="slow the clock; at the library-derived period a "
+                  "violation means the netlist drifted from the step "
+                  "model the allocator priced")
 
 
 @rule("TIM002", layer="timing", severity=Severity.WARNING,
@@ -78,8 +79,8 @@ def check_unconstrained(ctx: LintContext, emit: Emit) -> None:
         return
     for e in rep.unconstrained()[:MAX_FINDINGS]:
         emit(f"{rep.name}: {e.kind} endpoint {e.name!r} is unconstrained "
-             f"— every path to it is false "
-             f"({e.pruned} cone gate(s) proved constant)",
+             f"— its cone is proved constant, so every path to it is "
+             f"false",
              location=e.name,
              hint="constant-fed logic is dead; check the cone's wiring")
 

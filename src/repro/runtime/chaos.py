@@ -27,8 +27,8 @@ Seams (see DESIGN.md §11):
                           (benchmark, flow, bits) key)
 ``timing.cone_eval``      inside the static timing analyser's
                           per-endpoint barrier, just before one
-                          endpoint's cone is resolved (payload: the
-                          (endpoint name, driver gid) pair)
+                          endpoint reads its cone's arrival (payload:
+                          the (endpoint name, driver gid) pair)
 ====================== ==================================================
 """
 

@@ -53,16 +53,6 @@ class SynthesisParams:
             provably semantics-preserving design points.  Slower than
             ``debug_lint`` but catches value-flow corruption the
             structural lint rules cannot see.
-        check_timing: gate module mergers on static timing — a
-            candidate whose merged module's measured critical path no
-            longer closes at ``clock_period`` is rejected
-            (:func:`repro.analysis.timing.merged_module_fits`), closing
-            the loop between the allocator's step-based cost model and
-            the gate-level delays it abstracts.
-        clock_period: the period ``check_timing`` audits, in gate
-            units; None uses the library-implied default period, at
-            which every mergeable structure fits by construction — the
-            gate then only bites under a user-tightened clock.
     """
 
     k: int = 3
@@ -73,8 +63,6 @@ class SynthesisParams:
     max_iterations: int = 10_000
     debug_lint: bool = False
     verify_mergers: bool = False
-    check_timing: bool = False
-    clock_period: float | None = None
     #: Candidate ranking: "balance" (the paper, §3) or "connectivity"
     #: (the conventional strawman — used by the A1 ablation bench).
     selection: str = "balance"
@@ -159,31 +147,13 @@ def _debug_lint(design: Design, iteration: int, outcome: MergeOutcome) -> None:
             f"({outcome.kind} {outcome.absorbed} -> {outcome.kept}): {detail}")
 
 
-def _admissible(params: SynthesisParams, cost_model: CostModel,
-                base: Design, outcome: MergeOutcome) -> bool:
+def _admissible(params: SynthesisParams, outcome: MergeOutcome) -> bool:
     if (params.max_execution_time is not None
             and outcome.design.execution_time > params.max_execution_time):
-        return False
-    if params.check_timing and outcome.kind == "module" \
-            and not _merger_fits_period(params, cost_model, outcome):
         return False
     if params.verify_mergers and not _merger_verified(outcome):
         return False
     return True
-
-
-def _merger_fits_period(params: SynthesisParams, cost_model: CostModel,
-                        outcome: MergeOutcome) -> bool:
-    """Does the merged module still close timing at the clock period?
-
-    Imported lazily like the verifier: the timing gate is paid only
-    under ``check_timing``, and its per-kind-set depth measurements are
-    memoised, so repeated candidates over one run cost microseconds.
-    """
-    from ..analysis.timing import merged_module_fits
-    return merged_module_fits(outcome.design, outcome.kept,
-                              cost_model.bits, library=cost_model.library,
-                              period=params.clock_period)
 
 
 def _merger_verified(outcome: MergeOutcome) -> bool:
@@ -227,8 +197,7 @@ def _best_merger(design: Design, params: SynthesisParams,
             outcome = try_merge(design, pair.kind, pair.node_a,
                                 pair.node_b, cost_model,
                                 strategy=params.order_strategy)
-            if outcome is None or not _admissible(params, cost_model,
-                                                  design, outcome):
+            if outcome is None or not _admissible(params, outcome):
                 continue
         except ChaosCrash:
             raise  # simulated process death must not be absorbed

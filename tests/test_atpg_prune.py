@@ -3,6 +3,7 @@ constant propagation at the gate level)."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from repro.atpg import (ATPGConfig, FaultSimulator, constant_lines,
@@ -75,6 +76,31 @@ class TestTernaryEval:
         assert _eval_gate(GateType.NOT, [0]) == 1
         assert _eval_gate(GateType.NOT, [None]) is None
         assert _eval_gate(GateType.BUF, [1]) == 1
+
+    def test_exact_on_every_input(self):
+        # The ternary value is exact for one gate: decided exactly when
+        # every 0/1 completion of the X inputs gives the same output.
+        boolean = {
+            GateType.BUF: lambda bits: bits[0],
+            GateType.NOT: lambda bits: 1 - bits[0],
+            GateType.AND: lambda bits: int(all(bits)),
+            GateType.NAND: lambda bits: 1 - int(all(bits)),
+            GateType.OR: lambda bits: int(any(bits)),
+            GateType.NOR: lambda bits: 1 - int(any(bits)),
+            GateType.XOR: lambda bits: sum(bits) % 2,
+            GateType.XNOR: lambda bits: 1 - sum(bits) % 2,
+        }
+        for gtype, function in boolean.items():
+            unary = gtype in (GateType.BUF, GateType.NOT)
+            for arity in ((1,) if unary else (1, 2, 3)):
+                for values in itertools.product((0, 1, None), repeat=arity):
+                    outs = {function([b if v is None else v
+                                      for v, b in zip(values, bits)])
+                            for bits in itertools.product((0, 1),
+                                                          repeat=arity)}
+                    expected = outs.pop() if len(outs) == 1 else None
+                    assert _eval_gate(gtype, list(values)) == expected, (
+                        gtype, values)
 
 
 class TestConstantLines:

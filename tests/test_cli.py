@@ -67,3 +67,28 @@ class TestCliExtensions:
         rows.write_text("")
         assert main(["report", "--rows", str(rows)]) == 0
         assert "no rows recorded" in capsys.readouterr().out
+
+
+#: Every subcommand that takes a bit width, with the flag that sets it.
+WIDTH_COMMANDS = [
+    ["table1", "--bits"], ["table2", "--bits"], ["table3", "--bits"],
+    ["fig2", "--figure-bits"], ["fig3", "--figure-bits"],
+    ["synth", "ex", "--bits"], ["explore", "ex", "--bits"],
+    ["export", "ex", "--bits"], ["bench", "ex", "--bits"],
+    ["chaos", "--bits"], ["lint", "--bits"], ["analyze", "--bits"],
+    ["dataflow", "--bits"], ["dataflow", "--input-bits"],
+    ["timing", "--bits"], ["bench-dataflow", "--bits"],
+    ["bench-dataflow", "--input-bits"],
+]
+
+
+@pytest.mark.parametrize("width", ["0", "-1", "four"])
+@pytest.mark.parametrize("command", WIDTH_COMMANDS,
+                         ids=[" ".join(c) for c in WIDTH_COMMANDS])
+def test_non_positive_width_is_a_usage_error(command, width, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main([*command, width])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert f"expected a positive bit width, got '{width}'" in err

@@ -81,9 +81,6 @@ CASES = [
       "paths": 2, "period": 150.0, "sequential_constants": True,
       "strict": True, "targets": ["tseng"], "traceback": False,
       "verbose": True}),
-    (["bench-timing", "--repeats", "1"],
-     {"bits": 8, "command": "bench-timing", "output": "BENCH_timing.json",
-      "repeats": 1, "traceback": False}),
     (["bench-dataflow", "--bits", "4", "--output", "bd.json"],
      {"bits": [4], "command": "bench-dataflow", "input_bits": 8,
       "output": "bd.json", "repeats": 3, "traceback": False,

@@ -1,13 +1,10 @@
-"""Tests for ``repro-hlts timing`` / ``bench-timing`` and the bench
-harness behind them."""
+"""Tests for ``repro-hlts timing``."""
 
 from __future__ import annotations
 
 import json
 
 from repro.cli import main
-from repro.harness.bench_timing import (SCHEMA, TARGET_SPEEDUP,
-                                        scrub_cache_stats, time_cell)
 
 
 class TestTimingCli:
@@ -45,31 +42,12 @@ class TestTimingCli:
     def test_unknown_target_exits_2(self, capsys):
         assert main(["timing", "no-such-benchmark"]) == 2
 
-
-class TestBenchHarness:
-    def test_time_cell_warm_beats_cold(self):
-        # repeats=1 keeps this a smoke test; the committed
-        # BENCH_timing.json is generated with the full protocol.
-        cell = time_cell("ex", 4, repeats=1)
-        assert cell["benchmark"] == "ex" and cell["ok"]
-        assert cell["reports_match"]
-        assert cell["cold_seconds"] > 0 and cell["warm_seconds"] > 0
-        # the merger perturbs a few cones, so warm hits most — not
-        # necessarily all — of the post-merger netlist's cones
-        assert 0 < cell["cone_hits_warm"] <= cell["cones_total"]
-        assert cell["cone_hits_warm"] >= cell["cones_total"] // 2
-
-    def test_scrub_cache_stats_makes_runs_comparable(self):
-        cold = {"cone_hits": 0, "cone_misses": 7, "pruned_total": 3,
-                "wns": 1.5,
-                "endpoints": [{"name": "o", "cached": False,
-                               "cone_size": 9, "pruned": 1, "slack": 2.0}]}
-        warm = {"cone_hits": 7, "cone_misses": 0, "pruned_total": 0,
-                "wns": 1.5,
-                "endpoints": [{"name": "o", "cached": True,
-                               "cone_size": 0, "pruned": 0, "slack": 2.0}]}
-        assert scrub_cache_stats(cold) == scrub_cache_stats(warm)
-
-    def test_schema_and_target_constants(self):
-        assert SCHEMA.startswith("repro.bench_timing/")
-        assert TARGET_SPEEDUP >= 5.0
+    def test_target_report_ignores_other_targets(self, capsys):
+        # A target's report is a property of its netlist alone, not of
+        # which targets the same run timed before it.
+        assert main(["timing", "tseng", "--bits", "4",
+                     "--format", "json"]) == 0
+        alone = json.loads(capsys.readouterr().out)["targets"]
+        assert main(["timing", "--bits", "4", "--format", "json"]) == 0
+        every = json.loads(capsys.readouterr().out)["targets"]
+        assert [t for t in every if t["target"] == "tseng"] == alone

@@ -11,10 +11,6 @@ STA arrival is a pure level count, so on any netlist
   under ternary propagation) never toggles at all — not even
   transiently, because ternary evaluation is instantaneous-value
   monotone.
-
-A third property pins warm-vs-cold determinism: re-analysing through a
-shared :class:`ConeCache` must reproduce the cold report exactly,
-modulo the cache-statistics fields the bench harness scrubs.
 """
 
 from __future__ import annotations
@@ -22,10 +18,9 @@ from __future__ import annotations
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.analysis.timing import ConeCache, DelayTable, analyze_timing
+from repro.analysis.timing import DelayTable, analyze_timing
 from repro.gates import GateNetlist, GateType
 from repro.gates.ternary import eval_gate
-from repro.harness.bench_timing import scrub_cache_stats
 
 #: Every gate exactly one unit, no sequential margins: an arrival under
 #: this table is the depth (in gates) of the worst live path.
@@ -157,16 +152,3 @@ class TestDifferential:
             if endpoint.analysed and endpoint.arrival is None:
                 assert _timed_gid(net, endpoint) not in toggles, (
                     f"{endpoint.name} proved false yet toggled")
-
-    @settings(max_examples=30, deadline=None)
-    @given(netlists())
-    def test_warm_report_equals_cold(self, drawn):
-        net, _, _ = drawn
-        cache = ConeCache()
-        cold = analyze_timing(net, bits=4, table=UNIT, period=PERIOD,
-                              k_paths=0, cache=cache)
-        warm = analyze_timing(net, bits=4, table=UNIT, period=PERIOD,
-                              k_paths=0, cache=cache)
-        assert scrub_cache_stats(cold.to_dict()) \
-            == scrub_cache_stats(warm.to_dict())
-        assert warm.cone_hits == warm.cones_total
