@@ -103,14 +103,20 @@ def _deterministic_phase(netlist: GateNetlist, circuit: CompiledCircuit,
                          config: ATPGConfig, rng: random.Random,
                          result: ATPGResult,
                          budget: Budget | None = None) -> None:
+    ladder = sorted({max(2, config.max_frames // 4),
+                     max(2, config.max_frames // 2), config.max_frames})
     engines: dict[int, PodemEngine] = {}
 
     def engine_for(frames: int) -> PodemEngine:
-        if frames not in engines:
-            engines[frames] = PodemEngine(
-                unroll(netlist, frames),
+        # One unrolled model serves the whole ladder: a smaller rung is
+        # a prefix of the largest (see UnrolledCircuit.prefix).
+        if not engines:
+            engines[ladder[-1]] = PodemEngine(
+                unroll(netlist, ladder[-1]),
                 max_backtracks=config.max_backtracks,
                 budget=budget)
+        if frames not in engines:
+            engines[frames] = engines[ladder[-1]].prefix(frames)
         return engines[frames]
 
     alive = list(remaining)
@@ -125,9 +131,6 @@ def _deterministic_phase(netlist: GateNetlist, circuit: CompiledCircuit,
         fault = alive.pop(0)
         test_sequence = None
         aborted_any = False
-        ladder = sorted({max(2, config.max_frames // 4),
-                         max(2, config.max_frames // 2),
-                         config.max_frames})
         for frames in ladder:
             engine = engine_for(frames)
             outcome = engine.generate(fault)
@@ -161,9 +164,9 @@ def _assignment_to_sequence(circuit: CompiledCircuit,
                             frames: int,
                             rng: random.Random) -> list[dict[str, int]]:
     """Expand a PODEM PI assignment into input vectors (X -> random)."""
-    sequence = []
+    sequence: list[dict[str, int]] = []
     for frame in range(frames):
-        vector = {}
+        vector: dict[str, int] = {}
         for name in circuit.input_names:
             value = assignment.get((frame, name))
             vector[name] = rng.getrandbits(1) if value is None else value

@@ -5,19 +5,29 @@ machines.  Each fault is injected only in its own lane via the compiled
 simulator's per-site mask hooks, every machine evolves its own register
 state in its own lane, and a fault is *detected* the first cycle any
 primary output differs from lane 0.  This is the PROOFS-style scheme,
-compiled to straight-line Python per fault group.
+compiled to straight-line Python.
+
+A simulator compiles one cycle function and keeps it: its hooks cover
+every fault site it has been asked about, and it recompiles, over the
+union of the sites, only when a call brings a new one.  ATPG's first
+call carries the whole fault list, so one run compiles once.  A 63-fault
+group fills its own sites' masks and leaves every other site the
+identity masks, so what a group detects, the cycles it simulates and
+the budget it charges do not depend on which other sites are hooked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
-from ..gates.simulate import FULL, CompiledCircuit
+from ..gates.simulate import FULL, CompiledCircuit, CycleFn
 from ..runtime.budget import Budget
 from .faults import Fault
 
 _LANES = 64
-_FAULT_LANES = _LANES - 1
+#: Faulty machines per simulated group: every lane but the good one.
+FAULT_LANES = _LANES - 1
 
 
 @dataclass
@@ -28,6 +38,27 @@ class FaultSimStats:
     groups_simulated: int = 0
 
 
+def lane_masks(group: Sequence[Fault], site_index: Mapping[int, int]
+               ) -> tuple[list[int], list[int]]:
+    """The ``(nmask, fval)`` lists that inject ``group[i]`` in lane
+    ``i + 1`` through a cycle function hooked at the sites of
+    ``site_index`` (gate id -> hook index).
+
+    Every lane of a site keeps its computed value except the lanes of
+    the faults on it, which are forced to their stuck values; sites
+    without a fault of the group get the identity masks.
+    """
+    nmask = [FULL] * len(site_index)
+    fval = [0] * len(site_index)
+    for offset, fault in enumerate(group):
+        lane_bit = 1 << (offset + 1)   # lane 0 = good machine
+        k = site_index[fault.gid]
+        nmask[k] &= ~lane_bit
+        if fault.stuck:
+            fval[k] |= lane_bit
+    return nmask, fval
+
+
 class FaultSimulator:
     """Simulates input sequences against a set of candidate faults."""
 
@@ -36,6 +67,9 @@ class FaultSimulator:
         self.circuit = circuit
         self.stats = FaultSimStats()
         self.budget = budget
+        #: Hooked fault sites of the compiled function: gid -> index.
+        self._site_index: dict[int, int] = {}
+        self._cycle: CycleFn | None = None
 
     # ------------------------------------------------------------------
     def run_sequence(self, vectors: list[dict[str, int]],
@@ -47,26 +81,31 @@ class FaultSimulator:
         from the all-zero reset state.
         """
         detected: set[Fault] = set()
-        for start in range(0, len(faults), _FAULT_LANES):
+        if not faults:
+            return detected
+        fn = self._cycle_fn(faults)
+        for start in range(0, len(faults), FAULT_LANES):
             if self.budget is not None and self.budget.exhausted():
                 break  # partial detection set; caller sees the budget
-            group = faults[start:start + _FAULT_LANES]
-            detected |= self._run_group(vectors, group)
+            group = faults[start:start + FAULT_LANES]
+            detected |= self._run_group(fn, vectors, group)
         return detected
 
-    def _run_group(self, vectors: list[dict[str, int]],
+    def _cycle_fn(self, faults: list[Fault]) -> CycleFn:
+        """The compiled function, recompiled first if a fault of
+        ``faults`` sits on a site it does not hook yet."""
+        site_index = self._site_index
+        if self._cycle is None or any(f.gid not in site_index
+                                      for f in faults):
+            sites = tuple(sorted(site_index.keys()
+                                 | {f.gid for f in faults}))
+            self._site_index = {gid: k for k, gid in enumerate(sites)}
+            self._cycle = self.circuit.cycle_fn(sites)
+        return self._cycle
+
+    def _run_group(self, fn: CycleFn, vectors: list[dict[str, int]],
                    group: list[Fault]) -> set[Fault]:
-        sites = tuple(sorted({f.gid for f in group}))
-        site_index = {gid: k for k, gid in enumerate(sites)}
-        nmask = [FULL] * len(sites)
-        fval = [0] * len(sites)
-        for lane_offset, fault in enumerate(group):
-            lane_bit = 1 << (lane_offset + 1)   # lane 0 = good machine
-            k = site_index[fault.gid]
-            nmask[k] &= ~lane_bit & FULL
-            if fault.stuck:
-                fval[k] |= lane_bit
-        fn = self.circuit.cycle_fn(sites)
+        nmask, fval = lane_masks(group, self._site_index)
         state = self.circuit.zero_state()
         detected_lanes = 0
         all_lanes = sum(1 << (i + 1) for i in range(len(group)))
@@ -84,17 +123,8 @@ class FaultSimulator:
             self.stats.cycles_simulated += 1
             if (detected_lanes & all_lanes) == all_lanes:
                 break
-        result = set()
+        result: set[Fault] = set()
         for lane_offset, fault in enumerate(group):
             if detected_lanes & (1 << (lane_offset + 1)):
                 result.add(fault)
         return result
-
-    # ------------------------------------------------------------------
-    def good_outputs(self, vectors: list[dict[str, int]]
-                     ) -> list[dict[str, int]]:
-        """Fault-free per-cycle outputs (single-bit values)."""
-        broadcast = [{k: (FULL if v & 1 else 0) for k, v in cyc.items()}
-                     for cyc in vectors]
-        outs, _ = self.circuit.run(broadcast)
-        return [{k: v & 1 for k, v in cyc.items()} for cyc in outs]

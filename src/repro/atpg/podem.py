@@ -15,14 +15,16 @@ computed once per engine and each fault re-evaluates only the faulty
 machine forward of its sites; the set of D lines is kept current on
 every value change, so the D-frontier is read off the D lines' fanouts
 instead of a scan of every line.  Each gate's 3-valued function is
-bound once per engine from a table of per-op evaluators.
+bound once per engine from a table of per-op evaluators.  An engine on
+a prefix of the model (:meth:`PodemEngine.prefix`) shares both the
+evaluators and the fault-free state of the engine it is cut from.
 """
 
 from __future__ import annotations
 
+import copy
 import heapq
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Sequence
 
 from ..errors import ATPGError
@@ -108,6 +110,13 @@ EVAL3: dict[int, Evaluator] = {
 }
 
 
+def _fault_free_charge(ops: Sequence[int]) -> int:
+    """Implications of the full fault-free pass: one per gate it
+    evaluates, i.e. per line that is neither a PI nor a constant."""
+    return (len(ops) - ops.count(OP_PI) - ops.count(OP_CONST0)
+            - ops.count(OP_CONST1))
+
+
 @dataclass
 class PodemStats:
     """Effort counters of one generation attempt."""
@@ -154,22 +163,36 @@ class PodemEngine:
         self.budget = budget
         self._evals = [EVAL3.get(op, _unevaluable) for op in model.ops]
         self._pos = model.po_set()
+        #: The fault-free state with every PI X, and its implication
+        #: charge.
+        self._fault_free = self._fault_free_pass()
 
-    @cached_property
-    def _fault_free(self) -> tuple[list[int], int]:
-        """The fault-free state with every PI X, and its implication
-        charge: one per gate the full pass evaluates (neither a PI nor
-        a constant)."""
+    def prefix(self, frames: int) -> PodemEngine:
+        """This engine's twin on the first ``frames`` frames of its model
+        (:meth:`UnrolledCircuit.prefix`), with the same limits and
+        budget.
+
+        The twin shares this engine's evaluators, indexed by uid, and
+        its fault-free state: no line reads a later frame, so the
+        prefix's fault-free values are the first ones of this model's.
+        Only the implication charge is recounted, over the prefix.
+        """
+        twin = copy.copy(self)
+        twin.model = model = self.model.prefix(frames)
+        twin._pos = model.po_set()
+        values, _ = self._fault_free
+        twin._fault_free = (values[:model.size],
+                            _fault_free_charge(model.ops))
+        return twin
+
+    def _fault_free_pass(self) -> tuple[list[int], int]:
         model = self.model
         values = [X] * model.size
-        charge = 0
+        evals = self._evals
         for uid, (op, fanins) in enumerate(zip(model.ops, model.fanins)):
-            if op == OP_PI:
-                continue
-            values[uid] = self._evals[uid](values, fanins)
-            if op != OP_CONST0 and op != OP_CONST1:
-                charge += 1
-        return values, charge
+            if op != OP_PI:
+                values[uid] = evals[uid](values, fanins)
+        return values, _fault_free_charge(model.ops)
 
     # ------------------------------------------------------------------
     def generate(self, fault: Fault) -> PodemResult:

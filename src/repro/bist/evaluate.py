@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..atpg.fault_sim import FAULT_LANES, lane_masks
 from ..atpg.faults import full_fault_list
 from ..dfg.ops import OpKind
 from ..etpn.design import Design
@@ -21,8 +22,6 @@ from ..gates.simulate import FULL, CompiledCircuit
 from ..gates.words import input_word
 from .lfsr import LFSR, LaneMISR
 from .plan import BistPlan, bilbo_overhead_mm2, plan_bist
-
-_FAULT_LANES = 63
 
 
 def unit_netlist(kind: OpKind, bits: int) -> GateNetlist:
@@ -87,20 +86,16 @@ def evaluate_unit_bist(kind: OpKind, bits: int, patterns: int = 255,
     lfsr_b = LFSR(bits, seed=seed_b)
     stream = [(lfsr_a.step(), lfsr_b.step()) for _ in range(patterns)]
 
+    # One compiled function hooks every fault site; each group injects
+    # its faults through its own masks.
+    sites = tuple(sorted({f.gid for f in faults}))
+    site_index = {gid: k for k, gid in enumerate(sites)}
+    fn = circuit.cycle_fn(sites)
     stream_detected = 0
     signature_detected = 0
-    for start in range(0, len(faults), _FAULT_LANES):
-        group = faults[start:start + _FAULT_LANES]
-        sites = tuple(sorted({f.gid for f in group}))
-        site_index = {gid: k for k, gid in enumerate(sites)}
-        nmask = [FULL] * len(sites)
-        fval = [0] * len(sites)
-        for offset, fault in enumerate(group):
-            lane_bit = 1 << (offset + 1)
-            nmask[site_index[fault.gid]] &= ~lane_bit & FULL
-            if fault.stuck:
-                fval[site_index[fault.gid]] |= lane_bit
-        fn = circuit.cycle_fn(sites)
+    for start in range(0, len(faults), FAULT_LANES):
+        group = faults[start:start + FAULT_LANES]
+        nmask, fval = lane_masks(group, site_index)
         misr = LaneMISR(misr_width)
         stream_diff = 0
         state: list[int] = []

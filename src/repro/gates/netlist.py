@@ -51,6 +51,12 @@ SOURCE_TYPES = frozenset({GateType.INPUT, GateType.CONST0, GateType.CONST1})
 #: Types with exactly one fanin.
 UNARY_TYPES = frozenset({GateType.BUF, GateType.NOT, GateType.DFF})
 
+# Members bound once for identity tests: a set lookup hashes the member
+# through the Python-level ``Enum.__hash__``, once per gate added.
+_INPUT, _CONST0, _CONST1, _BUF, _NOT, _DFF = (
+    GateType.INPUT, GateType.CONST0, GateType.CONST1, GateType.BUF,
+    GateType.NOT, GateType.DFF)
+
 
 @dataclass(frozen=True)
 class Gate:
@@ -77,11 +83,13 @@ class GateNetlist:
     def add(self, gtype: GateType, fanins: tuple[int, ...] = (),
             name: str = "") -> int:
         """Append a gate and return its id."""
-        if gtype in SOURCE_TYPES and fanins:
-            raise NetlistError(f"{gtype} takes no fanins")
-        if gtype in UNARY_TYPES and len(fanins) != 1:
-            raise NetlistError(f"{gtype} takes exactly one fanin")
-        if gtype not in SOURCE_TYPES and not fanins:
+        if gtype is _INPUT or gtype is _CONST0 or gtype is _CONST1:
+            if fanins:
+                raise NetlistError(f"{gtype} takes no fanins")
+        elif gtype is _BUF or gtype is _NOT or gtype is _DFF:
+            if len(fanins) != 1:
+                raise NetlistError(f"{gtype} takes exactly one fanin")
+        elif not fanins:
             raise NetlistError(f"{gtype} needs fanins")
         for fin in fanins:
             if not (0 <= fin < len(self.gates)):
@@ -159,8 +167,8 @@ class GateNetlist:
     def combinational_count(self) -> int:
         """Number of combinational (non-source, non-DFF) gates."""
         return sum(1 for g in self.gates
-                   if g.gtype not in SOURCE_TYPES
-                   and g.gtype != GateType.DFF)
+                   if not (g.gtype is _INPUT or g.gtype is _CONST0
+                           or g.gtype is _CONST1 or g.gtype is _DFF))
 
     def fanout_counts(self) -> list[int]:
         """Fanout count per gate id."""
@@ -207,6 +215,23 @@ def in_topological_order(netlist: GateNetlist) -> bool:
             if fin >= gate.gid and gate.gtype is not dff:
                 return False
     return True
+
+
+def check_topological_order(netlist: GateNetlist) -> None:
+    """Raise NetlistError unless :func:`in_topological_order` holds.
+
+    The builders that translate a netlist gate by gate in gid order
+    (time-frame expansion, the compiled simulator) call it next to
+    :meth:`GateNetlist.check_complete`: on an acyclic netlist whose gids
+    are out of order they would otherwise read a gate before it exists.
+    """
+    if in_topological_order(netlist):
+        return
+    gate = next(g for g in netlist.gates
+                if g.gtype is not _DFF and any(f >= g.gid for f in g.fanins))
+    raise NetlistError(f"{netlist.name}: gate {gate.gid} reads a later gate "
+                       f"({max(gate.fanins)}); gid order must be "
+                       f"topological, as GateNetlist.add builds it")
 
 
 def combinational_cycle(netlist: GateNetlist) -> list[int]:

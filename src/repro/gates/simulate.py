@@ -1,15 +1,19 @@
 """Compiled bit-parallel gate-level simulation.
 
-The netlist is translated once into straight-line Python over plain
-integers; every signal carries 64 independent one-bit *lanes*.  A lane
-is a pattern (pattern-parallel good simulation) or a fault machine
+The netlist is translated into straight-line Python over plain
+integers, one function per set of fault-injection sites (cached by the
+site tuple); every signal carries 64 independent one-bit *lanes*.  A
+lane is a pattern (pattern-parallel good simulation) or a fault machine
 (parallel-fault simulation: the fault simulator packs the good machine
 in lane 0 and up to 63 faulty machines in the rest, injecting each
-fault only in its own lane through per-site masks).
+fault only in its own lane through per-site masks).  A fault simulator
+asks for one function hooked at every site of its fault list and
+reuses it for every group; the BIST emulation does the same per unit.
 
 Gates are created in topological order (DFF feedback is closed through
 the state vector), so evaluation in gate-id order is always correct —
-no levelisation pass is needed.
+no levelisation pass is needed.  The constructor rejects a netlist
+written around :meth:`GateNetlist.add` that breaks that order.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 from typing import Callable
 
 from ..errors import NetlistError
-from .netlist import GateNetlist, GateType
+from .netlist import GateNetlist, GateType, check_topological_order
 
 #: All 64 lanes set.
 FULL = (1 << 64) - 1
@@ -39,6 +43,7 @@ class CompiledCircuit:
 
     def __init__(self, netlist: GateNetlist) -> None:
         netlist.check_complete()
+        check_topological_order(netlist)
         self.netlist = netlist
         #: Primary-input bit names in the order cycle functions expect.
         self.input_names: list[str] = sorted(netlist.inputs)
@@ -69,7 +74,9 @@ class CompiledCircuit:
         ``v = (v & nmask[k]) | fval[k]`` right after computing site k's
         value, so a caller activates a stuck-at fault in lane ``l`` by
         clearing lane ``l`` of ``nmask[k]`` and setting lane ``l`` of
-        ``fval[k]`` to the stuck value.
+        ``fval[k]`` to the stuck value; ``nmask[k] = FULL`` and
+        ``fval[k] = 0`` leave the site as computed.  Each distinct site
+        set is compiled once and cached.
         """
         key = tuple(sorted(fault_sites))
         if key not in self._cache:
@@ -141,7 +148,7 @@ class CompiledCircuit:
         fn = self.cycle_fn(())
         state = list(state) if state is not None else self.zero_state()
         nothing: list[int] = []
-        outputs = []
+        outputs: list[dict[str, int]] = []
         for vectors in sequence:
             outs, state = fn(self.pack_inputs(vectors), state, nothing,
                              nothing)

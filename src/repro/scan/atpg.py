@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..gates.netlist import GateNetlist, GateType
+from ..gates.netlist import GateNetlist, GateType, check_topological_order
 from .expand import SCAN_ENABLE, SCAN_IN
 from ..atpg.unroll import OP_PI, UnrolledCircuit, _CODE
 
@@ -25,6 +25,7 @@ def unroll_full_scan(netlist: GateNetlist) -> UnrolledCircuit:
     logic rather than the chain muxes.
     """
     netlist.check_complete()
+    check_topological_order(netlist)
     model = UnrolledCircuit(frames=1)
 
     def new_node(op: int, fanins: tuple[int, ...]) -> int:

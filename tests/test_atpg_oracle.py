@@ -17,7 +17,9 @@ Against it:
 * analysis-based pruning never drops a fault some sequence of <= 3
   frames detects;
 * the parallel-fault simulator agrees with a one-fault-at-a-time
-  simulator, also for fault lists spanning several 63-lane groups.
+  simulator, also for fault lists spanning several 63-lane groups and
+  over successive calls on one simulator, whose compiled function
+  gains hooks as new fault sites arrive.
 
 Two more properties pin the PODEM engine to the reference algorithm it
 was optimised from: the per-op evaluators equal the original ``if``
@@ -359,9 +361,15 @@ def test_fault_simulator_matches_one_fault_at_a_time(net, data):
                 for _ in range(frames)]
     # Two faults per gate: at least 66, so always several lane groups.
     faults = full_fault_list(net, collapse=False)
+    # One simulator over three calls: a subset that leaves a site out,
+    # the full list (new sites: a recompile) and a subset again.
+    gids = sorted({fault.gid for fault in faults})
+    kept = data.draw(st.sets(st.sampled_from(gids), max_size=len(gids) - 1))
+    again = data.draw(st.lists(st.sampled_from(faults), unique=True))
     simulator = FaultSimulator(CompiledCircuit(net))
-    assert (simulator.run_sequence(sequence, faults)
-            == naive_detected(net, sequence, faults))
+    for batch in ([f for f in faults if f.gid in kept], faults, again):
+        assert (simulator.run_sequence(sequence, batch)
+                == naive_detected(net, sequence, batch))
 
 
 @pytest.mark.parametrize("op", sorted(EVAL3))

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import NetlistError
 from repro.gates import CompiledCircuit, GateNetlist, GateType
+from repro.gates.netlist import SOURCE_TYPES, UNARY_TYPES
 from repro.gates.simulate import FULL
 
 
@@ -22,6 +23,29 @@ class TestNetlistStructure:
         net = GateNetlist("n")
         with pytest.raises(NetlistError):
             net.add(GateType.AND)
+
+    @pytest.mark.parametrize("gtype", list(GateType))
+    def test_arity_errors_name_the_rule(self, gtype):
+        # Reference: the arity rules as membership of SOURCE_TYPES and
+        # UNARY_TYPES, which ``add`` tests member by member, message for
+        # message.
+        for arity in range(4):
+            if gtype in SOURCE_TYPES and arity:
+                expected = f"{gtype} takes no fanins"
+            elif gtype in UNARY_TYPES and arity != 1:
+                expected = f"{gtype} takes exactly one fanin"
+            elif gtype not in SOURCE_TYPES and not arity:
+                expected = f"{gtype} needs fanins"
+            else:
+                expected = None
+            net = GateNetlist("n")
+            fanins = tuple(net.add_input(f"i{k}") for k in range(arity))
+            if expected is None:
+                assert net.gates[net.add(gtype, fanins)].gtype is gtype
+            else:
+                with pytest.raises(NetlistError) as error:
+                    net.add(gtype, fanins)
+                assert str(error.value) == expected
 
     def test_duplicate_input(self):
         net = GateNetlist("n")
