@@ -15,6 +15,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
+from ..errors import ATPGError
 from ..gates.netlist import GateNetlist
 from ..gates.simulate import CompiledCircuit
 from ..runtime.budget import Budget
@@ -56,8 +57,14 @@ def run_atpg(netlist: GateNetlist, config: ATPGConfig | None = None,
     stops cleanly at its next boundary once it is exhausted; faults
     never attempted are counted as aborted, and the result carries
     ``budget_exhausted`` provenance instead of the run hanging or dying.
+
+    Raises:
+        ATPGError: ``config.max_frames`` is below 1, before any phase runs.
     """
     config = config or ATPGConfig()
+    if config.max_frames < 1:
+        raise ATPGError(f"max_frames must be at least 1, got "
+                        f"{config.max_frames}")
     if budget is None and config.wall_seconds is not None:
         budget = Budget(wall_seconds=config.wall_seconds)
     rng = random.Random(config.seed)

@@ -129,11 +129,9 @@ def _synth_command(args) -> int:
 
 
 def _explore_command(args) -> int:
-    from .runtime.worker import worker_count
     from .synth import explore, pareto_front, render_front
     points = explore(load(args.benchmark), CostModel(bits=args.bits),
-                     cache=_make_cache(args),
-                     workers=worker_count(args.workers), progress=_progress)
+                     cache=_make_cache(args), progress=_progress)
     print("all distinct designs:")
     print(render_front(points))
     print()
@@ -438,14 +436,15 @@ def _commands() -> list[Command]:
         _arg("--resume", action="store_true",
              help="replay cells already in --journal instead of "
                   "recomputing them")]
+    cache_dir = _arg("--cache-dir", metavar="PATH", default=None,
+                     help="content-hash result cache directory; repeated "
+                          "cells (and bit-width-independent baseline "
+                          "synthesis) become lookups")
     parallel = [
         _arg("--workers", type=int, default=None, metavar="N",
              help="worker processes for grid cells (default: one per CPU "
                   "this process may use; 1 = inline)"),
-        _arg("--cache-dir", metavar="PATH", default=None,
-             help="content-hash result cache directory; repeated cells "
-                  "(and bit-width-independent baseline synthesis) become "
-                  "lookups")]
+        cache_dir]
     benchmark = _arg("benchmark", choices=names())
     targets = _arg("targets", nargs="*", metavar="TARGET",
                    help="benchmark names or HDL source files "
@@ -487,7 +486,7 @@ def _commands() -> list[Command]:
           _arg("-a", "--alpha", type=float, default=2.0),
           _arg("-b", "--beta", type=float, default=1.0), bits], {}),
         ("explore", "Pareto sweep over (k, alpha, beta)", _explore_command,
-         [benchmark, bits, *parallel], {}),
+         [benchmark, bits, cache_dir], {}),
         ("export", "export a synthesised design", _export_command,
          [benchmark, _arg("--what", choices=["verilog", "dot", "json"],
                           default="verilog"), bits], {}),

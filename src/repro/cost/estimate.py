@@ -94,8 +94,19 @@ class CostModel:
         return HardwareCost(units, registers, muxes, wiring)
 
     def hardware_total(self, datapath: DataPath) -> float:
-        """Shorthand for ``hardware(...).total_mm2``."""
-        return self.hardware(datapath).total_mm2
+        """``hardware(datapath).total_mm2``, kept on the data path.
+
+        The kept total is reused while ``bits`` and ``library`` are the
+        ones it was priced at; at others the data path is priced again
+        and keeps the new total.
+        """
+        kept = datapath.area
+        if kept is not None and kept[0] == self.bits \
+                and kept[1] is self.library:
+            return kept[2]
+        total = self.hardware(datapath).total_mm2
+        datapath.area = (self.bits, self.library, total)
+        return total
 
     # ------------------------------------------------------------------
     def delta(self, before: Design, after: Design) -> tuple[float, float]:

@@ -29,6 +29,7 @@ from ..errors import NetlistError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cost.floorplan import Floorplan
+    from ..cost.library import ModuleLibrary
 
 
 class NodeKind(enum.Enum):
@@ -96,6 +97,9 @@ class DataPath:
         #: This data path's floorplan, placed on first use by
         #: :func:`repro.cost.estimate.placement` and kept while it lives.
         self.placement: Floorplan | None = None
+        #: ``(bits, library, H)`` of the last
+        #: :meth:`repro.cost.estimate.CostModel.hardware_total` pricing.
+        self.area: tuple[int, ModuleLibrary, float] | None = None
         self._build()
         self._outgoing: dict[str, list[DataPathArc]] = {n: [] for n in self.nodes}
         self._incoming: dict[str, list[DataPathArc]] = {n: [] for n in self.nodes}

@@ -21,6 +21,10 @@ from ..sched.schedule import schedule_length
 from .datapath import DataPath
 
 
+#: A design point's schedule and binding as one hashable value.
+Signature = tuple[tuple[tuple[str, int], ...], tuple[tuple[str, str], ...],
+                  tuple[tuple[str, str], ...]]
+
 #: The cached views of a :class:`Design` that depend only on its binding,
 #: and those that depend only on its steps (besides the shared DFG).
 _BINDING_VIEWS = ("datapath",)
@@ -43,6 +47,17 @@ class Design:
     def num_steps(self) -> int:
         """Number of control steps of the schedule."""
         return schedule_length(self.steps)
+
+    @cached_property
+    def signature(self) -> Signature:
+        """The steps, ``module_of`` and ``register_of``, each sorted.
+
+        Two designs of one DFG with equal signatures are the same design
+        point, whatever their labels.
+        """
+        return (tuple(sorted(self.steps.items())),
+                tuple(sorted(self.binding.module_of.items())),
+                tuple(sorted(self.binding.register_of.items())))
 
     @cached_property
     def datapath(self) -> DataPath:

@@ -1,16 +1,16 @@
 """Task runners: inline, or one worker process per task.
 
 The grid runner (:func:`~repro.runtime.checkpoint.run_journaled_grid`)
-and the ``explore`` sweep run their work through one of two runners
-with the same small interface, so each writes its dispatch loop once.
-This is the only module that starts processes.
+runs its cells through one of two runners with the same small
+interface, so it writes its dispatch loop once.  This is the only
+module that starts processes.
 
 * :class:`InlineRunner` runs a task in the calling process when it
   starts: the path that honours a shared :class:`~repro.runtime.budget.
   Budget` and an active chaos injector.  A task that raises finishes
-  with an error that keeps the exception itself, except a
-  :class:`~repro.runtime.chaos.ChaosCrash` (a simulated death of
-  *this* process) and ``KeyboardInterrupt``, which propagate.
+  with an error, except a :class:`~repro.runtime.chaos.ChaosCrash` (a
+  simulated death of *this* process) and ``KeyboardInterrupt``, which
+  propagate.
 * :class:`ProcessRunner` forks one process per task, at most ``slots``
   at once.  The task's return value comes back over a pipe that the
   parent drains *before* it joins the child: a child blocked writing a
@@ -61,9 +61,6 @@ class Finished:
     value: Any = None
     #: "" when the task returned normally.
     error: str = ""
-    #: The exception an inline task raised, traceback included (a
-    #: worker process can only report it as ``error``).
-    exception: Optional[BaseException] = None
 
 
 class InlineRunner:
@@ -90,7 +87,7 @@ class InlineRunner:
             raise  # simulated death of this process must not be absorbed
         except Exception as exc:  # noqa: BLE001 - reported, not raised
             self._finished.append(Finished(
-                key, error=f"{type(exc).__name__}: {exc}", exception=exc))
+                key, error=f"{type(exc).__name__}: {exc}"))
             return
         self._finished.append(Finished(key, value=value))
 

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from ..cost import CostModel
 from ..dfg import DFG
 from ..errors import SynthesisError
-from ..etpn.design import Design
+from ..etpn.design import Design, Signature
 from ..etpn.from_dfg import default_design
 from ..runtime.budget import Budget
 from ..runtime.chaos import ChaosCrash, chaos_point
 from ..testability import analyze
-from .candidates import rank_candidates
+from .candidates import CandidatePair, rank_candidates
 from .merger import MergeOutcome, try_merge
 from .result import MergeRecord, SkippedCandidate, SynthesisResult
 
@@ -71,10 +71,44 @@ class SynthesisParams:
     order_strategy: str = "enhance"
 
 
+#: What a design's ranking and merger outcomes are kept under: its
+#: signature, ``selection`` and ``order_strategy``.
+MemoKey = tuple[Signature, str, str]
+#: ``try_merge`` outcome per candidate pair; None when infeasible.
+Outcomes = dict[CandidatePair, MergeOutcome | None]
+
+
+class MergerMemo:
+    """Algorithm 1's per-design work, shared by the runs of one sweep.
+
+    A design's candidate ranking, and the outcome of each ``try_merge``
+    on it, depend only on the DFG, the design's steps and binding, the
+    cost model, ``selection`` and ``order_strategy``, never on k, α, β
+    or the label.  So the grid points of one
+    :func:`~repro.synth.explore.explore` call share one memo: a design
+    that another point reached is ranked once, and each (design, pair)
+    is evaluated once.  Each run still walks the ranking with its own
+    window, improvement gate and admissibility check, so it takes the
+    decisions it takes alone.  An evaluation that raised is not kept,
+    so every run that reaches it records its own skipped candidate.
+
+    A memo serves one DFG (the same object) and one cost model (an
+    equal one); :func:`synthesize` rejects any other.
+    """
+
+    def __init__(self, dfg: DFG, cost_model: CostModel) -> None:
+        self.dfg = dfg
+        self.cost_model = cost_model
+        #: Per design: its ranked candidate pairs and the outcomes of
+        #: the pairs evaluated so far.
+        self.designs: dict[MemoKey, tuple[list[CandidatePair], Outcomes]] = {}
+
+
 def synthesize(dfg: DFG, params: SynthesisParams | None = None,
                cost_model: CostModel | None = None,
                label: str = "ours",
-               budget: Budget | None = None) -> SynthesisResult:
+               budget: Budget | None = None,
+               memo: MergerMemo | None = None) -> SynthesisResult:
     """Run the paper's integrated test-synthesis algorithm on ``dfg``.
 
     Args:
@@ -86,6 +120,9 @@ def synthesize(dfg: DFG, params: SynthesisParams | None = None,
         budget: optional wall-clock/step budget charged once per merger
             iteration; on exhaustion the best design found so far is
             returned with ``degraded=True`` instead of running on.
+        memo: rankings and merger outcomes shared with other runs on the
+            same DFG and cost model (a fresh one when omitted); the
+            result is the same either way.
 
     Returns:
         The final design and the full merger history.  A candidate whose
@@ -96,9 +133,17 @@ def synthesize(dfg: DFG, params: SynthesisParams | None = None,
         rather than an exception; only an invalid *final* design (or a
         ``debug_lint`` audit failure) still raises
         :class:`~repro.errors.SynthesisError`.
+
+    Raises:
+        ValueError: ``memo`` was made for another DFG or cost model.
     """
     params = params or SynthesisParams()
     cost_model = cost_model or CostModel()
+    if memo is None:
+        memo = MergerMemo(dfg, cost_model)
+    elif memo.dfg is not dfg or memo.cost_model != cost_model:
+        raise ValueError("a MergerMemo serves only the DFG and cost model "
+                         "it was made for")
     design = default_design(dfg, label=label)
     history: list[MergeRecord] = []
     skipped: list[SkippedCandidate] = []
@@ -111,7 +156,7 @@ def synthesize(dfg: DFG, params: SynthesisParams | None = None,
                 f"{len(history)} mergers")
             break
         outcome = _best_merger(design, params, cost_model, iteration,
-                               skipped)
+                               skipped, memo)
         if outcome is None:
             break
         design = outcome.design.replaced(label=label)
@@ -166,9 +211,17 @@ def _merger_verified(outcome: MergeOutcome) -> bool:
     return merger_preserves_semantics(outcome.design)
 
 
+def _rank(design: Design, selection: str) -> list[CandidatePair]:
+    """Step 6: every compatible pair, best first."""
+    if selection == "connectivity":
+        from .candidates import rank_candidates_connectivity
+        return rank_candidates_connectivity(design)
+    return rank_candidates(design, analyze(design.datapath))
+
+
 def _best_merger(design: Design, params: SynthesisParams,
-                 cost_model: CostModel, iteration: int = 0,
-                 skipped: list[SkippedCandidate] | None = None
+                 cost_model: CostModel, iteration: int,
+                 skipped: list[SkippedCandidate], memo: MergerMemo
                  ) -> MergeOutcome | None:
     """Steps 3-14 of Algorithm 1 for one iteration.
 
@@ -177,14 +230,14 @@ def _best_merger(design: Design, params: SynthesisParams,
     (the loop only ends "until no merger exists").  Candidate evaluation
     runs behind an exception barrier: a candidate whose rescheduling,
     verification or cost estimate raises is appended to ``skipped`` and
-    the ranking walk continues with the next pair.
+    the ranking walk continues with the next pair.  The ranking and the
+    outcomes come from ``memo`` when a run has already worked them out.
     """
-    if params.selection == "connectivity":
-        from .candidates import rank_candidates_connectivity
-        ranked = rank_candidates_connectivity(design)
-    else:
-        analysis = analyze(design.datapath)
-        ranked = rank_candidates(design, analysis)
+    key = (design.signature, params.selection, params.order_strategy)
+    entry = memo.designs.get(key)
+    if entry is None:
+        entry = memo.designs[key] = (_rank(design, params.selection), {})
+    ranked, outcomes = entry
     window: list[MergeOutcome] = []
 
     def improves(outcome: MergeOutcome) -> bool:
@@ -194,18 +247,20 @@ def _best_merger(design: Design, params: SynthesisParams,
         try:
             chaos_point("synth.candidate_eval",
                         (pair.kind, pair.node_a, pair.node_b))
-            outcome = try_merge(design, pair.kind, pair.node_a,
-                                pair.node_b, cost_model,
-                                strategy=params.order_strategy)
+            if pair in outcomes:
+                outcome = outcomes[pair]
+            else:
+                outcome = outcomes[pair] = try_merge(
+                    design, pair.kind, pair.node_a, pair.node_b,
+                    cost_model, strategy=params.order_strategy)
             if outcome is None or not _admissible(params, outcome):
                 continue
         except ChaosCrash:
             raise  # simulated process death must not be absorbed
         except Exception as exc:  # noqa: BLE001 - the barrier's point
-            if skipped is not None:
-                skipped.append(SkippedCandidate(
-                    iteration, pair.kind, pair.node_a, pair.node_b,
-                    f"{type(exc).__name__}: {exc}"))
+            skipped.append(SkippedCandidate(
+                iteration, pair.kind, pair.node_a, pair.node_b,
+                f"{type(exc).__name__}: {exc}"))
             continue
         window.append(outcome)
         if len(window) < params.k:

@@ -9,13 +9,17 @@ runs to pick (k, α, β) for a new behaviour instead of guessing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from ..cost import CostModel
 from ..dfg import DFG
-from ..etpn.design import Design
+from ..etpn.design import Design, Signature
 from ..testability import analyze
-from .algorithm import SynthesisParams, synthesize
+from .algorithm import MergerMemo, SynthesisParams, synthesize
+from .result import SynthesisResult
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..harness.cache import ResultCache
 
 #: The default sweep grid: the paper's settings plus the extremes that
 #: actually move the result (k and the α/β ratio).
@@ -46,90 +50,55 @@ class DesignPoint:
         return no_worse and better
 
 
-def _distinct(design: Design, seen: set[tuple]) -> bool:
-    """True the first time a design's schedule and binding turn up."""
-    signature = (tuple(sorted(design.steps.items())),
-                 tuple(sorted(design.binding.module_of.items())),
-                 tuple(sorted(design.binding.register_of.items())))
-    if signature in seen:
-        return False
-    seen.add(signature)
-    return True
-
-
-def _explore_point(dfg: DFG, cost_model: CostModel,
-                   point: tuple[int, float, float], cache: object | None,
-                   seen: set[tuple]) -> DesignPoint | None:
-    """Synthesise one grid point; None when its design is already in
-    ``seen``, else the design with its three objectives."""
-    k, alpha, beta = point
-    params = SynthesisParams(k=k, alpha=alpha, beta=beta)
-    result = None
-    key = None
-    if cache is not None:
-        from ..harness.cache import synthesis_key
-        key = synthesis_key(dfg, "ours", params, cost_model.bits)
-        result = cache.get_synthesis(key)  # type: ignore[attr-defined]
-    if result is None:
-        result = synthesize(dfg, params, cost_model)
-        if cache is not None and key is not None:
-            cache.put_synthesis(key, result)  # type: ignore[attr-defined]
-    design = result.design
-    if not _distinct(design, seen):
-        return None
-    return DesignPoint(
-        params=point,
-        execution_time=design.execution_time,
-        hardware_mm2=cost_model.hardware_total(design.datapath),
-        quality=analyze(design.datapath).design_quality(),
-        design=design)
-
-
 def explore(dfg: DFG, cost_model: CostModel | None = None,
             grid: list[tuple[int, float, float]] | None = None,
-            cache: object | None = None, *,
-            workers: int | None = None,
+            cache: ResultCache | None = None, *,
             progress: Callable[[str], None] | None = None
             ) -> list[DesignPoint]:
     """Sweep the grid and return every distinct design point.
 
+    The grid points run in order in this process and share one
+    :class:`~repro.synth.algorithm.MergerMemo`, so a design that several
+    points reach is ranked once and each of its candidate mergers is
+    evaluated once; every point still takes the decisions it takes
+    alone.  A design already found at an earlier point is not repeated.
+
     ``cache`` is an optional :class:`~repro.harness.cache.ResultCache`:
     each grid point's synthesis is keyed on the canonical DFG and the
     full parameter set, so re-running a sweep (or sharing parameters
-    with a table run) is served from the cache.  With ``workers > 1``
-    each grid point runs in its own worker process; either way the
-    points are de-duplicated in grid order, so the result does not
-    depend on the worker count.
+    with a table run) is served from the cache.
     """
-    from ..errors import ReproError
-    from ..runtime.worker import InlineRunner, ProcessRunner, run_tasks
-
     cost_model = cost_model or CostModel()
-    grid = list(grid or DEFAULT_GRID)
-    # Inline, the shared ``seen`` spares pricing a repeated design; each
-    # worker gets its own copy, so its points are de-duplicated below.
-    seen: set[tuple] = set()
-    points: list[DesignPoint | None] = [None] * len(grid)
-    runner: InlineRunner | ProcessRunner = (
-        InlineRunner() if (workers or 1) == 1 else ProcessRunner(workers or 1))
-    try:
-        for finished in run_tasks(runner, (
-                (index, _explore_point, (dfg, cost_model, point, cache, seen),
-                 None) for index, point in enumerate(grid))):
-            k, alpha, beta = grid[finished.key]
-            if finished.exception is not None:
-                raise finished.exception  # inline: the original, unwrapped
-            if finished.error:
-                raise ReproError(f"explore point ({k}, {alpha:g}, {beta:g}) "
-                                 f"failed: {finished.error}")
-            points[finished.key] = finished.value
-            if progress:
-                progress(f"explored (k={k}, a={alpha:g}, b={beta:g})")
-    finally:
-        runner.close()
-    distinct: set[tuple] = set()
-    return [point for point in points
-            if point is not None and _distinct(point.design, distinct)]
+    memo = MergerMemo(dfg, cost_model)
+    seen: set[Signature] = set()
+    points: list[DesignPoint] = []
+    for point in grid or DEFAULT_GRID:
+        k, alpha, beta = point
+        params = SynthesisParams(k=k, alpha=alpha, beta=beta)
+        result: SynthesisResult | None = None
+        key = ""
+        if cache is not None:
+            from ..harness.cache import synthesis_key
+            key = synthesis_key(dfg, "ours", params, cost_model.bits)
+            result = cache.get_synthesis(key)
+        if result is None:
+            # All positional, so a stand-in taking ``*args`` fits;
+            # "ours" and None are synthesize's defaults.
+            result = synthesize(dfg, params, cost_model, "ours", None, memo)
+            if cache is not None:
+                cache.put_synthesis(key, result)
+        design = result.design
+        if design.signature not in seen:
+            seen.add(design.signature)
+            points.append(DesignPoint(
+                params=point,
+                execution_time=design.execution_time,
+                hardware_mm2=cost_model.hardware_total(design.datapath),
+                quality=analyze(design.datapath).design_quality(),
+                design=design))
+        if progress:
+            progress(f"explored (k={k}, a={alpha:g}, b={beta:g})")
+    return points
 
 
 def pareto_front(points: list[DesignPoint]) -> list[DesignPoint]:

@@ -3,8 +3,11 @@
 import pytest
 
 from repro.atpg import ATPGConfig, RandomPhaseConfig, run_atpg
+from repro.atpg import engine as engine_module
 from repro.bench import load
-from repro.gates import expand_to_gates, expand_with_controller
+from repro.errors import ATPGError
+from repro.gates import (GateNetlist, GateType, expand_to_gates,
+                         expand_with_controller)
 from repro.harness import (ExperimentConfig, render_schedule, render_sharing,
                            render_summary, render_table, run_cell)
 from repro.rtl import build_control_table, generate_rtl
@@ -80,6 +83,28 @@ class TestEngine:
         fsm = run_atpg(fsm_net, quick_config)
         assert free.fault_coverage > 60.0
         assert fsm.fault_coverage > 60.0
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("sequences", [0, 4],
+                             ids=["random-off", "random-on"])
+    @pytest.mark.parametrize("max_frames", [0, -1])
+    def test_max_frames_below_one_is_rejected_before_any_phase(
+            self, max_frames, sequences, monkeypatch):
+        net = GateNetlist("and2")
+        gate = net.add(GateType.AND, (net.add_input("a"),
+                                      net.add_input("b")))
+        net.set_output("o", gate)
+        phases = []
+        monkeypatch.setattr(engine_module, "random_phase",
+                            lambda *args, **kwargs: phases.append(args))
+        config = ATPGConfig(max_frames=max_frames,
+                            random=RandomPhaseConfig(max_sequences=sequences))
+        with pytest.raises(ATPGError,
+                           match=rf"^max_frames must be at least 1, "
+                                 rf"got {max_frames}$"):
+            run_atpg(net, config)
+        assert phases == []
 
 
 class TestHarness:

@@ -33,9 +33,9 @@ CASES = [
     (["synth", "ex", "-k", "2", "-a", "1.5", "-b", "0.5", "--bits", "4"],
      {"alpha": 1.5, "benchmark": "ex", "beta": 0.5, "bits": 4,
       "command": "synth", "k": 2, "traceback": False}),
-    (["explore", "tseng", "--workers", "1"],
+    (["explore", "tseng"],
      {"benchmark": "tseng", "bits": 8, "cache_dir": None,
-      "command": "explore", "traceback": False, "workers": 1}),
+      "command": "explore", "traceback": False}),
     (["export", "tseng", "--what", "json"],
      {"benchmark": "tseng", "bits": 8, "command": "export",
       "traceback": False, "what": "json"}),

@@ -107,19 +107,6 @@ class TestDegradation:
 
 
 class TestExploreGrid:
-    def test_parallel_sweep_matches_sequential(self):
-        from repro.synth import explore
-        small = [(1, 2.0, 1.0), (3, 2.0, 1.0), (1, 2.0, 1.0)]
-        seq = explore(load("ex"), CostModel(bits=4), small)
-        par = explore(load("ex"), CostModel(bits=4), small, workers=2)
-
-        def flatten(points):
-            return [(p.params, p.execution_time,
-                     round(p.hardware_mm2, 9), round(p.quality, 9))
-                    for p in points]
-
-        assert flatten(par) == flatten(seq)
-
     def test_inline_failure_raises_the_original_exception(self,
                                                           monkeypatch):
         explore_module = importlib.import_module("repro.synth.explore")
@@ -132,19 +119,6 @@ class TestExploreGrid:
             explore_module.explore(load("ex"), CostModel(bits=4),
                                    [(1, 2.0, 1.0)])
         assert raised.traceback[-1].name == "broken"
-
-    def test_worker_failure_names_the_point(self, monkeypatch):
-        from repro.errors import ReproError
-        explore_module = importlib.import_module("repro.synth.explore")
-
-        def broken(*args):
-            raise KeyError("no such op")
-
-        monkeypatch.setattr(explore_module, "synthesize", broken)
-        with pytest.raises(ReproError, match=r"explore point \(1, 2, 1\) "
-                                             r"failed: .*KeyError"):
-            explore_module.explore(load("ex"), CostModel(bits=4),
-                                   [(1, 2.0, 1.0)], workers=2)
 
 
 class TestInterrupt:
