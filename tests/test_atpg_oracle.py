@@ -31,6 +31,7 @@ random nets and on a fixed fault sample of the 4-bit Ex netlists.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 from functools import lru_cache
@@ -42,10 +43,11 @@ from hypothesis import given, settings
 from repro.atpg import (Fault, FaultSimulator, PodemEngine, constant_lines,
                         full_fault_list, prune_untestable, unroll)
 from repro.atpg.engine import _assignment_to_sequence
-from repro.atpg.podem import _CONTROL, EVAL3, ONE, X, ZERO
+from repro.atpg.podem import (_CONTROL, EVAL3, ONE, X, ZERO, PodemResult,
+                               PodemStats)
 from repro.atpg.unroll import (OP_AND, OP_BUF, OP_CONST0, OP_CONST1,
                                OP_NAND, OP_NOR, OP_NOT, OP_OR, OP_PI,
-                               OP_XNOR, OP_XOR)
+                               OP_XNOR, OP_XOR, UnrolledCircuit)
 from repro.errors import ATPGError
 from repro.gates import (CompiledCircuit, GateNetlist, GateType,
                          expand_with_controller)
@@ -231,9 +233,73 @@ def reference_eval3(op: int, values: list[int]) -> int:
     raise ATPGError(f"cannot evaluate op {op}")
 
 
-class ReferencePodem(PodemEngine):
+class ReferencePodem:
     """PODEM as originally written: a full 3-valued pass per fault, a
-    scan of every line per D-frontier, no maintained D-line set."""
+    scan of every line per D-frontier, no maintained D-line set.
+
+    It keeps its own ``good``/``faulty`` lists and inherits nothing from
+    :class:`PodemEngine`, so a change of the engine's value
+    representation cannot move the reference along with it.
+    """
+
+    def __init__(self, model: UnrolledCircuit, max_backtracks: int = 64,
+                 max_implications: int = 2_000_000) -> None:
+        self.model = model
+        self.max_backtracks = max_backtracks
+        self.max_implications = max_implications
+        self._pos = model.po_set()
+
+    def prefix(self, frames: int) -> ReferencePodem:
+        twin = copy.copy(self)
+        twin.model = model = self.model.prefix(frames)
+        twin._pos = model.po_set()
+        return twin
+
+    def generate(self, fault: Fault) -> PodemResult:
+        model = self.model
+        self.sites = set(model.site_uids.get(fault.gid, []))
+        if not self.sites:
+            raise ATPGError(f"fault {fault} has no site in the model")
+        self.stuck = fault.stuck
+        self.stats = PodemStats()
+        self._trail: list[tuple[int, int, int]] = []
+        self._pin_and_init()
+
+        decisions: list[tuple[int, int, bool, int]] = []
+        result = PodemResult(False, stats=self.stats)
+        while True:
+            if self.stats.backtracks > self.max_backtracks \
+                    or self.stats.implications > self.max_implications:
+                result.aborted = True
+                result.abort_reason = "effort_limit"
+                return result
+            if self._detected():
+                result.success = True
+                result.assignment = {
+                    model.pi_names[uid]: self.good[uid]
+                    for uid in model.pi_names if self.good[uid] != X}
+                return result
+            objective = self._objective()
+            if objective is not None:
+                pi = self._backtrace(*objective)
+                if pi is not None:
+                    uid, value = pi
+                    decisions.append((uid, value, False, len(self._trail)))
+                    self.stats.decisions += 1
+                    self._assign(uid, value)
+                    continue
+            flipped = False
+            while decisions:
+                uid, value, tried, mark = decisions.pop()
+                self._undo_to(mark)
+                self.stats.backtracks += 1
+                if not tried:
+                    decisions.append((uid, 1 - value, True, mark))
+                    self._assign(uid, 1 - value)
+                    flipped = True
+                    break
+            if not flipped:
+                return result
 
     def _pin_and_init(self) -> None:
         model = self.model
@@ -316,6 +382,49 @@ class ReferencePodem(PodemEngine):
             if any(self._is_d(f) for f in self.model.fanins[uid]):
                 frontier.append(uid)
         return frontier
+
+    def _x_path_to_po(self, uid: int) -> bool:
+        stack = [uid]
+        seen = {uid}
+        while stack:
+            current = stack.pop()
+            if current in self._pos:
+                return True
+            for fanout in self.model.fanouts[current]:
+                if fanout in seen:
+                    continue
+                g, f = self.good[fanout], self.faulty[fanout]
+                blocked = g != X and f != X and g == f
+                if not blocked:
+                    seen.add(fanout)
+                    stack.append(fanout)
+        return False
+
+    def _backtrace(self, uid: int, value: int) -> tuple[int, int] | None:
+        current, desired = uid, value
+        for _ in range(self.model.size + 1):
+            op = self.model.ops[current]
+            if op == OP_PI:
+                return (current, desired)
+            control, inverts = _CONTROL.get(op, (None, False))
+            if inverts:
+                desired = 1 - desired
+            x_inputs = [f for f in self.model.fanins[current]
+                        if self.good[f] == X]
+            if not x_inputs:
+                return None
+            depth = self.model.depth
+            if op in (OP_XOR, OP_XNOR):
+                current = min(x_inputs, key=lambda f: depth[f])
+                continue
+            if control is not None and desired == control:
+                current = min(x_inputs, key=lambda f: depth[f])
+                desired = control
+            else:
+                current = max(x_inputs, key=lambda f: depth[f])
+                if control is not None:
+                    desired = 1 - control
+        return None
 
 
 # ----------------------------------------------------------------------
