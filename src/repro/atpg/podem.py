@@ -5,19 +5,31 @@ encoding: every line carries a pair of 3-valued signals (good machine,
 faulty machine), a D is a line where the two are binary and different,
 the fault site's faulty value is pinned to the stuck value in every
 frame, and decisions are made only at primary inputs with trail-based
-undo.  Effort is counted in implications (gate re-evaluations) and
+undo.  Effort is counted in implications (gate evaluations) and
 backtracks — the units the experiment harness reports as test
 generation effort.
 
+Each line holds its pair packed in one int, ``3·g + f`` (0–8, with
+ZERO, ONE, X = 0, 1, 2), so one gate evaluation computes both
+machines.  A gate folds its fanins through the 9×9 table of its op
+(AND, OR or XOR applied to both halves at once), stored pre-multiplied
+by 9 so that each fanin costs one index, ``acc = table[acc + v]``; a
+``post`` table then maps the sum back to a packed value, as it is or
+inverted, which covers NAND, NOR, XNOR and NOT.  A fault site passes
+its value through a 9-entry pin that keeps the good half and sets the
+faulty half to the stuck value.  What PODEM asks of a line (is it a D,
+is its good half X, is either half X, is it blocked) is a 9-entry
+tuple or one comparison.
+
 The engine keeps per-fault work proportional to what the fault
 touches: the fault-free state (constants propagated, every input X) is
-computed once per engine and each fault re-evaluates only the faulty
-machine forward of its sites; the set of D lines is kept current on
-every value change, so the D-frontier is read off the D lines' fanouts
-instead of a scan of every line.  Each gate's 3-valued function is
-bound once per engine from a table of per-op evaluators.  An engine on
-a prefix of the model (:meth:`PodemEngine.prefix`) shares both the
-evaluators and the fault-free state of the engine it is cut from.
+computed once per engine and each fault re-evaluates only the lines
+forward of its sites; the set of D lines is kept current on every
+value change, so the D-frontier is read off the D lines' fanouts
+instead of a scan of every line.  Each line's ``(fanins, table,
+start, post)`` row is bound once per engine.  An engine on a prefix of
+the model (:meth:`PodemEngine.prefix`) shares both the rows and the
+fault-free state of the engine it is cut from.
 """
 
 from __future__ import annotations
@@ -45,69 +57,75 @@ _CONTROL = {
     OP_XOR: (None, False), OP_XNOR: (None, True),
 }
 
-#: A gate's 3-valued function: (line values, the gate's fanin uids) ->
-#: output value.
-Evaluator = Callable[[Sequence[int], Sequence[int]], int]
+
+def _and3(a: int, b: int) -> int:
+    if a == ZERO or b == ZERO:
+        return ZERO
+    return X if X in (a, b) else ONE
 
 
-def _const0(values: Sequence[int], fanins: Sequence[int]) -> int:
-    return ZERO
+def _or3(a: int, b: int) -> int:
+    if a == ONE or b == ONE:
+        return ONE
+    return X if X in (a, b) else ZERO
 
 
-def _const1(values: Sequence[int], fanins: Sequence[int]) -> int:
-    return ONE
+def _xor3(a: int, b: int) -> int:
+    return X if X in (a, b) else a ^ b
 
 
-def _buf(values: Sequence[int], fanins: Sequence[int]) -> int:
-    return values[fanins[0]]
+def _not3(a: int) -> int:
+    return X if a == X else 1 - a
 
 
-def _not(values: Sequence[int], fanins: Sequence[int]) -> int:
-    v = values[fanins[0]]
-    return X if v == X else 1 - v
+def _fold_table(op: Callable[[int, int], int]) -> tuple[int, ...]:
+    """At ``9·a + b``, 9 × the packed ``op`` of packed values a and b,
+    applied to the good halves and to the faulty halves."""
+    return tuple(9 * (3 * op(a // 3, b // 3) + op(a % 3, b % 3))
+                 for a in range(9) for b in range(9))
 
 
-def _controlled(control: int, inverts: bool) -> Evaluator:
-    """AND/NAND/OR/NOR: one controlling input decides the output."""
-    decided = control ^ inverts
-    undecided = decided ^ 1
+#: Fold tables of the multi-input ops.
+_AND, _OR, _XOR = _fold_table(_and3), _fold_table(_or3), _fold_table(_xor3)
+#: BUF and NOT fold their one fanin through this 9-entry identity.
+_BUF = tuple(9 * v for v in range(9))
+#: Packed NOT, on both halves.
+_NOT = tuple(3 * _not3(v // 3) + _not3(v % 3) for v in range(9))
+#: ``post`` tables: a folded 9·v back to v, or to NOT v.
+_SAME = tuple(a // 9 for a in range(81))
+_INVERT = tuple(_NOT[a // 9] for a in range(81))
+#: Fold starts: 9 × the packed (ZERO, ZERO), (ONE, ONE) and (X, X).
+_ZERO9, _ONE9, _X9 = (9 * (3 * v + v) for v in (ZERO, ONE, X))
 
-    def evaluate(values: Sequence[int], fanins: Sequence[int]) -> int:
-        result = undecided
-        for f in fanins:
-            v = values[f]
-            if v == control:
-                return decided
-            if v == X:
-                result = X
-        return result
-    return evaluate
-
-
-def _parity(start: int) -> Evaluator:
-    """XOR (``start`` 0) and XNOR (``start`` 1)."""
-    def evaluate(values: Sequence[int], fanins: Sequence[int]) -> int:
-        result = start
-        for f in fanins:
-            v = values[f]
-            if v == X:
-                return X
-            result ^= v
-        return result
-    return evaluate
-
-
-def _unevaluable(values: Sequence[int], fanins: Sequence[int]) -> int:
-    raise ATPGError("a primary input has no gate function")
-
-
-#: The 3-valued evaluator of every gate op.
-EVAL3: dict[int, Evaluator] = {
-    OP_CONST0: _const0, OP_CONST1: _const1, OP_BUF: _buf, OP_NOT: _not,
-    OP_AND: _controlled(ZERO, False), OP_NAND: _controlled(ZERO, True),
-    OP_OR: _controlled(ONE, False), OP_NOR: _controlled(ONE, True),
-    OP_XOR: _parity(ZERO), OP_XNOR: _parity(ONE),
+#: Each op's ``(fold table, start, post)``: AND folds from (ONE, ONE),
+#: OR and XOR from (ZERO, ZERO), and constants are a start with no
+#: fanins.  A PI is never evaluated (it has no fanins, so it is on no
+#: fanout list); its row yields the unassigned (X, X).
+_GATE: dict[int, tuple[tuple[int, ...], int, tuple[int, ...]]] = {
+    OP_CONST0: ((), _ZERO9, _SAME), OP_CONST1: ((), _ONE9, _SAME),
+    OP_PI: ((), _X9, _SAME),
+    OP_BUF: (_BUF, _ZERO9, _SAME), OP_NOT: (_BUF, _ZERO9, _INVERT),
+    OP_AND: (_AND, _ONE9, _SAME), OP_NAND: (_AND, _ONE9, _INVERT),
+    OP_OR: (_OR, _ZERO9, _SAME), OP_NOR: (_OR, _ZERO9, _INVERT),
+    OP_XOR: (_XOR, _ZERO9, _SAME), OP_XNOR: (_XOR, _ZERO9, _INVERT),
 }
+
+#: A line's row: its fanins, then its op's fold table, start and post.
+_Row = tuple[tuple[int, ...], tuple[int, ...], int, tuple[int, ...]]
+
+#: Per stuck value, a fault site's pin: good half kept, faulty half
+#: stuck.
+_PIN = tuple(tuple(3 * (v // 3) + stuck for v in range(9))
+             for stuck in (ZERO, ONE))
+
+#: Per packed value: a D (both halves binary and different) ...
+_IS_D = tuple(v in (1, 3) for v in range(9))
+#: ... either half X ...
+_HAS_X = tuple(v not in (0, 1, 3, 4) for v in range(9))
+#: ... blocked (both halves binary and equal).
+_BLOCKED = tuple(v in (0, 4) for v in range(9))
+#: The good half is X exactly from this packed value on.
+_X_GOOD = 3 * X
 
 
 def _fault_free_charge(ops: Sequence[int]) -> int:
@@ -149,8 +167,8 @@ class PodemEngine:
     """Runs PODEM for faults on one unrolled circuit.
 
     Invariant: after the initial state of a fault and after every
-    :meth:`_set` and :meth:`_undo_to`, ``_dlines`` holds exactly the
-    lines whose good and faulty values are binary and differ.
+    :meth:`_assign` and :meth:`_undo_to`, ``_dlines`` holds exactly the
+    lines whose packed value is a D (1 or 3).
     """
 
     def __init__(self, model: UnrolledCircuit,
@@ -161,10 +179,11 @@ class PodemEngine:
         self.max_backtracks = max_backtracks
         self.max_implications = max_implications
         self.budget = budget
-        self._evals = [EVAL3.get(op, _unevaluable) for op in model.ops]
+        self._rows: list[_Row] = [(fanins,) + _GATE[op] for op, fanins
+                                 in zip(model.ops, model.fanins)]
         self._pos = model.po_set()
-        #: The fault-free state with every PI X, and its implication
-        #: charge.
+        #: The packed fault-free state with every PI X, and its
+        #: implication charge.
         self._fault_free = self._fault_free_pass()
 
     def prefix(self, frames: int) -> PodemEngine:
@@ -172,27 +191,27 @@ class PodemEngine:
         (:meth:`UnrolledCircuit.prefix`), with the same limits and
         budget.
 
-        The twin shares this engine's evaluators, indexed by uid, and
-        its fault-free state: no line reads a later frame, so the
-        prefix's fault-free values are the first ones of this model's.
-        Only the implication charge is recounted, over the prefix.
+        The twin shares this engine's rows, indexed by uid, and its
+        fault-free state: no line reads a later frame, so the prefix's
+        fault-free values are the first ones of this model's.  Only the
+        implication charge is recounted, over the prefix.
         """
         twin = copy.copy(self)
         twin.model = model = self.model.prefix(frames)
         twin._pos = model.po_set()
-        values, _ = self._fault_free
-        twin._fault_free = (values[:model.size],
+        vals, _ = self._fault_free
+        twin._fault_free = (vals[:model.size],
                             _fault_free_charge(model.ops))
         return twin
 
     def _fault_free_pass(self) -> tuple[list[int], int]:
-        model = self.model
-        values = [X] * model.size
-        evals = self._evals
-        for uid, (op, fanins) in enumerate(zip(model.ops, model.fanins)):
-            if op != OP_PI:
-                values[uid] = evals[uid](values, fanins)
-        return values, _fault_free_charge(model.ops)
+        # uid order is topological, so every fanin is already valued.
+        vals: list[int] = []
+        for inputs, table, acc, post in self._rows:
+            for f in inputs:
+                acc = table[acc + vals[f]]
+            vals.append(post[acc])
+        return vals, _fault_free_charge(self.model.ops)
 
     # ------------------------------------------------------------------
     def generate(self, fault: Fault) -> PodemResult:
@@ -202,8 +221,10 @@ class PodemEngine:
         if not self.sites:
             raise ATPGError(f"fault {fault} has no site in the model")
         self.stuck = fault.stuck
+        self._pin = _PIN[fault.stuck]
         self.stats = PodemStats()
-        self._trail: list[tuple[int, int, int]] = []
+        #: (uid, packed value before the change), oldest first.
+        self._trail: list[tuple[int, int]] = []
         self._pin_and_init()
 
         decisions: list[tuple[int, int, bool, int]] = []
@@ -223,9 +244,10 @@ class PodemEngine:
                 return result
             if self._detected():
                 result.success = True
+                vals = self.vals
                 result.assignment = {
-                    model.pi_names[uid]: self.good[uid]
-                    for uid in model.pi_names if self.good[uid] != X}
+                    model.pi_names[uid]: vals[uid] // 3
+                    for uid in model.pi_names if vals[uid] < _X_GOOD}
                 return result
             objective = self._objective()
             if objective is not None:
@@ -254,73 +276,85 @@ class PodemEngine:
     # Value maintenance
     # ------------------------------------------------------------------
     def _pin_and_init(self) -> None:
-        """Start from the fault-free state, pin the faulty value at
-        every site and re-evaluate the faulty machine forward of the
-        sites in uid (topological) order."""
-        good, charge = self._fault_free
-        self.good = list(good)
-        self.faulty = faulty = list(good)
+        """Start from the fault-free state, pin the faulty half at every
+        site and re-evaluate forward of the sites in uid (topological)
+        order.  Only faulty halves change: every good half keeps its
+        fault-free value."""
+        fault_free, charge = self._fault_free
+        self.vals = vals = list(fault_free)
         self._dlines: set[int] = set()
+        dlines = self._dlines
         self.stats.implications += charge
-        sites, stuck = self.sites, self.stuck
-        evals, fanins, fanouts = (self._evals, self.model.fanins,
-                                  self.model.fanouts)
+        sites, pin = self.sites, self._pin
+        rows, fanouts = self._rows, self.model.fanouts
         heap = sorted(sites)
         queued = set(sites)
         while heap:
             uid = heapq.heappop(heap)
-            new = stuck if uid in sites else evals[uid](faulty, fanins[uid])
-            if new == faulty[uid]:
+            if uid in sites:
+                new = pin[vals[uid]]
+            else:
+                inputs, table, acc, post = rows[uid]
+                for f in inputs:
+                    acc = table[acc + vals[f]]
+                new = post[acc]
+            if new == vals[uid]:
                 continue
-            faulty[uid] = new
-            if good[uid] ^ new == 1:
-                self._dlines.add(uid)
+            vals[uid] = new
+            if _IS_D[new]:
+                dlines.add(uid)
             for out in fanouts[uid]:
                 if out not in queued:
                     queued.add(out)
                     heapq.heappush(heap, out)
 
     def _assign(self, uid: int, value: int) -> None:
-        """Set a PI and propagate (event-driven, trail-recorded)."""
-        sites, stuck = self.sites, self.stuck
-        self._set(uid, value, value if uid not in sites else stuck)
-        good, faulty = self.good, self.faulty
-        evals, fanins, fanouts = (self._evals, self.model.fanins,
-                                  self.model.fanouts)
+        """Set a PI and propagate (event-driven, trail-recorded): one
+        implication per gate popped, each evaluating both machines."""
+        vals, trail, dlines = self.vals, self._trail, self._dlines
+        sites, pin, is_d = self.sites, self._pin, _IS_D
+        rows, fanouts = self._rows, self.model.fanouts
+        new = 4 * value
+        if uid in sites:
+            new = pin[new]
+        old = vals[uid]
+        trail.append((uid, old))
+        vals[uid] = new
+        if is_d[new]:
+            dlines.add(uid)
+        elif is_d[old]:
+            dlines.discard(uid)
         queue = list(fanouts[uid])
         evaluated = 0
         while queue:
             current = queue.pop()
-            evaluate, inputs = evals[current], fanins[current]
-            new_g = evaluate(good, inputs)
-            new_f = stuck if current in sites else evaluate(faulty, inputs)
+            inputs, table, acc, post = rows[current]
+            for f in inputs:
+                acc = table[acc + vals[f]]
+            new = post[acc]
+            if current in sites:
+                new = pin[new]
             evaluated += 1
-            if new_g != good[current] or new_f != faulty[current]:
-                self._set(current, new_g, new_f)
+            old = vals[current]
+            if new != old:
+                trail.append((current, old))
+                vals[current] = new
+                if is_d[new]:
+                    dlines.add(current)
+                elif is_d[old]:
+                    dlines.discard(current)
                 queue.extend(fanouts[current])
         self.stats.implications += evaluated
 
-    def _set(self, uid: int, g: int, f: int) -> None:
-        self._trail.append((uid, self.good[uid], self.faulty[uid]))
-        self.good[uid] = g
-        self.faulty[uid] = f
-        # With ZERO, ONE, X = 0, 1, 2, g ^ f == 1 exactly on a D.
-        if g ^ f == 1:
-            self._dlines.add(uid)
-        else:
-            self._dlines.discard(uid)
-
     def _undo_to(self, mark: int) -> None:
-        trail, good, faulty = self._trail, self.good, self.faulty
-        dlines = self._dlines
-        while len(trail) > mark:
-            uid, g, f = trail.pop()
-            good[uid] = g
-            faulty[uid] = f
-            if g ^ f == 1:
+        trail, vals, dlines, is_d = self._trail, self.vals, self._dlines, _IS_D
+        for uid, old in reversed(trail[mark:]):
+            if is_d[old]:
                 dlines.add(uid)
-            else:
+            elif is_d[vals[uid]]:
                 dlines.discard(uid)
+            vals[uid] = old
+        del trail[mark:]
 
     # ------------------------------------------------------------------
     # Objectives
@@ -330,10 +364,11 @@ class PodemEngine:
 
     def _objective(self) -> tuple[int, int] | None:
         """Next (uid, good-value) objective, or None at a dead end."""
+        vals = self.vals
         if self._dlines.isdisjoint(self.sites):
             want = 1 - self.stuck
             for uid in sorted(self.sites):
-                if self.good[uid] == X:
+                if vals[uid] >= _X_GOOD:
                     return (uid, want)
             return None  # every site blocked: activation impossible
         for uid in self._d_frontier():
@@ -341,7 +376,7 @@ class PodemEngine:
                 continue
             control, _ = _CONTROL.get(self.model.ops[uid], (None, False))
             for fin in self.model.fanins[uid]:
-                if self.good[fin] == X:
+                if vals[fin] >= _X_GOOD:
                     desired = ONE if control is None else 1 - control
                     return (fin, desired)
         return None
@@ -349,14 +384,14 @@ class PodemEngine:
     def _d_frontier(self) -> list[int]:
         """Gates with a D input whose good or faulty value is still X,
         in ascending uid."""
-        good, faulty, fanouts = self.good, self.faulty, self.model.fanouts
+        vals, fanouts, has_x = self.vals, self.model.fanouts, _HAS_X
         return sorted({out for uid in self._dlines for out in fanouts[uid]
-                       if good[out] == X or faulty[out] == X})
+                       if has_x[vals[out]]})
 
     def _x_path_to_po(self, uid: int) -> bool:
         """Is there a path of not-fully-assigned lines to an output?"""
         pos, fanouts = self._pos, self.model.fanouts
-        good, faulty = self.good, self.faulty
+        vals, blocked = self.vals, _BLOCKED
         stack = [uid]
         seen = {uid}
         while stack:
@@ -366,9 +401,7 @@ class PodemEngine:
             for fanout in fanouts[current]:
                 if fanout in seen:
                     continue
-                g, f = good[fanout], faulty[fanout]
-                blocked = g != X and f != X and g == f
-                if not blocked:
+                if not blocked[vals[fanout]]:
                     seen.add(fanout)
                     stack.append(fanout)
         return False
@@ -385,7 +418,7 @@ class PodemEngine:
             if inverts:
                 desired = 1 - desired
             x_inputs = [f for f in self.model.fanins[current]
-                        if self.good[f] == X]
+                        if self.vals[f] >= _X_GOOD]
             if not x_inputs:
                 return None
             depth = self.model.depth

@@ -17,6 +17,7 @@ from ..atpg.random_tpg import random_phase
 from ..cost import ModuleLibrary, DEFAULT_LIBRARY
 from ..gates.netlist import GateNetlist
 from ..gates.simulate import CompiledCircuit
+from ..runtime.budget import Budget
 from .atpg import ScanTestCost, unroll_full_scan
 from .expand import insert_scan_chain
 
@@ -33,6 +34,9 @@ class ScanResult:
     effort: int = 0
     seconds: float = 0.0
     overhead_mm2: float = 0.0
+    #: ``config.wall_seconds`` ran out: the random phase or PODEM
+    #: stopped early and the coverage counts what was found by then.
+    budget_exhausted: bool = False
 
     @property
     def fault_coverage(self) -> float:
@@ -55,10 +59,16 @@ def evaluate_scan(netlist: GateNetlist, registers: list[str],
     The flow mirrors the engine: random sequences first (the chain is
     exercised by the weighted-random scan_enable bit), then full-scan
     combinational PODEM for the remainder, with scan cycle accounting.
+    ``config.wall_seconds`` bounds both phases with one shared
+    :class:`Budget`, as in :func:`~repro.atpg.run_atpg`; once it runs
+    out, no further fault is attempted and the result is tagged
+    ``budget_exhausted``.
     """
     import copy
 
     config = config or ATPGConfig()
+    budget = (None if config.wall_seconds is None
+              else Budget(wall_seconds=config.wall_seconds))
     scanned = copy.deepcopy(netlist)
     chain = insert_scan_chain(scanned, registers)
     circuit = CompiledCircuit(scanned)
@@ -70,8 +80,9 @@ def evaluate_scan(netlist: GateNetlist, registers: list[str],
     started = time.perf_counter()
     rng = random.Random(config.seed)
 
-    simulator = FaultSimulator(circuit)
-    random_result = random_phase(simulator, faults, config.random, rng)
+    simulator = FaultSimulator(circuit, budget=budget)
+    random_result = random_phase(simulator, faults, config.random, rng,
+                                 budget=budget)
     result.detected = len(random_result.detected)
     result.test_cycles = random_result.test_cycles
     result.effort += simulator.stats.cycles_simulated
@@ -79,9 +90,12 @@ def evaluate_scan(netlist: GateNetlist, registers: list[str],
     remaining = sorted(set(faults) - random_result.detected)
     if config.deterministic and remaining:
         engine = PodemEngine(unroll_full_scan(scanned),
-                             max_backtracks=config.max_backtracks)
+                             max_backtracks=config.max_backtracks,
+                             budget=budget)
         deterministic_tests = 0
         for fault in remaining:
+            if budget is not None and budget.exhausted():
+                break
             outcome = engine.generate(fault)
             result.effort += outcome.stats.effort
             if outcome.success:
@@ -89,5 +103,6 @@ def evaluate_scan(netlist: GateNetlist, registers: list[str],
                 result.detected += 1
         result.test_cycles += ScanTestCost(deterministic_tests,
                                            chain.length).cycles
+    result.budget_exhausted = budget is not None and budget.exhausted()
     result.seconds = time.perf_counter() - started
     return result

@@ -21,12 +21,15 @@ Against it:
   over successive calls on one simulator, whose compiled function
   gains hooks as new fault sites arrive.
 
-Two more properties pin the PODEM engine to the reference algorithm it
-was optimised from: the per-op evaluators equal the original ``if``
-chain on every input tuple, and a reference engine that recomputes the
-whole circuit per fault and rescans every line for the D-frontier
-returns equal :class:`PodemResult` objects on every fault of the
-random nets and on a fixed fault sample of the 4-bit Ex netlists.
+More properties pin the PODEM engine to the reference algorithm it
+was optimised from.  The engine's packed twin-machine tables equal the
+original ``if`` chain on both halves of every tuple of packed values,
+and its pin and line-test tables equal their definitions over (good,
+faulty).  A self-contained reference engine, on separate good and
+faulty lists, recomputes the whole circuit per fault and rescans every
+line for the D-frontier; it returns equal :class:`PodemResult` objects
+on every fault of the random nets, on a fixed fault sample of the
+4-bit Ex netlists and on one of the 4-bit Ex full-scan model.
 """
 
 from __future__ import annotations
@@ -43,17 +46,19 @@ from hypothesis import given, settings
 from repro.atpg import (Fault, FaultSimulator, PodemEngine, constant_lines,
                         full_fault_list, prune_untestable, unroll)
 from repro.atpg.engine import _assignment_to_sequence
-from repro.atpg.podem import (_CONTROL, EVAL3, ONE, X, ZERO, PodemResult,
+from repro.atpg.podem import (_BLOCKED, _CONTROL, _GATE, _HAS_X, _IS_D, _PIN,
+                               _X_GOOD, ONE, X, ZERO, PodemResult,
                                PodemStats)
 from repro.atpg.unroll import (OP_AND, OP_BUF, OP_CONST0, OP_CONST1,
                                OP_NAND, OP_NOR, OP_NOT, OP_OR, OP_PI,
                                OP_XNOR, OP_XOR, UnrolledCircuit)
 from repro.errors import ATPGError
 from repro.gates import (CompiledCircuit, GateNetlist, GateType,
-                         expand_with_controller)
+                         expand_to_gates, expand_with_controller)
 from repro.harness import ExperimentConfig, run_cell
 from repro.harness.experiment import FLOW_ORDER, synthesize_flow_result
 from repro.rtl import build_control_table, generate_rtl
+from repro.scan import insert_scan_chain, select_full, unroll_full_scan
 
 MAX_FRAMES = 3
 
@@ -481,13 +486,38 @@ def test_fault_simulator_matches_one_fault_at_a_time(net, data):
                 == naive_detected(net, sequence, batch))
 
 
-@pytest.mark.parametrize("op", sorted(EVAL3))
+@pytest.mark.parametrize("op", sorted(op for op in _GATE if op != OP_PI))
 def test_evaluators_equal_the_reference_chain(op):
-    # The expanded benchmark netlists have gates of up to 5 inputs.
-    for arity in range(1, 6):
-        for values in itertools.product((ZERO, ONE, X), repeat=arity):
-            assert (EVAL3[op](values, range(arity))
-                    == reference_eval3(op, list(values))), (op, values)
+    # Fold every tuple of packed values as the engine does; the good
+    # half must be the reference on the good halves, the faulty half
+    # the reference on the faulty halves.  The expanded benchmark
+    # netlists have gates of up to 5 inputs.
+    table, start, post = _GATE[op]
+    arities = ((0,) if op in (OP_CONST0, OP_CONST1)
+               else (1,) if op in (OP_BUF, OP_NOT) else range(1, 6))
+    for arity in arities:
+        for values in itertools.product(range(9), repeat=arity):
+            acc = start
+            for v in values:
+                acc = table[acc + v]
+            good = reference_eval3(op, [v // 3 for v in values])
+            faulty = reference_eval3(op, [v % 3 for v in values])
+            assert divmod(post[acc], 3) == (good, faulty), (op, values)
+
+
+def test_packed_line_tests_equal_their_definitions():
+    # A PI is never evaluated; its row yields the unassigned (X, X).
+    _, start, post = _GATE[OP_PI]
+    assert divmod(post[start], 3) == (X, X)
+    for v in range(9):
+        g, f = divmod(v, 3)
+        binary = X not in (g, f)
+        assert _IS_D[v] == (binary and g != f), v
+        assert _BLOCKED[v] == (binary and g == f), v
+        assert _HAS_X[v] == (not binary), v
+        assert (v >= _X_GOOD) == (g == X), v
+        for stuck in (ZERO, ONE):
+            assert divmod(_PIN[stuck][v], 3) == (g, stuck), (v, stuck)
 
 
 @settings(max_examples=60, deadline=None)
@@ -526,6 +556,18 @@ def test_decisions_match_the_reference_engine_on_ex(ex_netlists, flow):
         reference = ReferencePodem(model, max_backtracks=64)
         for fault in sample:
             assert engine.generate(fault) == reference.generate(fault)
+
+
+def test_decisions_match_the_reference_engine_on_full_scan():
+    # The one-frame model scan.evaluate_scan runs PODEM on.
+    design = synthesize_flow_result("ex", "ours", 4).design
+    net = expand_to_gates(generate_rtl(design, 4))
+    insert_scan_chain(net, select_full(design.datapath))
+    model = unroll_full_scan(net)
+    engine = PodemEngine(model, max_backtracks=64)
+    reference = ReferencePodem(model, max_backtracks=64)
+    for fault in full_fault_list(net)[::4]:
+        assert engine.generate(fault) == reference.generate(fault), fault
 
 
 @pytest.mark.parametrize("flow", FLOW_ORDER)

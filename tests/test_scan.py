@@ -1,5 +1,7 @@
 """Unit and integration tests for the scan extension."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.atpg import ATPGConfig, Fault, RandomPhaseConfig
@@ -162,3 +164,23 @@ class TestEvaluate:
                              config)
         assert partial.chain_length < full.chain_length
         assert partial.overhead_mm2 < full.overhead_mm2
+
+    def test_wall_seconds_bounds_the_run(self, ex_design):
+        netlist = expand_to_gates(generate_rtl(ex_design, 4))
+        registers = select_full(ex_design.datapath)
+        config = ATPGConfig(
+            random=RandomPhaseConfig(max_sequences=4, saturation=2,
+                                     sequence_length=12),
+            max_backtracks=12)
+        # No allowance: the result this configuration has always had.
+        unbounded = evaluate_scan(netlist, registers, config)
+        assert not unbounded.budget_exhausted
+        assert (unbounded.total_faults, unbounded.detected,
+                unbounded.test_cycles, unbounded.effort) == (988, 915,
+                                                             5654, 220812)
+        # Setup alone outlasts a microsecond: no phase gets to run.
+        starved = evaluate_scan(netlist, registers,
+                                replace(config, wall_seconds=1e-6))
+        assert starved.budget_exhausted
+        assert (starved.detected, starved.test_cycles,
+                starved.effort) == (0, 0, 0)
