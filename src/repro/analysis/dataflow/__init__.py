@@ -5,9 +5,10 @@ intervals and known bits (:mod:`~repro.analysis.dataflow.domain`), with
 loop-carried feedback and widening
 (:mod:`~repro.analysis.dataflow.engine`), packaged as an independently
 re-checkable :class:`~repro.analysis.dataflow.certificate.
-DataflowCertificate`.  Three layers consume the facts: width narrowing
-in :mod:`repro.cost.narrow`, the ``DFA0xx`` lint rules, and the
-untestable-fault pruning in :mod:`repro.atpg.prune`.
+DataflowCertificate`.  Two layers consume the facts: width narrowing
+in :mod:`repro.cost.narrow` and the ``DFA0xx`` lint rules.  The
+untestable-fault pruning in :mod:`repro.atpg.prune` does not: it runs
+its own gate-level ternary propagation (:mod:`repro.gates.ternary`).
 """
 
 from .certificate import CERT_FORMAT, DataflowCertificate

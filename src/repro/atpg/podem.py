@@ -14,22 +14,24 @@ ZERO, ONE, X = 0, 1, 2), so one gate evaluation computes both
 machines.  A gate folds its fanins through the 9×9 table of its op
 (AND, OR or XOR applied to both halves at once), stored pre-multiplied
 by 9 so that each fanin costs one index, ``acc = table[acc + v]``; a
-``post`` table then maps the sum back to a packed value, as it is or
+``post`` table then maps the folded ``9·v`` back to ``v``, unchanged or
 inverted, which covers NAND, NOR, XNOR and NOT.  A fault site passes
 its value through a 9-entry pin that keeps the good half and sets the
 faulty half to the stuck value.  What PODEM asks of a line (is it a D,
 is its good half X, is either half X, is it blocked) is a 9-entry
-tuple or one comparison.
+tuple or one comparison.  One implication is still one gate
+evaluation, now of both machines at once, so the effort counts are
+those of an engine that evaluates the two machines one at a time.
 
 The engine keeps per-fault work proportional to what the fault
 touches: the fault-free state (constants propagated, every input X) is
 computed once per engine and each fault re-evaluates only the lines
 forward of its sites; the set of D lines is kept current on every
 value change, so the D-frontier is read off the D lines' fanouts
-instead of a scan of every line.  Each line's ``(fanins, table,
-start, post)`` row is bound once per engine.  An engine on a prefix of
-the model (:meth:`PodemEngine.prefix`) shares both the rows and the
-fault-free state of the engine it is cut from.
+instead of a scan of every line.  Each line's ``(table, start, post)``
+row is bound by uid once per engine, as a reference to its op's row.
+An engine on a prefix of the model (:meth:`PodemEngine.prefix`) shares
+both the rows and the fault-free state of the engine it is cut from.
 """
 
 from __future__ import annotations
@@ -87,7 +89,8 @@ def _fold_table(op: Callable[[int, int], int]) -> tuple[int, ...]:
 
 #: Fold tables of the multi-input ops.
 _AND, _OR, _XOR = _fold_table(_and3), _fold_table(_or3), _fold_table(_xor3)
-#: BUF and NOT fold their one fanin through this 9-entry identity.
+#: BUF and NOT fold their one fanin through this 9-entry identity,
+#: pre-multiplied like the fold tables.
 _BUF = tuple(9 * v for v in range(9))
 #: Packed NOT, on both halves.
 _NOT = tuple(3 * _not3(v // 3) + _not3(v % 3) for v in range(9))
@@ -97,11 +100,14 @@ _INVERT = tuple(_NOT[a // 9] for a in range(81))
 #: Fold starts: 9 × the packed (ZERO, ZERO), (ONE, ONE) and (X, X).
 _ZERO9, _ONE9, _X9 = (9 * (3 * v + v) for v in (ZERO, ONE, X))
 
-#: Each op's ``(fold table, start, post)``: AND folds from (ONE, ONE),
-#: OR and XOR from (ZERO, ZERO), and constants are a start with no
-#: fanins.  A PI is never evaluated (it has no fanins, so it is on no
-#: fanout list); its row yields the unassigned (X, X).
-_GATE: dict[int, tuple[tuple[int, ...], int, tuple[int, ...]]] = {
+#: An op's row: its fold table, start and post table.
+_Row = tuple[tuple[int, ...], int, tuple[int, ...]]
+
+#: Each op's row.  AND folds from (ONE, ONE), OR and XOR from (ZERO,
+#: ZERO), and constants are a start with no fanins.  A PI is never
+#: evaluated (it has no fanins, so it is on no fanout list); its row
+#: yields the unassigned (X, X).
+_GATE: dict[int, _Row] = {
     OP_CONST0: ((), _ZERO9, _SAME), OP_CONST1: ((), _ONE9, _SAME),
     OP_PI: ((), _X9, _SAME),
     OP_BUF: (_BUF, _ZERO9, _SAME), OP_NOT: (_BUF, _ZERO9, _INVERT),
@@ -109,9 +115,6 @@ _GATE: dict[int, tuple[tuple[int, ...], int, tuple[int, ...]]] = {
     OP_OR: (_OR, _ZERO9, _SAME), OP_NOR: (_OR, _ZERO9, _INVERT),
     OP_XOR: (_XOR, _ZERO9, _SAME), OP_XNOR: (_XOR, _ZERO9, _INVERT),
 }
-
-#: A line's row: its fanins, then its op's fold table, start and post.
-_Row = tuple[tuple[int, ...], tuple[int, ...], int, tuple[int, ...]]
 
 #: Per stuck value, a fault site's pin: good half kept, faulty half
 #: stuck.
@@ -179,8 +182,10 @@ class PodemEngine:
         self.max_backtracks = max_backtracks
         self.max_implications = max_implications
         self.budget = budget
-        self._rows: list[_Row] = [(fanins,) + _GATE[op] for op, fanins
-                                 in zip(model.ops, model.fanins)]
+        #: Each line's op row, by uid.  The lines of one op share one
+        #: tuple: a tuple per line would add a garbage-collector pass to
+        #: every large engine built.
+        self._rows = [_GATE[op] for op in model.ops]
         self._pos = model.po_set()
         #: The packed fault-free state with every PI X, and its
         #: implication charge.
@@ -207,7 +212,8 @@ class PodemEngine:
     def _fault_free_pass(self) -> tuple[list[int], int]:
         # uid order is topological, so every fanin is already valued.
         vals: list[int] = []
-        for inputs, table, acc, post in self._rows:
+        for inputs, (table, acc, post) in zip(self.model.fanins,
+                                              self._rows):
             for f in inputs:
                 acc = table[acc + vals[f]]
             vals.append(post[acc])
@@ -286,7 +292,8 @@ class PodemEngine:
         dlines = self._dlines
         self.stats.implications += charge
         sites, pin = self.sites, self._pin
-        rows, fanouts = self._rows, self.model.fanouts
+        rows, fanins, fanouts = (self._rows, self.model.fanins,
+                                 self.model.fanouts)
         heap = sorted(sites)
         queued = set(sites)
         while heap:
@@ -294,8 +301,8 @@ class PodemEngine:
             if uid in sites:
                 new = pin[vals[uid]]
             else:
-                inputs, table, acc, post = rows[uid]
-                for f in inputs:
+                table, acc, post = rows[uid]
+                for f in fanins[uid]:
                     acc = table[acc + vals[f]]
                 new = post[acc]
             if new == vals[uid]:
@@ -313,7 +320,8 @@ class PodemEngine:
         implication per gate popped, each evaluating both machines."""
         vals, trail, dlines = self.vals, self._trail, self._dlines
         sites, pin, is_d = self.sites, self._pin, _IS_D
-        rows, fanouts = self._rows, self.model.fanouts
+        rows, fanins, fanouts = (self._rows, self.model.fanins,
+                                 self.model.fanouts)
         new = 4 * value
         if uid in sites:
             new = pin[new]
@@ -328,8 +336,8 @@ class PodemEngine:
         evaluated = 0
         while queue:
             current = queue.pop()
-            inputs, table, acc, post = rows[current]
-            for f in inputs:
+            table, acc, post = rows[current]
+            for f in fanins[current]:
                 acc = table[acc + vals[f]]
             new = post[acc]
             if current in sites:

@@ -28,8 +28,8 @@ and its pin and line-test tables equal their definitions over (good,
 faulty).  A self-contained reference engine, on separate good and
 faulty lists, recomputes the whole circuit per fault and rescans every
 line for the D-frontier; it returns equal :class:`PodemResult` objects
-on every fault of the random nets, on a fixed fault sample of the
-4-bit Ex netlists and on one of the 4-bit Ex full-scan model.
+on every fault of the random nets and on fixed fault samples of the
+4-bit Ex netlists and of the 4-bit Ex full-scan model.
 """
 
 from __future__ import annotations
