@@ -204,8 +204,8 @@ class PodemEngine:
         twin = copy.copy(self)
         twin.model = model = self.model.prefix(frames)
         twin._pos = model.po_set()
-        vals, _ = self._fault_free
-        twin._fault_free = (vals[:model.size],
+        values, _ = self._fault_free
+        twin._fault_free = (values[:model.size],
                             _fault_free_charge(model.ops))
         return twin
 
