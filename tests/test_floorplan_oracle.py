@@ -10,7 +10,8 @@ lower bound; it must return equal ``positions`` on:
 * random multigraphs with self-arcs, parallel arcs, isolated nodes and
   ties in degree, attraction and slot cost;
 * the data paths of random DFGs under random legal bindings;
-* every data path the merger loop prices on Ex, Dct and Diffeq at 4 bits.
+* every data path the merger loop prices on Ex, Dct and Diffeq at 4 bits,
+  and on EWF at 8 bits.
 """
 
 from __future__ import annotations
@@ -304,6 +305,25 @@ def test_every_priced_datapath(name, monkeypatch):
     CostModel(bits=4).hardware_total(result.design.datapath)
     assert len(placed) > len(result.history)
     # Each data path is placed once, however often it is priced.
+    assert len({id(dp) for dp, _ in placed}) == len(placed)
+    for datapath, positions in placed:
+        assert positions == reference_floorplan(datapath, PITCH).positions
+
+
+@pytest.mark.slow
+def test_every_priced_datapath_of_an_ewf_run(monkeypatch):
+    # EWF's 66-node data paths scan the longest spirals of any benchmark.
+    placed = []
+
+    def recording(datapath, slot_pitch_mm):
+        plan = floorplan(datapath, slot_pitch_mm)
+        placed.append((datapath, plan.positions))
+        return plan
+
+    monkeypatch.setattr(estimate, "floorplan", recording)
+    result = synthesize_flow_result("ewf", "ours", 8)
+    CostModel(bits=8).hardware_total(result.design.datapath)
+    assert len(placed) > len(result.history)
     assert len({id(dp) for dp, _ in placed}) == len(placed)
     for datapath, positions in placed:
         assert positions == reference_floorplan(datapath, PITCH).positions

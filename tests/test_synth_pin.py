@@ -6,7 +6,7 @@ lifetimes, rescheduling, pricing) that moves one float can flip a
 decision.  These digests pin the complete merger history of every
 registered benchmark at the paper's (k, α, β) for each width — kind,
 kept, absorbed, order and the ``repr`` of ΔE, ΔH and ΔC — plus the
-final H, and every point of two default-grid ``explore`` sweeps.
+final H, and every point of five default-grid ``explore`` sweeps.
 
 To regenerate after an intended change of decisions, run::
 
@@ -61,6 +61,9 @@ HISTORY_DIGESTS: dict[tuple[str, int], str] = {
 SWEEP_DIGESTS: dict[tuple[str, int], str] = {
     ('ex', 4): '33eeb6a08b672f13',
     ('ar', 8): '04433646d6fad12c',
+    ('dct', 8): '18f3da36abd30a46',
+    ('diffeq', 8): '9070a276e021682d',
+    ('fir8', 4): 'faf728e5952e7783',
 }
 
 def _digest(lines: list[str]) -> str:
@@ -119,7 +122,7 @@ if __name__ == "__main__":  # pragma: no cover - regeneration helper
                   f"{history_digest(benchmark, bits)!r},")
     print("}")
     print("SWEEP_DIGESTS = {")
-    for benchmark, bits in (("ex", 4), ("ar", 8)):
+    for benchmark, bits in SWEEP_DIGESTS:
         print(f"    ({benchmark!r}, {bits}): "
               f"{sweep_digest(benchmark, bits)!r},")
     print("}")
