@@ -13,22 +13,23 @@ deltas between designs are stable.
 
 The slot scan stops early without changing the choice: free slots come
 in nondecreasing Chebyshev ring, and a slot on ring ``r`` is at least
-``r - R`` (Manhattan ≥ Chebyshev) from every placed neighbour, ``R``
-being the outermost neighbour's ring.  With ``W`` the candidate's total
-placed-neighbour weight, no slot from the first ring with
-``W·(r - R) ≥ best`` on can beat the best cost so far.
+``r - R`` (Manhattan ≥ Chebyshev ≥ the difference of the two rings)
+from a placed neighbour on ring ``R``.  With weights ``w``, no slot
+from the first ring with ``Σ w·(r - R) ≥ best`` on can beat the best
+cost so far.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from ..etpn.datapath import DataPath
 
+#: A spiral slot: ``(x, y, ring)``.
+_Spot = tuple[int, int, int]
 
-@dataclass(frozen=True)
-class Slot:
+
+class Slot(NamedTuple):
     """A grid position; coordinates are in slot units."""
 
     x: int
@@ -48,9 +49,9 @@ class Floorplan:
 
     def wirelength_mm(self, src: str, dst: str) -> float:
         """Len(A): centre-to-centre Manhattan length of a connection."""
-        distance = self.positions[src].distance(self.positions[dst])
+        (sx, sy), (dx, dy) = self.positions[src], self.positions[dst]
         # Adjacent slots still need a minimal route of one pitch.
-        return max(distance, 1) * self.slot_pitch_mm
+        return max(abs(sx - dx) + abs(sy - dy), 1) * self.slot_pitch_mm
 
     def bounding_box(self) -> tuple[int, int]:
         """(width, height) of the occupied grid region, in slots."""
@@ -59,25 +60,25 @@ class Floorplan:
         return (max(xs) - min(xs) + 1, max(ys) - min(ys) + 1)
 
 
-def _ring_slots(limit: int) -> Iterator[tuple[int, int, int]]:
-    """Yield ``(x, y, ring)`` in a deterministic spiral around the origin.
+def _ring_slots(limit: int) -> list[_Spot]:
+    """The first ``limit`` ``(x, y, ring)`` of a deterministic spiral
+    around the origin.
 
     ``ring`` is the Chebyshev distance from the origin; it never
-    decreases along the spiral.
+    decreases along the spiral.  Each ring starts at its top-right
+    corner and runs left, down, right, then up.
     """
-    yield (0, 0, 0)
-    produced = 1
+    slots = [(0, 0, 0)]
     ring = 1
-    while produced < limit:
-        x, y = ring, ring
-        for dx, dy in ((-1, 0), (0, -1), (1, 0), (0, 1)):
-            for _ in range(2 * ring):
-                if produced >= limit:
-                    return
-                yield (x, y, ring)
-                produced += 1
-                x, y = x + dx, y + dy
+    while len(slots) < limit:
+        side = range(2 * ring)
+        slots += [(ring - i, ring, ring) for i in side]
+        slots += [(-ring, ring - i, ring) for i in side]
+        slots += [(i - ring, -ring, ring) for i in side]
+        slots += [(ring, i - ring, ring) for i in side]
         ring += 1
+    del slots[limit:]
+    return slots
 
 
 def _spiral(limit: int) -> Iterator[Slot]:
@@ -86,52 +87,77 @@ def _spiral(limit: int) -> Iterator[Slot]:
         yield Slot(x, y)
 
 
+def _best_slot(free: list[_Spot], anchors: list[tuple[_Spot, int]]) -> int:
+    """Index of the first free slot of least weighted wirelength to the
+    placed neighbours ``anchors``, given as ``(slot, weight)``.
+
+    The scan stops at the ring bound (module docstring).  With one
+    neighbour of weight ``w`` on ring ``R`` every cost is ``w`` times a
+    distance, so the scan compares distances and stops at the first
+    ring ``r >= d + R``, ``d`` the best distance so far.
+    """
+    if not anchors:
+        return 0  # every slot costs 0
+    if len(anchors) == 1:
+        (px, py, outer_ring), _ = anchors[0]
+        x, y, _ = free[0]
+        best, best_index = abs(x - px) + abs(y - py), 0
+        stop = best + outer_ring
+        for index, (x, y, ring) in enumerate(free):
+            if ring >= stop:
+                break
+            distance = abs(x - px) + abs(y - py)
+            if distance < best:
+                best, best_index = distance, index
+                stop = best + outer_ring
+        return best_index
+    best = best_index = -1
+    points = [(px, py, weight) for (px, py, _), weight in anchors]
+    total_weight = sum(weight for _, weight in anchors)
+    # A slot on ring r costs at least W·r - Σ w·R over the neighbours.
+    offset = sum(weight * slot[2] for slot, weight in anchors)
+    for index, (x, y, ring) in enumerate(free):
+        if best >= 0 and total_weight * ring - offset >= best:
+            break
+        cost = 0
+        for px, py, weight in points:
+            cost += weight * (abs(x - px) + abs(y - py))
+        if best < 0 or cost < best:
+            best, best_index = cost, index
+    return best_index
+
+
 def floorplan(datapath: DataPath, slot_pitch_mm: float) -> Floorplan:
     """Place all data-path nodes with the constructive heuristic."""
     nodes = sorted(datapath.nodes)
     neighbours: dict[str, dict[str, int]] = {n: {} for n in nodes}
     for arc in datapath.arcs:
-        if arc.src == arc.dst:
-            continue
-        neighbours[arc.src][arc.dst] = neighbours[arc.src].get(arc.dst, 0) + 1
-        neighbours[arc.dst][arc.src] = neighbours[arc.dst].get(arc.src, 0) + 1
+        src, dst = arc.src, arc.dst
+        if src != dst:
+            fanout, fanin = neighbours[src], neighbours[dst]
+            fanout[dst] = fanout.get(dst, 0) + 1
+            fanin[src] = fanin.get(src, 0) + 1
 
-    free = list(_ring_slots(4 * len(nodes) + 16))
+    free = _ring_slots(4 * len(nodes) + 16)
     unplaced = list(nodes)
-    placed: dict[str, tuple[int, int, int]] = {}
+    placed: dict[str, _Spot] = {}
     # Weight of each node's arcs into the placed set.
     attraction = dict.fromkeys(nodes, 0)
-
-    def place(node: str, slot: tuple[int, int, int]) -> None:
-        placed[node] = slot
-        unplaced.remove(node)
-        for other, weight in neighbours[node].items():
+    candidate = max(nodes, key=lambda n: (sum(neighbours[n].values()), n))
+    slot = free.pop(0)
+    while True:
+        placed[candidate] = slot
+        unplaced.remove(candidate)
+        for other, weight in neighbours[candidate].items():
             attraction[other] += weight
-
-    place(max(nodes, key=lambda n: (sum(neighbours[n].values()), n)),
-          free.pop(0))
-    while unplaced:
+        if not unplaced:
+            break
         # The first maximum in name order.
         candidate = max(unplaced, key=attraction.__getitem__)
         anchors = [(placed[other], weight)
                    for other, weight in neighbours[candidate].items()
                    if other in placed]
-        total_weight = sum(weight for _, weight in anchors)
-        outer_ring = max((slot[2] for slot, _ in anchors), default=0)
-        best_index = 0
-        best_cost = -1
-        for index, (x, y, ring) in enumerate(free):
-            # The ring lower bound: no slot from here on costs less.
-            if best_cost >= 0 \
-                    and total_weight * (ring - outer_ring) >= best_cost:
-                break
-            cost = 0
-            for (px, py, _), weight in anchors:
-                cost += weight * (abs(x - px) + abs(y - py))
-            if best_cost < 0 or cost < best_cost:
-                best_cost = cost
-                best_index = index
-        place(candidate, free.pop(best_index))
+        slot = free.pop(_best_slot(free, anchors))
 
     return Floorplan({node: Slot(x, y) for node, (x, y, _) in placed.items()},
                      slot_pitch_mm)

@@ -49,6 +49,59 @@ class Lifetime:
         return f"{self.variable}:({self.birth},{self.death}]"
 
 
+class DefUse:
+    """Each register variable's defining and reading ops, read once.
+
+    :func:`variable_lifetimes` derives one schedule's lifetimes from it;
+    a caller that prices many schedules of one DFG keeps one instead of
+    re-reading the DFG per schedule.
+    """
+
+    def __init__(self, dfg: DFG) -> None:
+        self.dfg = dfg
+        #: (name, is_input, is_output, def ops, use ops) of every
+        #: register-needing variable that some op defines or reads, in
+        #: the DFG's variable order; the ops in program order.
+        self.rows: list[tuple[str, bool, bool, tuple[str, ...],
+                              tuple[str, ...]]] = []
+        for name, var in dfg.variables.items():
+            if not var.needs_register():
+                continue
+            defs = tuple(dfg.defs_of(name))
+            uses = tuple(dfg.uses_of(name))
+            if defs or uses:
+                self.rows.append((name, var.is_input, var.is_output, defs,
+                                  uses))
+
+    def lifetimes(self, steps: dict[str, int]) -> dict[str, Lifetime]:
+        """The lifetimes under ``steps``, which must schedule every op."""
+        lifetimes: dict[str, Lifetime] = {}
+        step = steps.__getitem__
+        for name, is_input, is_output, defs, uses in self.rows:
+            def_steps = list(map(step, defs))
+            use_steps = list(map(step, uses))
+            if is_input and use_steps:
+                birth = min(use_steps) - 1
+            elif def_steps:
+                birth = min(def_steps)
+            else:
+                # Used but never defined and not an input: validator
+                # forbids this, but stay defensive.
+                birth = min(use_steps) - 1
+            death = birth
+            if use_steps:
+                death = max(death, max(use_steps))
+            if def_steps:
+                # A later redefinition keeps the register occupied
+                # through the defining step (the old value is still
+                # live inside it).
+                death = max(death, max(def_steps))
+            if is_output and def_steps:
+                death = max(death, max(def_steps) + 1)
+            lifetimes[name] = Lifetime(name, birth, death)
+        return lifetimes
+
+
 def variable_lifetimes(dfg: DFG, steps: dict[str, int]) -> dict[str, Lifetime]:
     """Compute the lifetime of every register-needing variable.
 
@@ -66,34 +119,7 @@ def variable_lifetimes(dfg: DFG, steps: dict[str, int]) -> dict[str, Lifetime]:
     if missing:
         raise ScheduleError(f"{dfg.name}: unscheduled operations "
                             f"{sorted(missing)}")
-
-    lifetimes: dict[str, Lifetime] = {}
-    for name, var in dfg.variables.items():
-        if not var.needs_register():
-            continue
-        def_steps = [steps[o] for o in dfg.defs_of(name)]
-        use_steps = [steps[o] for o in dfg.uses_of(name)]
-        if not def_steps and not use_steps:
-            continue
-        if var.is_input and use_steps:
-            birth = min(use_steps) - 1
-        elif def_steps:
-            birth = min(def_steps)
-        else:
-            # Used but never defined and not an input: validator forbids
-            # this, but stay defensive.
-            birth = min(use_steps) - 1
-        death = birth
-        if use_steps:
-            death = max(death, max(use_steps))
-        if def_steps:
-            # A later redefinition keeps the register occupied through
-            # the defining step (the old value is still live inside it).
-            death = max(death, max(def_steps))
-        if var.is_output and def_steps:
-            death = max(death, max(def_steps) + 1)
-        lifetimes[name] = Lifetime(name, birth, death)
-    return lifetimes
+    return DefUse(dfg).lifetimes(steps)
 
 
 def conflict_graph(lifetimes: dict[str, Lifetime]) -> dict[str, set[str]]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from ..alloc.binding import Binding
@@ -30,6 +31,7 @@ from ..errors import NetlistError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cost.floorplan import Floorplan
     from ..cost.library import ModuleLibrary
+    from ..testability.analysis import Fixpoint
 
 
 class NodeKind(enum.Enum):
@@ -100,12 +102,23 @@ class DataPath:
         #: ``(bits, library, H)`` of the last
         #: :meth:`repro.cost.estimate.CostModel.hardware_total` pricing.
         self.area: tuple[int, ModuleLibrary, float] | None = None
+        #: The testability fixpoint, computed on first use by
+        #: :func:`repro.testability.analyze` and kept while it lives.
+        self.testability: Fixpoint | None = None
         self._build()
         self._outgoing: dict[str, list[DataPathArc]] = {n: [] for n in self.nodes}
         self._incoming: dict[str, list[DataPathArc]] = {n: [] for n in self.nodes}
+        ports: dict[str, dict[int, list[str]]] = {n: {} for n in self.nodes}
         for arc in self.arcs:
             self._outgoing[arc.src].append(arc)
             self._incoming[arc.dst].append(arc)
+            ports[arc.dst].setdefault(arc.port, []).append(arc.src)
+        # The arcs are distinct and sorted by source, so each port's
+        # sources arrive distinct and sorted.
+        self._port_sources = {
+            node: {port: tuple(sources)
+                   for port, sources in sorted(by_port.items())}
+            for node, by_port in ports.items()}
 
     # ------------------------------------------------------------------
     # Construction
@@ -133,12 +146,13 @@ class DataPath:
             self._add_node(DataPathNode(f"COND_{name}", NodeKind.COND,
                                         variables=(name,)))
 
-        arcs: set[DataPathArc] = set()
+        # (src, dst, port, is_condition) of every distinct connection.
+        arcs: set[tuple[str, str, int, bool]] = set()
         # Input ports load their registers.
         for var in dfg.inputs():
             register = self.binding.register_of.get(var.name)
             if register is not None:
-                arcs.add(DataPathArc(f"PI_{var.name}", register, 0))
+                arcs.add((f"PI_{var.name}", register, 0, False))
         # Operand and result connections per operation, merged per module.
         for op in dfg:
             module = binding.module_of[op.op_id]
@@ -148,28 +162,29 @@ class DataPath:
                     if const_id not in self.nodes:
                         self._add_node(DataPathNode(const_id, NodeKind.CONST,
                                                     value=operand.value))
-                    arcs.add(DataPathArc(const_id, module, port))
+                    arcs.add((const_id, module, port, False))
                 else:
                     source = binding.register_of.get(operand)
                     if source is None:
                         raise NetlistError(
                             f"operand {operand!r} of {op.op_id} has no "
                             f"register")
-                    arcs.add(DataPathArc(source, module, port))
+                    arcs.add((source, module, port, False))
             if op.dst is not None:
                 dst_var = dfg.variable(op.dst)
                 if dst_var.is_condition:
-                    arcs.add(DataPathArc(module, f"COND_{op.dst}", 0,
-                                         is_condition=True))
+                    arcs.add((module, f"COND_{op.dst}", 0, True))
                 else:
                     register = binding.register_of[op.dst]
-                    arcs.add(DataPathArc(module, register, 0))
+                    arcs.add((module, register, 0, False))
         # Registers drive output ports.
         for var in dfg.outputs():
             register = self.binding.register_of.get(var.name)
             if register is not None:
-                arcs.add(DataPathArc(register, f"PO_{var.name}", 0))
-        self.arcs = sorted(arcs, key=lambda a: (a.src, a.dst, a.port))
+                arcs.add((register, f"PO_{var.name}", 0, False))
+        # Sorted by (src, dst, port): only COND nodes take condition
+        # arcs, so no two arcs differ in ``is_condition`` alone.
+        self.arcs = [DataPathArc(*arc) for arc in sorted(arcs)]
 
     # ------------------------------------------------------------------
     # Queries
@@ -182,14 +197,33 @@ class DataPath:
         """Arcs leaving ``node_id``."""
         return list(self._outgoing[node_id])
 
+    def port_sources(self, node_id: str) -> dict[int, tuple[str, ...]]:
+        """Input port -> its distinct sources, both ascending (read-only)."""
+        return self._port_sources[node_id]
+
     def sources_of_port(self, node_id: str, port: int) -> list[str]:
         """Distinct sources feeding one input port of a node."""
-        return sorted({a.src for a in self._incoming[node_id]
-                       if a.port == port})
+        return list(self._port_sources[node_id].get(port, ()))
 
     def input_ports(self, node_id: str) -> list[int]:
         """Distinct input-port indices of a node."""
-        return sorted({a.port for a in self._incoming[node_id]})
+        return list(self._port_sources[node_id])
+
+    def fanin(self, node_id: str) -> frozenset[str]:
+        """The distinct nodes with an arc into ``node_id``."""
+        return self._neighbours[0][node_id]
+
+    def fanout(self, node_id: str) -> frozenset[str]:
+        """The distinct nodes with an arc from ``node_id``."""
+        return self._neighbours[1][node_id]
+
+    @cached_property
+    def _neighbours(self) -> tuple[dict[str, frozenset[str]],
+                                   dict[str, frozenset[str]]]:
+        return ({n: frozenset(a.src for a in arcs)
+                 for n, arcs in self._incoming.items()},
+                {n: frozenset(a.dst for a in arcs)
+                 for n, arcs in self._outgoing.items()})
 
     def mux_count(self) -> int:
         """Number of multiplexers implied by the connections.
@@ -197,22 +231,13 @@ class DataPath:
         One mux per (node, input port) fed by two or more distinct
         sources — the ``#Mux`` column of the paper's tables.
         """
-        count = 0
-        for node_id in self.nodes:
-            for port in self.input_ports(node_id):
-                if len(self.sources_of_port(node_id, port)) > 1:
-                    count += 1
-        return count
+        return sum(len(sources) > 1 for ports in self._port_sources.values()
+                   for sources in ports.values())
 
     def mux_inputs_total(self) -> int:
         """Total mux data inputs (a proxy for interconnect area)."""
-        total = 0
-        for node_id in self.nodes:
-            for port in self.input_ports(node_id):
-                fanin = len(self.sources_of_port(node_id, port))
-                if fanin > 1:
-                    total += fanin
-        return total
+        return sum(len(sources) for ports in self._port_sources.values()
+                   for sources in ports.values() if len(sources) > 1)
 
     def modules(self) -> list[DataPathNode]:
         """All MODULE nodes, sorted by id."""
@@ -243,12 +268,10 @@ class DataPath:
         """
         loops = []
         for module in self.modules():
-            feeds = {a.dst for a in self._outgoing[module.node_id]
-                     if self.nodes[a.dst].kind == NodeKind.REGISTER}
-            reads = {a.src for a in self._incoming[module.node_id]
-                     if self.nodes[a.src].kind == NodeKind.REGISTER}
-            for register in sorted(feeds & reads):
-                loops.append((module.node_id, register))
+            shared = self.fanout(module.node_id) & self.fanin(module.node_id)
+            for register in sorted(shared):
+                if self.nodes[register].kind == NodeKind.REGISTER:
+                    loops.append((module.node_id, register))
         return loops
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper

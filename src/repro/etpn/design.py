@@ -11,14 +11,19 @@ Designs are immutable; transformations produce new ones via
 from __future__ import annotations
 
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from ..alloc.binding import Binding, validate_binding
 from ..dfg import DFG
 from ..dfg.lifetime import Lifetime, variable_lifetimes
 from ..petri import PetriNet, control_net_for_design
 from ..sched.constraints import check_precedence
+from ..sched.resched import current_module_orders, lifetime_orders
 from ..sched.schedule import schedule_length
 from .datapath import DataPath
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..cost.library import ModuleLibrary
 
 
 #: A design point's schedule and binding as one hashable value.
@@ -35,12 +40,16 @@ class Design:
     """An ETPN design point produced by a synthesis flow."""
 
     def __init__(self, dfg: DFG, steps: dict[str, int], binding: Binding,
-                 label: str = "") -> None:
+                 label: str = "", *,
+                 area: tuple[int, ModuleLibrary, float] | None = None) -> None:
         self.dfg = dfg
         self.steps = dict(steps)
         self.binding = binding
         #: Which flow produced the design ("ours", "camad", ...).
         self.label = label
+        #: A known pricing of the data path, given to it when it is
+        #: built (see :attr:`DataPath.area`).
+        self._area = area
 
     # ------------------------------------------------------------------
     @property
@@ -62,7 +71,9 @@ class Design:
     @cached_property
     def datapath(self) -> DataPath:
         """The structural data path (built on first access)."""
-        return DataPath(self.dfg, self.binding)
+        datapath = DataPath(self.dfg, self.binding)
+        datapath.area = self._area
+        return datapath
 
     @cached_property
     def control_net(self) -> PetriNet:
@@ -73,6 +84,16 @@ class Design:
     def lifetimes(self) -> dict[str, Lifetime]:
         """Variable lifetimes under this design's schedule."""
         return variable_lifetimes(self.dfg, self.steps)
+
+    @cached_property
+    def module_orders(self) -> dict[str, list[str]]:
+        """Execution order of each shared module (do not mutate)."""
+        return current_module_orders(self.dfg, self.binding, self.steps)
+
+    @cached_property
+    def register_orders(self) -> dict[str, list[str]]:
+        """Lifetime order of each shared register (do not mutate)."""
+        return lifetime_orders(self.binding, self.lifetimes)
 
     @property
     def execution_time(self) -> int:
@@ -111,7 +132,8 @@ class Design:
         design = Design(self.dfg,
                         self.steps if steps is None else steps,
                         self.binding if binding is None else binding,
-                        self.label if label is None else label)
+                        self.label if label is None else label,
+                        area=self._area if binding is None else None)
         kept = (_BINDING_VIEWS if binding is None else ()) \
             + (_STEPS_VIEWS if steps is None else ())
         for view in kept:

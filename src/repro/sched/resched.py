@@ -22,12 +22,16 @@ longest-path schedule coming out longer than the previous one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from ..alloc.binding import Binding
 from ..dfg import DFG
 from ..dfg.analysis import edge_latency
-from ..dfg.lifetime import Lifetime, variable_lifetimes
+from ..dfg.lifetime import DefUse, Lifetime, variable_lifetimes
 from ..errors import ScheduleError
+
+#: Constraint edges as ``((src, dst), gap)``.
+Edges = list[tuple[tuple[str, str], int]]
 
 
 @dataclass
@@ -38,103 +42,130 @@ class ConstraintGraph:
     edges: dict[tuple[str, str], int] = field(default_factory=dict)
 
     def add(self, src: str, dst: str, gap: int) -> None:
-        """Add a constraint, keeping the strongest gap per edge."""
-        if src == dst:
-            if gap > 0:
-                # step(x) >= step(x) + gap is unsatisfiable.
-                self.edges[(src, dst)] = gap
+        """Add a constraint, keeping the strongest gap per edge.
+
+        A self-edge constrains nothing unless its gap is positive, and
+        then ``step(x) >= step(x) + gap`` is unsatisfiable.
+        """
+        if src == dst and gap <= 0:
             return
         key = (src, dst)
         if key not in self.edges or self.edges[key] < gap:
             self.edges[key] = gap
 
+    def add_all(self, edges: Iterable[tuple[tuple[str, str], int]]) -> None:
+        """:meth:`add` each edge (none of them a self-edge with gap <= 0)."""
+        kept = self.edges
+        for key, gap in edges:
+            if key not in kept or kept[key] < gap:
+                kept[key] = gap
+
     def longest_path_schedule(self) -> dict[str, int] | None:
-        """ASAP schedule satisfying all constraints, or None on a cycle."""
-        if any(src == dst and gap > 0 for (src, dst), gap in self.edges.items()):
-            return None
+        """ASAP schedule satisfying all constraints, or None on a cycle.
+
+        Each op's step is the longest path to it from the ops without
+        predecessors, all at step 0.  That length is unique, so ops may
+        leave the ready list in any order as long as each leaves after
+        all its predecessors.
+        """
         successors: dict[str, list[tuple[str, int]]] = {o: [] for o in self.ops}
-        indegree = {o: 0 for o in self.ops}
+        indegree = dict.fromkeys(self.ops, 0)
         for (src, dst), gap in self.edges.items():
             if src == dst:
-                continue
+                return None  # only positive self-edges are kept
             successors[src].append((dst, gap))
             indegree[dst] += 1
-        ready = sorted(o for o, d in indegree.items() if d == 0)
-        steps = {o: 0 for o in self.ops}
+        ready = [o for o, d in indegree.items() if not d]
+        steps = dict.fromkeys(self.ops, 0)
         visited = 0
         while ready:
-            node = ready.pop(0)
+            node = ready.pop()
             visited += 1
+            base = steps[node]
             for child, gap in successors[node]:
-                steps[child] = max(steps[child], steps[node] + gap)
+                if base + gap > steps[child]:
+                    steps[child] = base + gap
                 indegree[child] -= 1
-                if indegree[child] == 0:
-                    lo, hi = 0, len(ready)
-                    while lo < hi:
-                        mid = (lo + hi) // 2
-                        if ready[mid] < child:
-                            lo = mid + 1
-                        else:
-                            hi = mid
-                    ready.insert(lo, child)
+                if not indegree[child]:
+                    ready.append(child)
         if visited != len(self.ops):
             return None
         return steps
 
 
-def _lifetime_events(dfg: DFG, var: str) -> tuple[list[str], list[str]]:
-    """(birth ops, death ops) of a variable.
+class ConstraintSkeleton:
+    """What every constraint graph of one DFG shares, derived once.
 
-    Birth ops: the ops whose step determines the variable's birth — its
-    first definition, or every use for an input variable (the earliest
-    one decides).  Death ops: every op whose step bounds the death — all
-    uses and, for multiply-defined variables, later defs.
+    That is the precedence edges (the strongest gap per op pair), each
+    variable's def/use ops, and, derived on first use, the
+    serialisation edges of each (earlier, later) register-order pair.
+    :class:`repro.synth.algorithm.MergerMemo` keeps one per DFG, so a
+    run or sweep derives each fact once instead of once per reschedule.
     """
-    defs = dfg.defs_of(var)
-    uses = dfg.uses_of(var)
-    variable = dfg.variable(var)
-    if variable.is_input and not defs:
-        birth = list(uses)
-    elif defs:
-        birth = [defs[0]]
-    else:
-        birth = list(uses)
-    death = list(uses) + list(defs)
-    return birth, death
 
+    def __init__(self, dfg: DFG, delays: dict[str, int] | None = None) -> None:
+        self.dfg = dfg
+        self.delays = delays
+        graph = ConstraintGraph(ops=dfg.op_order)
+        for edge in dfg.edges():
+            graph.add(edge.src, edge.dst, edge_latency(dfg, edge, delays))
+        self._precedence = graph
+        self.def_use = DefUse(dfg)
+        self._defs = {name: defs for name, _, _, defs, _ in self.def_use.rows}
+        self._uses = {name: uses for name, _, _, _, uses in self.def_use.rows}
+        self._pairs: dict[tuple[str, str], Edges] = {}
 
-def _serialisation_edges(graph: ConstraintGraph, dfg: DFG,
-                         earlier: str, later: str) -> None:
-    """Constrain lifetime(earlier) to end before lifetime(later) begins.
+    def graph(self) -> ConstraintGraph:
+        """A new graph holding the precedence edges."""
+        return ConstraintGraph(list(self._precedence.ops),
+                               dict(self._precedence.edges))
 
-    With half-open occupation intervals ``(birth, death]`` the condition
-    is ``death(earlier) <= birth(later)``.
-    """
-    _, death_ops = _lifetime_events(dfg, earlier)
-    birth_ops, _ = _lifetime_events(dfg, later)
-    earlier_var = dfg.variable(earlier)
-    later_is_input = (dfg.variable(later).is_input
-                      and not dfg.defs_of(later))
-    extra_death = 1 if (earlier_var.is_output and dfg.defs_of(earlier)) else 0
-    for death_op in death_ops:
-        death_bump = extra_death if death_op in dfg.defs_of(earlier) else 0
-        # Death from a plain use happens during the step; a birth by
-        # definition in the same step is fine (write at step end).
-        base_gap = 0 + death_bump
-        for birth_op in birth_ops:
+    def serialisation(self, earlier: str, later: str) -> Edges:
+        """The edges that end lifetime(earlier) before lifetime(later)
+        begins.
+
+        With half-open occupation intervals ``(birth, death]`` the
+        condition is ``death(earlier) <= birth(later)``.  Birth ops are
+        the ops whose step determines the birth: the first definition,
+        or every use of an input variable (the earliest one decides).
+        Death ops bound the death: every use and, for multiply-defined
+        variables, the later defs.
+        """
+        edges = self._pairs.get((earlier, later))
+        if edges is None:
+            edges = self._pairs[(earlier, later)] = \
+                self._serialisation(earlier, later)
+        return edges
+
+    def _serialisation(self, earlier: str, later: str) -> Edges:
+        dfg = self.dfg
+        earlier_defs = self._defs.get(earlier, ())
+        later_defs = self._defs.get(later, ())
+        later_uses = self._uses.get(later, ())
+        later_is_input = dfg.variable(later).is_input and not later_defs
+        birth_ops = later_defs[:1] if later_defs else later_uses
+        # An output keeps its register one step past its last definition.
+        extra_death = 1 if (dfg.variable(earlier).is_output
+                            and earlier_defs) else 0
+        graph = ConstraintGraph(ops=[])
+        for death_op in self._uses.get(earlier, ()) + earlier_defs:
+            # Death from a plain use happens during the step; a birth by
+            # definition in the same step is fine (write at step end).
             # An input variable is loaded the step before its first use,
             # so its uses must start strictly after the earlier death.
-            gap = base_gap + (1 if later_is_input else 0)
-            graph.add(death_op, birth_op, gap)
-    # If `earlier` is an output, its defining step + 1 must also precede
-    # the later birth even when it has no uses (handled above via defs in
-    # death_ops when is_output).
+            gap = ((extra_death if death_op in earlier_defs else 0)
+                   + (1 if later_is_input else 0))
+            for birth_op in birth_ops:
+                graph.add(death_op, birth_op, gap)
+        return list(graph.edges.items())
 
 
 def build_constraints(dfg: DFG, binding: Binding,
                       module_orders: dict[str, list[str]],
                       register_orders: dict[str, list[str]],
-                      delays: dict[str, int] | None = None) -> ConstraintGraph:
+                      delays: dict[str, int] | None = None,
+                      skeleton: ConstraintSkeleton | None = None
+                      ) -> ConstraintGraph:
     """Build the full constraint graph for a bound design.
 
     Args:
@@ -144,42 +175,46 @@ def build_constraints(dfg: DFG, binding: Binding,
         register_orders: lifetime order of the variables in each shared
             register.
         delays: per-op delays (default 1).
+        skeleton: the :class:`ConstraintSkeleton` of ``dfg`` and
+            ``delays``, when the caller keeps one.
 
     Raises:
         ScheduleError: when an order list disagrees with the binding.
     """
-    graph = ConstraintGraph(ops=list(dfg.op_order))
-    for edge in dfg.edges():
-        graph.add(edge.src, edge.dst, edge_latency(dfg, edge, delays))
-    for module, ops in binding.modules().items():
+    if skeleton is None:
+        skeleton = ConstraintSkeleton(dfg, delays)
+    graph = skeleton.graph()
+    for module, ops in binding.module_groups().items():
         if len(ops) < 2:
             continue
         order = module_orders.get(module)
-        if order is None or sorted(order) != sorted(ops):
+        if order is None or tuple(sorted(order)) != ops:
             raise ScheduleError(f"module {module!r}: order {order} does not "
-                                f"cover ops {ops}")
+                                f"cover ops {list(ops)}")
         for first, second in zip(order, order[1:]):
             delay = 1 if delays is None else delays.get(first, 1)
             graph.add(first, second, delay)
-    for register, variables in binding.registers().items():
+    for register, variables in binding.register_groups().items():
         if len(variables) < 2:
             continue
         order = register_orders.get(register)
-        if order is None or sorted(order) != sorted(variables):
+        if order is None or tuple(sorted(order)) != variables:
             raise ScheduleError(f"register {register!r}: order {order} does "
-                                f"not cover variables {variables}")
+                                f"not cover variables {list(variables)}")
         for earlier, later in zip(order, order[1:]):
-            _serialisation_edges(graph, dfg, earlier, later)
+            graph.add_all(skeleton.serialisation(earlier, later))
     return graph
 
 
 def reschedule(dfg: DFG, binding: Binding,
                module_orders: dict[str, list[str]],
                register_orders: dict[str, list[str]],
-               delays: dict[str, int] | None = None) -> dict[str, int] | None:
+               delays: dict[str, int] | None = None,
+               skeleton: ConstraintSkeleton | None = None
+               ) -> dict[str, int] | None:
     """Minimum-latency schedule honouring binding constraints, or None."""
     graph = build_constraints(dfg, binding, module_orders, register_orders,
-                              delays)
+                              delays, skeleton)
     return graph.longest_path_schedule()
 
 
@@ -187,7 +222,7 @@ def current_module_orders(dfg: DFG, binding: Binding,
                           steps: dict[str, int]) -> dict[str, list[str]]:
     """Execution order of each shared module under the current schedule."""
     orders = {}
-    for module, ops in binding.modules().items():
+    for module, ops in binding.module_groups().items():
         if len(ops) >= 2:
             orders[module] = sorted(ops, key=lambda o: (steps[o], o))
     return orders
@@ -203,7 +238,7 @@ def lifetime_orders(binding: Binding, lifetimes: dict[str, Lifetime]
                     ) -> dict[str, list[str]]:
     """Lifetime order of each shared register: by birth, then name."""
     orders = {}
-    for register, variables in binding.registers().items():
+    for register, variables in binding.register_groups().items():
         if len(variables) >= 2:
             orders[register] = sorted(
                 variables, key=lambda v: (lifetimes[v].birth, v))

@@ -10,14 +10,18 @@ simultaneously), applies the pair with the smallest
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
+from ..alloc.binding import Binding
 from ..cost import CostModel
+from ..cost.library import ModuleLibrary
 from ..dfg import DFG
 from ..errors import SynthesisError
 from ..etpn.design import Design, Signature
 from ..etpn.from_dfg import default_design
 from ..runtime.budget import Budget
 from ..runtime.chaos import ChaosCrash, chaos_point
+from ..sched.resched import ConstraintSkeleton
 from ..testability import analyze
 from .candidates import CandidatePair, rank_candidates
 from .merger import MergeOutcome, try_merge
@@ -74,8 +78,42 @@ class SynthesisParams:
 #: What a design's ranking and merger outcomes are kept under: its
 #: signature, ``selection`` and ``order_strategy``.
 MemoKey = tuple[Signature, str, str]
-#: ``try_merge`` outcome per candidate pair; None when infeasible.
-Outcomes = dict[CandidatePair, MergeOutcome | None]
+#: A map kept as its keys (shared between maps with equal keys) and
+#: its values, in insertion order.
+_Packed = tuple[tuple[str, ...], tuple]
+
+
+@dataclass(frozen=True)
+class KeptOutcome:
+    """What a :class:`MergerMemo` keeps of one :class:`MergeOutcome`.
+
+    Enough for a later point to rank it in its window, record it and,
+    when it applies it, rebuild its design without a reschedule: the
+    merger, its ΔE and ΔH, the schedule and binding, and the design's
+    priced ``(bits, library, H)``.  The design, its lifetimes and its
+    data path are not kept.
+    """
+
+    kind: str
+    kept: str
+    absorbed: str
+    delta_e: float
+    delta_h: float
+    order: tuple[str, ...]
+    execution_time: int
+    steps: _Packed
+    module_of: _Packed
+    register_of: _Packed
+    area: tuple[int, ModuleLibrary, float] | None
+
+    def delta_c(self, alpha: float, beta: float) -> float:
+        """ΔC = α·ΔE + β·ΔH, the paper's selection objective."""
+        return alpha * self.delta_e + beta * self.delta_h
+
+
+#: Per candidate pair: what the memo keeps of its ``try_merge``
+#: outcome; None when infeasible.
+Outcomes = dict[CandidatePair, KeptOutcome | None]
 
 
 class MergerMemo:
@@ -92,6 +130,12 @@ class MergerMemo:
     decisions it takes alone.  An evaluation that raised is not kept,
     so every run that reaches it records its own skipped candidate.
 
+    The memo also holds the DFG's
+    :class:`~repro.sched.resched.ConstraintSkeleton`, so every
+    reschedule of the sweep shares its precedence edges, def/use ops and
+    serialisation edges.  Outcomes are kept as :class:`KeptOutcome`, so
+    the memo holds no design or data path.
+
     A memo serves one DFG (the same object) and one cost model (an
     equal one); :func:`synthesize` rejects any other.
     """
@@ -99,9 +143,49 @@ class MergerMemo:
     def __init__(self, dfg: DFG, cost_model: CostModel) -> None:
         self.dfg = dfg
         self.cost_model = cost_model
+        self.skeleton = ConstraintSkeleton(dfg)
         #: Per design: its ranked candidate pairs and the outcomes of
         #: the pairs evaluated so far.
         self.designs: dict[MemoKey, tuple[list[CandidatePair], Outcomes]] = {}
+        # One object per distinct pair and per distinct key tuple, shared
+        # by every ranking and kept outcome that holds one.
+        self._pairs: dict[CandidatePair, CandidatePair] = {}
+        self._keys: dict[tuple[str, ...], tuple[str, ...]] = {}
+
+    def ranking(self, pairs: list[CandidatePair]) -> list[CandidatePair]:
+        """``pairs``, each replaced by the memo's equal pair."""
+        shared = self._pairs.setdefault
+        return [shared(pair, pair) for pair in pairs]
+
+    def keep(self, outcome: MergeOutcome | None) -> KeptOutcome | None:
+        """What to keep of ``outcome``."""
+        if outcome is None:
+            return None
+        design = outcome.design
+        kept = KeptOutcome(
+            outcome.kind, outcome.kept, outcome.absorbed, outcome.delta_e,
+            outcome.delta_h, outcome.order, design.execution_time,
+            self._pack(design.steps), self._pack(design.binding.module_of),
+            self._pack(design.binding.register_of), design.datapath.area)
+        return kept
+
+    def design(self, outcome: KeptOutcome, label: str) -> Design:
+        """The design ``outcome`` produced, rebuilt from the kept schedule
+        and binding, its data path priced at the kept H: it is neither
+        rescheduled nor placed again."""
+        return Design(self.dfg, _unpack(outcome.steps),
+                      Binding(_unpack(outcome.module_of),
+                              _unpack(outcome.register_of)),
+                      label, area=outcome.area)
+
+    def _pack(self, mapping: dict) -> _Packed:
+        keys = tuple(mapping)
+        return self._keys.setdefault(keys, keys), tuple(mapping.values())
+
+
+def _unpack(packed: _Packed) -> dict:
+    keys, values = packed
+    return dict(zip(keys, values))
 
 
 def synthesize(dfg: DFG, params: SynthesisParams | None = None,
@@ -155,11 +239,11 @@ def synthesize(dfg: DFG, params: SynthesisParams | None = None,
                 f"budget_exhausted:{budget.reason} after "
                 f"{len(history)} mergers")
             break
-        outcome = _best_merger(design, params, cost_model, iteration,
-                               skipped, memo)
-        if outcome is None:
+        found = _best_merger(design, params, cost_model, iteration,
+                             skipped, memo)
+        if found is None:
             break
-        design = outcome.design.replaced(label=label)
+        outcome, design = found
         if params.debug_lint:
             _debug_lint(design, iteration, outcome)
         history.append(MergeRecord(
@@ -182,7 +266,7 @@ def synthesize(dfg: DFG, params: SynthesisParams | None = None,
                            degradation_reasons=degradation)
 
 
-def _debug_lint(design: Design, iteration: int, outcome: MergeOutcome) -> None:
+def _debug_lint(design: Design, iteration: int, outcome: KeptOutcome) -> None:
     """Fail fast when a merger produced an illegal design (debug aid)."""
     report = design.lint()
     if report.has_errors:
@@ -192,23 +276,24 @@ def _debug_lint(design: Design, iteration: int, outcome: MergeOutcome) -> None:
             f"({outcome.kind} {outcome.absorbed} -> {outcome.kept}): {detail}")
 
 
-def _admissible(params: SynthesisParams, outcome: MergeOutcome) -> bool:
+def _admissible(params: SynthesisParams, outcome: KeptOutcome,
+                design_of: Callable[[KeptOutcome], Design]) -> bool:
     if (params.max_execution_time is not None
-            and outcome.design.execution_time > params.max_execution_time):
+            and outcome.execution_time > params.max_execution_time):
         return False
-    if params.verify_mergers and not _merger_verified(outcome):
+    if params.verify_mergers and not _merger_verified(design_of(outcome)):
         return False
     return True
 
 
-def _merger_verified(outcome: MergeOutcome) -> bool:
+def _merger_verified(design: Design) -> bool:
     """Is the merged design point provably semantics-preserving?
 
     Imported lazily: the analysis package is an optional heavyweight
     dependency of the inner loop, paid only under ``verify_mergers``.
     """
     from ..analysis import merger_preserves_semantics
-    return merger_preserves_semantics(outcome.design)
+    return merger_preserves_semantics(design)
 
 
 def _rank(design: Design, selection: str) -> list[CandidatePair]:
@@ -222,7 +307,7 @@ def _rank(design: Design, selection: str) -> list[CandidatePair]:
 def _best_merger(design: Design, params: SynthesisParams,
                  cost_model: CostModel, iteration: int,
                  skipped: list[SkippedCandidate], memo: MergerMemo
-                 ) -> MergeOutcome | None:
+                 ) -> tuple[KeptOutcome, Design] | None:
     """Steps 3-14 of Algorithm 1 for one iteration.
 
     The k top balance-ranked pairs are costed and the cheapest ΔC wins.
@@ -236,11 +321,22 @@ def _best_merger(design: Design, params: SynthesisParams,
     key = (design.signature, params.selection, params.order_strategy)
     entry = memo.designs.get(key)
     if entry is None:
-        entry = memo.designs[key] = (_rank(design, params.selection), {})
+        entry = memo.designs[key] = (
+            memo.ranking(_rank(design, params.selection)), {})
     ranked, outcomes = entry
-    window: list[MergeOutcome] = []
+    window: list[KeptOutcome] = []
+    # The designs this walk evaluated, by the id of their kept outcome.
+    fresh: dict[int, Design] = {}
 
-    def improves(outcome: MergeOutcome) -> bool:
+    def design_of(outcome: KeptOutcome) -> Design:
+        """The design an outcome produced: the evaluated one when this
+        walk evaluated it, else one rebuilt from the memo."""
+        evaluated = fresh.get(id(outcome))
+        if evaluated is None:
+            return memo.design(outcome, design.label)
+        return evaluated.replaced(label=design.label)
+
+    def improves(outcome: KeptOutcome) -> bool:
         return outcome.delta_c(params.alpha, params.beta) < -1e-12
 
     for pair in ranked:
@@ -250,10 +346,15 @@ def _best_merger(design: Design, params: SynthesisParams,
             if pair in outcomes:
                 outcome = outcomes[pair]
             else:
-                outcome = outcomes[pair] = try_merge(
-                    design, pair.kind, pair.node_a, pair.node_b,
-                    cost_model, strategy=params.order_strategy)
-            if outcome is None or not _admissible(params, outcome):
+                merged = try_merge(design, pair.kind, pair.node_a,
+                                   pair.node_b, cost_model,
+                                   strategy=params.order_strategy,
+                                   skeleton=memo.skeleton)
+                outcome = outcomes[pair] = memo.keep(merged)
+                if merged is not None:
+                    fresh[id(outcome)] = merged.design
+            if outcome is None or not _admissible(params, outcome,
+                                                  design_of):
                 continue
         except ChaosCrash:
             raise  # simulated process death must not be absorbed
@@ -278,6 +379,6 @@ def _best_merger(design: Design, params: SynthesisParams,
         window = [o for o in window if improves(o)]
         if not window:
             return None
-    return min(window,
-               key=lambda o: (o.delta_c(params.alpha, params.beta),
-                              o.kind, o.kept, o.absorbed))
+    best = min(window, key=lambda o: (o.delta_c(params.alpha, params.beta),
+                                      o.kind, o.kept, o.absorbed))
+    return best, design_of(best)

@@ -26,19 +26,16 @@ class CandidatePair:
 
 
 def _creates_self_loop(design: Design, kind: str, a: str, b: str) -> bool:
-    """Would merging ``a`` and ``b`` close a module↔register loop?"""
+    """Would merging ``a`` and ``b`` close a module↔register loop?
+
+    It would when one node feeds the other: for modules, a register one
+    writes that the other reads; for registers, a module one feeds that
+    writes the other.  Either way an arc path ``a → x → b`` or
+    ``b → x → a``, whatever ``kind``.
+    """
     dp = design.datapath
-    if kind == "module":
-        reads_a = {arc.src for arc in dp.incoming(a)}
-        reads_b = {arc.src for arc in dp.incoming(b)}
-        feeds_a = {arc.dst for arc in dp.outgoing(a)}
-        feeds_b = {arc.dst for arc in dp.outgoing(b)}
-        return bool((feeds_a & reads_b) or (feeds_b & reads_a))
-    producers_a = {arc.src for arc in dp.incoming(a)}
-    producers_b = {arc.src for arc in dp.incoming(b)}
-    consumers_a = {arc.dst for arc in dp.outgoing(a)}
-    consumers_b = {arc.dst for arc in dp.outgoing(b)}
-    return bool((producers_a & consumers_b) or (producers_b & consumers_a))
+    return not (dp.fanout(a).isdisjoint(dp.fanin(b))
+                and dp.fanout(b).isdisjoint(dp.fanin(a)))
 
 
 def compatible_pairs(design: Design) -> list[CandidatePair]:
@@ -46,14 +43,14 @@ def compatible_pairs(design: Design) -> list[CandidatePair]:
     from ..alloc.binding import module_unit_class
 
     pairs: list[CandidatePair] = []
-    modules = sorted(design.binding.modules())
+    modules = list(design.binding.module_groups())
     classes = {m: module_unit_class(design.dfg, design.binding, m)
                for m in modules}
     for i, a in enumerate(modules):
         for b in modules[i + 1:]:
             if classes[a] == classes[b]:
                 pairs.append(CandidatePair("module", a, b))
-    registers = sorted(design.binding.registers())
+    registers = list(design.binding.register_groups())
     for i, a in enumerate(registers):
         for b in registers[i + 1:]:
             pairs.append(CandidatePair("register", a, b))
@@ -104,9 +101,8 @@ def rank_candidates_connectivity(design: Design,
     dp = design.datapath
 
     def closeness(pair: CandidatePair) -> int:
-        def neighbours(node: str) -> set[str]:
-            return ({a.src for a in dp.incoming(node)}
-                    | {a.dst for a in dp.outgoing(node)})
+        def neighbours(node: str) -> frozenset[str]:
+            return dp.fanin(node) | dp.fanout(node)
         return len(neighbours(pair.node_a) & neighbours(pair.node_b))
 
     return sorted(pairs, key=lambda p: (-closeness(p), p.kind, p.node_a,

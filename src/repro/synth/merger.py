@@ -17,12 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..alloc.binding import module_unit_class
 from ..cost import CostModel
+from ..dfg.lifetime import DefUse
 from ..errors import BindingError
 from ..etpn.design import Design
 from ..runtime.chaos import chaos_point
-from ..sched.resched import (current_module_orders, lifetime_orders,
-                             merge_order_candidates, reschedule)
+from ..sched.resched import (ConstraintSkeleton, merge_order_candidates,
+                             reschedule)
 
 
 @dataclass(frozen=True)
@@ -42,13 +44,13 @@ class MergeOutcome:
         return alpha * self.delta_e + beta * self.delta_h
 
 
-def _schedule_depth(design: Design) -> float:
+def _schedule_depth(design: Design, def_use: DefUse) -> float:
     """Time-domain SR1 proxy: total steps values spend in registers."""
-    return float(sum(lt.span for lt in design.lifetimes.values()))
+    return float(sum(lt.span for lt in def_use.lifetimes(design.steps).values()))
 
 
 def _pick_best(design: Design, candidates: list[Design],
-               strategy: str = "enhance") -> Design | None:
+               strategy: str, def_use: DefUse) -> Design | None:
     """Choose between merge-order candidates.
 
     ``"enhance"`` applies the C/O enhancement strategy (SR1/SR2 via the
@@ -63,45 +65,50 @@ def _pick_best(design: Design, candidates: list[Design],
     base_e = design.execution_time
 
     def strategy_key(cand: Design) -> tuple[float, float]:
-        return (_schedule_depth(cand), cand.execution_time - base_e)
+        return (_schedule_depth(cand, def_use), cand.execution_time - base_e)
 
     return min(candidates, key=strategy_key)
 
 
 def try_merge_modules(design: Design, keep: str, absorb: str,
                       cost_model: CostModel,
-                      strategy: str = "enhance") -> MergeOutcome | None:
+                      strategy: str = "enhance",
+                      skeleton: ConstraintSkeleton | None = None
+                      ) -> MergeOutcome | None:
     """Attempt to merge two modules; None when infeasible.
 
     Infeasible cases: incompatible unit classes, or no interleaving of
-    the two execution orders admits a legal schedule.
+    the two execution orders admits a legal schedule.  ``skeleton`` is
+    the DFG's :class:`~repro.sched.resched.ConstraintSkeleton` when the
+    caller keeps one.
     """
     dfg = design.dfg
     try:
         new_binding = design.binding.merge_modules(keep, absorb)
-        from ..alloc.binding import module_unit_class
         module_unit_class(dfg, new_binding, keep)
     except BindingError:
         return None
-    seq_keep = sorted(design.binding.ops_on(keep),
+    skeleton = skeleton or ConstraintSkeleton(dfg)
+    groups = design.binding.module_groups()
+    seq_keep = sorted(groups.get(keep, ()),
                       key=lambda o: (design.steps[o], o))
-    seq_absorb = sorted(design.binding.ops_on(absorb),
-                        key=lambda o: (design.steps[o], o))
-    module_orders = current_module_orders(dfg, design.binding, design.steps)
+    seq_absorb = sorted(groups[absorb], key=lambda o: (design.steps[o], o))
+    module_orders = dict(design.module_orders)
     module_orders.pop(absorb, None)
-    register_orders = lifetime_orders(design.binding, design.lifetimes)
+    register_orders = design.register_orders
     candidates: list[Design] = []
     orders: dict[int, tuple[str, ...]] = {}
     for order in merge_order_candidates(seq_keep, seq_absorb, design.steps):
         order = chaos_point("synth.pre_reschedule", order)
         steps = reschedule(dfg, new_binding,
-                           {**module_orders, keep: order}, register_orders)
+                           {**module_orders, keep: order}, register_orders,
+                           skeleton=skeleton)
         if steps is None:
             continue
         cand = design.replaced(steps=steps, binding=new_binding)
         orders[id(cand)] = tuple(order)
         candidates.append(cand)
-    best = _pick_best(design, candidates, strategy)
+    best = _pick_best(design, candidates, strategy, skeleton.def_use)
     if best is None:
         return None
     delta_e, delta_h = cost_model.delta(design, best)
@@ -111,18 +118,22 @@ def try_merge_modules(design: Design, keep: str, absorb: str,
 
 def try_merge_registers(design: Design, keep: str, absorb: str,
                         cost_model: CostModel,
-                        strategy: str = "enhance") -> MergeOutcome | None:
+                        strategy: str = "enhance",
+                        skeleton: ConstraintSkeleton | None = None
+                        ) -> MergeOutcome | None:
     """Attempt to merge two registers; None when infeasible.
 
     The paper's impossible cases — circular dependences between the
     lifetime-determining operations, or one operation reading both
     variables — surface as constraint-graph cycles and yield None.
+    ``skeleton`` is as for :func:`try_merge_modules`.
     """
     dfg = design.dfg
     try:
         new_binding = design.binding.merge_registers(keep, absorb)
     except BindingError:
         return None
+    skeleton = skeleton or ConstraintSkeleton(dfg)
     lifetimes = design.lifetimes
 
     def birth(var: str) -> int:
@@ -131,26 +142,26 @@ def try_merge_registers(design: Design, keep: str, absorb: str,
         lt = lifetimes.get(var)
         return lt.birth if lt is not None else -(10 ** 9)
 
-    seq_keep = sorted(design.binding.vars_in(keep),
-                      key=lambda v: (birth(v), v))
-    seq_absorb = sorted(design.binding.vars_in(absorb),
-                        key=lambda v: (birth(v), v))
+    groups = design.binding.register_groups()
+    seq_keep = sorted(groups.get(keep, ()), key=lambda v: (birth(v), v))
+    seq_absorb = sorted(groups[absorb], key=lambda v: (birth(v), v))
     birth_rank = {v: birth(v) for v in seq_keep + seq_absorb}
-    module_orders = current_module_orders(dfg, design.binding, design.steps)
-    register_orders = lifetime_orders(design.binding, lifetimes)
+    module_orders = design.module_orders
+    register_orders = dict(design.register_orders)
     register_orders.pop(absorb, None)
     candidates: list[Design] = []
     orders: dict[int, tuple[str, ...]] = {}
     for order in merge_order_candidates(seq_keep, seq_absorb, birth_rank):
         order = chaos_point("synth.pre_reschedule", order)
         steps = reschedule(dfg, new_binding, module_orders,
-                           {**register_orders, keep: order})
+                           {**register_orders, keep: order},
+                           skeleton=skeleton)
         if steps is None:
             continue
         cand = design.replaced(steps=steps, binding=new_binding)
         orders[id(cand)] = tuple(order)
         candidates.append(cand)
-    best = _pick_best(design, candidates, strategy)
+    best = _pick_best(design, candidates, strategy, skeleton.def_use)
     if best is None:
         return None
     delta_e, delta_h = cost_model.delta(design, best)
@@ -160,12 +171,14 @@ def try_merge_registers(design: Design, keep: str, absorb: str,
 
 def try_merge(design: Design, kind: str, node_a: str, node_b: str,
               cost_model: CostModel,
-              strategy: str = "enhance") -> MergeOutcome | None:
+              strategy: str = "enhance",
+              skeleton: ConstraintSkeleton | None = None
+              ) -> MergeOutcome | None:
     """Dispatch on merger kind (``"module"`` or ``"register"``)."""
     if kind == "module":
         return try_merge_modules(design, node_a, node_b, cost_model,
-                                 strategy)
+                                 strategy, skeleton)
     if kind == "register":
         return try_merge_registers(design, node_a, node_b, cost_model,
-                                   strategy)
+                                   strategy, skeleton)
     raise ValueError(f"unknown merger kind {kind!r}")

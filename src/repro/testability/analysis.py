@@ -15,8 +15,6 @@ the controller can be modified to support the test plan (§1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..dfg.ops import OpKind
 from ..etpn.datapath import DataPath, DataPathArc, NodeKind
 from .metrics import LineTestability, NodeTestability, UNREACHABLE_DEPTH
@@ -51,41 +49,213 @@ CONST_CC = 0.5
 _EPS = 1e-9
 _MAX_ITERATIONS = 200
 
-
-@dataclass(frozen=True)
-class _CV:
-    """A (combinational, sequential) controllability or observability pair."""
-
-    c: float
-    s: float
-
-    def score(self) -> float:
-        return self.c / (1.0 + self.s)
-
-    def better(self, other: "_CV") -> bool:
-        return self.score() > other.score() + _EPS
+#: A (combinational, sequential) controllability or observability pair.
+#: Values are ranked by the score ``c / (1 + s)``; one is better than
+#: another when its score is higher by more than ``_EPS``.
+Value = tuple[float, float]
+_ZERO: Value = (0.0, UNREACHABLE_DEPTH)
+_OBSERVED: Value = (1.0, 0.0)
 
 
-_ZERO = _CV(0.0, UNREACHABLE_DEPTH)
+class Fixpoint:
+    """The relaxed CC/SC and CO/SO values of one data path.
+
+    It holds no reference to the data path, so the data path can keep
+    it (see :func:`analyze`) without a reference cycle.
+
+    Each module's transfer factors are read once.  Each module input's
+    controllability, and so each side input's, is read once after the
+    forward pass, the last to change it.  Values are plain float pairs
+    updated in the original order, so every value and every iteration
+    count equals that of one ``(c, s)`` object per update.
+    """
+
+    __slots__ = ("out_ctrl", "node_obs", "arc_obs", "nodes",
+                 "forward_converged", "backward_converged")
+
+    def __init__(self, datapath: DataPath) -> None:
+        #: Did the forward (controllability) / backward (observability)
+        #: relaxations reach a fixed point within ``_MAX_ITERATIONS``?
+        #: When False the values are the last iterate, not the fixed
+        #: point; lint rule TST004 surfaces this.
+        self.forward_converged = False
+        self.backward_converged = False
+        #: Node id -> the controllability of its output.
+        self.out_ctrl: dict[str, Value] = {}
+        #: Node id -> its observability (best out-arc).
+        self.node_obs: dict[str, Value] = {}
+        #: (src, dst, port) -> the observability of that arc.
+        self.arc_obs: dict[tuple[str, str, int], Value] = {}
+        #: Node id -> its node-level measures (paper §3).
+        self.nodes: dict[str, NodeTestability] = {}
+        ports_ctrl = self._forward(datapath)
+        self._backward(datapath, ports_ctrl)
+        for node_id in datapath.nodes:
+            self.nodes[node_id] = self._node(datapath, node_id)
+
+    # ------------------------------------------------------------------
+    # Forward: controllability
+    # ------------------------------------------------------------------
+    def _forward(self, dp: DataPath) -> dict[str, list[Value]]:
+        """Relax controllability; each module's final input values."""
+        out = self.out_ctrl
+        score: dict[str, float] = {}
+        for node_id, node in dp.nodes.items():
+            if node.kind == NodeKind.PORT_IN:
+                value = (1.0, 0.0)
+            elif node.kind == NodeKind.CONST:
+                value = (CONST_CC, 0.0)
+            else:
+                value = _ZERO
+            out[node_id] = value
+            score[node_id] = value[0] / (1.0 + value[1])
+        # Registers and modules with inputs in id order: (node, transfer
+        # factor or None for a register, each input port's sources).
+        work: list[tuple[str, float | None, list[tuple[str, ...]]]] = []
+        for node_id in sorted(dp.nodes):
+            kind = dp.nodes[node_id].kind
+            ports = dp.port_sources(node_id)
+            if kind == NodeKind.REGISTER:
+                work.append((node_id, None, [ports.get(0, ())]))
+            elif kind == NodeKind.MODULE and ports:
+                work.append((node_id, _module_factor(dp, node_id, CTF),
+                             list(ports.values())))
+
+        def port_ctrl(sources: tuple[str, ...]) -> Value:
+            """Controllability of one input port: best source wins (a
+            mux lets the test choose the easiest path)."""
+            best, top = _ZERO, 0.0
+            for src in sources:
+                if score[src] > top + _EPS:
+                    best, top = out[src], score[src]
+            return best
+
+        for _ in range(_MAX_ITERATIONS):
+            changed = False
+            for node_id, factor, ports_sources in work:
+                if factor is None:
+                    c, s = port_ctrl(ports_sources[0])
+                    candidate = (c, min(s + 1.0, UNREACHABLE_DEPTH))
+                else:
+                    values = [port_ctrl(sources) for sources in ports_sources]
+                    candidate = (factor * min(v[0] for v in values),
+                                 max(v[1] for v in values))
+                candidate_score = candidate[0] / (1.0 + candidate[1])
+                if candidate_score > score[node_id] + _EPS:
+                    out[node_id] = candidate
+                    score[node_id] = candidate_score
+                    changed = True
+            if not changed:
+                self.forward_converged = True
+                break
+        return {node_id: [port_ctrl(sources) for sources in ports_sources]
+                for node_id, factor, ports_sources in work
+                if factor is not None}
+
+    # ------------------------------------------------------------------
+    # Backward: observability
+    # ------------------------------------------------------------------
+    def _backward(self, dp: DataPath,
+                  ports_ctrl: dict[str, list[Value]]) -> None:
+        obs = self.node_obs
+        obs.update(dict.fromkeys(dp.nodes, _ZERO))
+        score = dict.fromkeys(dp.nodes, 0.0)
+        kinds = {node_id: node.kind for node_id, node in dp.nodes.items()}
+        factors = {node_id: _module_factor(dp, node_id, OTF)
+                   for node_id in ports_ctrl}
+        # Per module input port, the worst CC among the other inputs.
+        side: dict[tuple[str, int], float] = {}
+        for node_id, ctrl in ports_ctrl.items():
+            ports = list(dp.port_sources(node_id))
+            for port in ports:
+                side_cc = 1.0
+                for other, value in zip(ports, ctrl):
+                    if other != port:
+                        side_cc = min(side_cc, value[0])
+                side[node_id, port] = side_cc
+
+        def arc_obs(dst: str, port: int) -> Value:
+            kind = kinds[dst]
+            if kind in (NodeKind.PORT_OUT, NodeKind.COND):
+                return _OBSERVED
+            if kind == NodeKind.REGISTER:
+                c, s = obs[dst]
+                return (c, min(s + 1.0, UNREACHABLE_DEPTH))
+            if kind == NodeKind.MODULE:
+                c, s = obs[dst]
+                return (factors[dst] * c * side[dst, port], s)
+            return _ZERO
+
+        # Nodes with out-arcs in id order, with their (dst, port) pairs.
+        work = [(node_id, [(a.dst, a.port) for a in dp.outgoing(node_id)])
+                for node_id in sorted(dp.nodes) if dp.outgoing(node_id)]
+        for _ in range(_MAX_ITERATIONS):
+            changed = False
+            for node_id, arcs in work:
+                best, top = _ZERO, 0.0
+                for dst, port in arcs:
+                    value = arc_obs(dst, port)
+                    value_score = value[0] / (1.0 + value[1])
+                    if value_score > top + _EPS:
+                        best, top = value, value_score
+                if top > score[node_id] + _EPS:
+                    obs[node_id] = best
+                    score[node_id] = top
+                    changed = True
+            if not changed:
+                self.backward_converged = True
+                break
+        for arc in dp.arcs:
+            self.arc_obs[(arc.src, arc.dst, arc.port)] = \
+                arc_obs(arc.dst, arc.port)
+
+    # ------------------------------------------------------------------
+    def _node(self, dp: DataPath, node_id: str) -> NodeTestability:
+        """Controllability = best input line; observability = best
+        output line.  Ports use their intrinsic values."""
+        kind = dp.nodes[node_id].kind
+        if kind in (NodeKind.PORT_IN, NodeKind.CONST):
+            ctrl = self.out_ctrl[node_id]
+        else:
+            ctrl, top = _ZERO, 0.0
+            for arc in dp.incoming(node_id):
+                value = self.out_ctrl.get(arc.src, _ZERO)
+                value_score = value[0] / (1.0 + value[1])
+                if value_score > top + _EPS:
+                    ctrl, top = value, value_score
+        if kind in (NodeKind.PORT_OUT, NodeKind.COND):
+            obs = _OBSERVED
+        else:
+            obs = self.node_obs[node_id]
+        return NodeTestability(node_id, cc=ctrl[0], sc=ctrl[1],
+                               co=obs[0], so=obs[1])
+
+
+def _module_factor(dp: DataPath, node_id: str,
+                   factors: dict[OpKind, float]) -> float:
+    """Best transfer factor over the ops a module can execute."""
+    operation = dp.dfg.operation
+    return max(factors[operation(o).kind] for o in dp.nodes[node_id].ops)
 
 
 class TestabilityAnalysis:
     """CC/SC/CO/SO values for every arc and node of a data path."""
 
-    def __init__(self, datapath: DataPath) -> None:
+    def __init__(self, datapath: DataPath,
+                 fixpoint: Fixpoint | None = None) -> None:
         self.datapath = datapath
-        self._out_ctrl: dict[str, _CV] = {}
-        self._arc_obs: dict[tuple[str, str, int], _CV] = {}
-        self._node_obs: dict[str, _CV] = {}
-        #: Did the forward (controllability) / backward (observability)
-        #: relaxations reach a fixed point within ``_MAX_ITERATIONS``?
-        #: When False the values below are the last iterate, not the
-        #: fixed point — lint rule TST004 surfaces this instead of the
-        #: analysis silently using unconverged numbers.
-        self.forward_converged = False
-        self.backward_converged = False
-        self._run_forward()
-        self._run_backward()
+        #: The values; relaxed here unless given.
+        self.fixpoint = Fixpoint(datapath) if fixpoint is None else fixpoint
+
+    @property
+    def forward_converged(self) -> bool:
+        """Did the controllability relaxation reach its fixed point?"""
+        return self.fixpoint.forward_converged
+
+    @property
+    def backward_converged(self) -> bool:
+        """Did the observability relaxation reach its fixed point?"""
+        return self.fixpoint.backward_converged
 
     @property
     def converged(self) -> bool:
@@ -93,109 +263,14 @@ class TestabilityAnalysis:
         return self.forward_converged and self.backward_converged
 
     # ------------------------------------------------------------------
-    # Forward: controllability
-    # ------------------------------------------------------------------
-    def _module_ctf(self, node_id: str) -> float:
-        """Best transfer factor over the ops a module can execute."""
-        node = self.datapath.nodes[node_id]
-        return max(CTF[self.datapath.dfg.operation(o).kind] for o in node.ops)
-
-    def _module_otf(self, node_id: str) -> float:
-        node = self.datapath.nodes[node_id]
-        return max(OTF[self.datapath.dfg.operation(o).kind] for o in node.ops)
-
-    def _port_ctrl(self, node_id: str, port: int) -> _CV:
-        """Controllability of one input port: best source wins (a mux
-        lets the test choose the easiest path)."""
-        best = _ZERO
-        for src in self.datapath.sources_of_port(node_id, port):
-            value = self._out_ctrl.get(src, _ZERO)
-            if value.better(best):
-                best = value
-        return best
-
-    def _run_forward(self) -> None:
-        dp = self.datapath
-        for node in dp.nodes.values():
-            if node.kind == NodeKind.PORT_IN:
-                self._out_ctrl[node.node_id] = _CV(1.0, 0.0)
-            elif node.kind == NodeKind.CONST:
-                self._out_ctrl[node.node_id] = _CV(CONST_CC, 0.0)
-            else:
-                self._out_ctrl[node.node_id] = _ZERO
-        order = sorted(dp.nodes)
-        for _ in range(_MAX_ITERATIONS):
-            changed = False
-            for node_id in order:
-                node = dp.nodes[node_id]
-                if node.kind == NodeKind.REGISTER:
-                    inp = self._port_ctrl(node_id, 0)
-                    candidate = _CV(inp.c, min(inp.s + 1.0, UNREACHABLE_DEPTH))
-                elif node.kind == NodeKind.MODULE:
-                    ports = dp.input_ports(node_id)
-                    if not ports:
-                        continue
-                    values = [self._port_ctrl(node_id, p) for p in ports]
-                    cc = self._module_ctf(node_id) * min(v.c for v in values)
-                    sc = max(v.s for v in values)
-                    candidate = _CV(cc, sc)
-                else:
-                    continue
-                if candidate.better(self._out_ctrl[node_id]):
-                    self._out_ctrl[node_id] = candidate
-                    changed = True
-            if not changed:
-                self.forward_converged = True
-                break
-
-    # ------------------------------------------------------------------
-    # Backward: observability
-    # ------------------------------------------------------------------
-    def _arc_observability(self, arc: DataPathArc) -> _CV:
-        dst = self.datapath.nodes[arc.dst]
-        if dst.kind in (NodeKind.PORT_OUT, NodeKind.COND):
-            return _CV(1.0, 0.0)
-        if dst.kind == NodeKind.REGISTER:
-            out = self._node_obs.get(arc.dst, _ZERO)
-            return _CV(out.c, min(out.s + 1.0, UNREACHABLE_DEPTH))
-        if dst.kind == NodeKind.MODULE:
-            out = self._node_obs.get(arc.dst, _ZERO)
-            side_cc = 1.0
-            for port in self.datapath.input_ports(arc.dst):
-                if port != arc.port:
-                    side_cc = min(side_cc, self._port_ctrl(arc.dst, port).c)
-            return _CV(self._module_otf(arc.dst) * out.c * side_cc, out.s)
-        return _ZERO
-
-    def _run_backward(self) -> None:
-        dp = self.datapath
-        for node_id in dp.nodes:
-            self._node_obs[node_id] = _ZERO
-        for _ in range(_MAX_ITERATIONS):
-            changed = False
-            for node_id in sorted(dp.nodes):
-                best = _ZERO
-                for arc in dp.outgoing(node_id):
-                    value = self._arc_observability(arc)
-                    if value.better(best):
-                        best = value
-                if best.better(self._node_obs[node_id]):
-                    self._node_obs[node_id] = best
-                    changed = True
-            if not changed:
-                self.backward_converged = True
-                break
-        self._arc_obs = {(a.src, a.dst, a.port): self._arc_observability(a)
-                         for a in dp.arcs}
-
-    # ------------------------------------------------------------------
     # Public accessors
     # ------------------------------------------------------------------
     def line(self, arc: DataPathArc) -> LineTestability:
         """The four measures of one arc."""
-        ctrl = self._out_ctrl.get(arc.src, _ZERO)
-        obs = self._arc_obs.get((arc.src, arc.dst, arc.port), _ZERO)
-        return LineTestability(cc=ctrl.c, sc=ctrl.s, co=obs.c, so=obs.s)
+        cc, sc = self.fixpoint.out_ctrl.get(arc.src, _ZERO)
+        co, so = self.fixpoint.arc_obs.get((arc.src, arc.dst, arc.port),
+                                           _ZERO)
+        return LineTestability(cc=cc, sc=sc, co=co, so=so)
 
     def node(self, node_id: str) -> NodeTestability:
         """Node-level testability (paper §3).
@@ -203,27 +278,11 @@ class TestabilityAnalysis:
         Controllability = best input line; observability = best output
         line.  Ports use their intrinsic values.
         """
-        dp = self.datapath
-        kind = dp.nodes[node_id].kind
-        if kind in (NodeKind.PORT_IN, NodeKind.CONST):
-            ctrl = self._out_ctrl[node_id]
-        else:
-            incoming = dp.incoming(node_id)
-            ctrl = _ZERO
-            for arc in incoming:
-                value = self._out_ctrl.get(arc.src, _ZERO)
-                if value.better(ctrl):
-                    ctrl = value
-        if kind in (NodeKind.PORT_OUT, NodeKind.COND):
-            obs = _CV(1.0, 0.0)
-        else:
-            obs = self._node_obs[node_id]
-        return NodeTestability(node_id, cc=ctrl.c, sc=ctrl.s,
-                               co=obs.c, so=obs.s)
+        return self.fixpoint.nodes[node_id]
 
     def all_nodes(self) -> dict[str, NodeTestability]:
         """Node testability for every data-path node."""
-        return {node_id: self.node(node_id) for node_id in self.datapath.nodes}
+        return dict(self.fixpoint.nodes)
 
     def design_quality(self) -> float:
         """Mean worst-dimension score over modules and registers.
@@ -241,19 +300,15 @@ class TestabilityAnalysis:
 def analyze(datapath: DataPath) -> TestabilityAnalysis:
     """Run (or recall) the testability analysis of a data path.
 
-    Memoised on datapath *identity*: designs are immutable once built
-    (``Design.replaced`` creates new objects and ``Design.datapath`` is
-    a cached property), so a datapath's analysis never changes over its
-    lifetime.  Repeated calls with the same object — Algorithm 1's
-    candidate ranking re-analysing the design its final iteration just
-    analysed, ``run_cell`` and ``explore`` pricing that same design —
-    return the cached :class:`TestabilityAnalysis` instead of
-    re-propagating the fixpoint.  The memo lives on the datapath object
-    (not in a global table), so its lifetime is exactly the datapath's
-    and a copied object is detected and re-analysed.
+    The :class:`Fixpoint` is kept on the data path, whose nodes and arcs
+    never change: Algorithm 1's candidate ranking re-analysing the
+    design its final iteration just analysed, and ``run_cell`` and
+    ``explore`` pricing that same design, recall it instead of
+    re-propagating.  The fixpoint holds no reference back to the data
+    path, so both are freed by reference counting when the data path
+    is dropped, with no reference cycle for the cycle collector.
     """
-    analysis = getattr(datapath, "_analysis_memo", None)
-    if analysis is None or analysis.datapath is not datapath:
-        analysis = TestabilityAnalysis(datapath)
-        datapath._analysis_memo = analysis  # type: ignore[attr-defined]
-    return analysis
+    fixpoint = datapath.testability
+    if fixpoint is None:
+        fixpoint = datapath.testability = Fixpoint(datapath)
+    return TestabilityAnalysis(datapath, fixpoint)
