@@ -58,7 +58,6 @@ class DefUse:
     """
 
     def __init__(self, dfg: DFG) -> None:
-        self.dfg = dfg
         #: (name, is_input, is_output, def ops, use ops) of every
         #: register-needing variable that some op defines or reads, in
         #: the DFG's variable order; the ops in program order.

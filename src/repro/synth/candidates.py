@@ -25,13 +25,13 @@ class CandidatePair:
     node_b: str
 
 
-def _creates_self_loop(design: Design, kind: str, a: str, b: str) -> bool:
+def _creates_self_loop(design: Design, a: str, b: str) -> bool:
     """Would merging ``a`` and ``b`` close a module↔register loop?
 
-    It would when one node feeds the other: for modules, a register one
-    writes that the other reads; for registers, a module one feeds that
-    writes the other.  Either way an arc path ``a → x → b`` or
-    ``b → x → a``, whatever ``kind``.
+    It would when one node feeds the other through a third: for modules,
+    a register one writes and the other reads; for registers, a module
+    one feeds and that writes the other.  Either way an arc path
+    ``a → x → b`` or ``b → x → a``.
     """
     dp = design.datapath
     return not (dp.fanout(a).isdisjoint(dp.fanin(b))
@@ -74,7 +74,7 @@ def rank_candidates(design: Design, analysis: TestabilityAnalysis,
     def key(pair: CandidatePair):
         score = balance_score(nodes[pair.node_a], nodes[pair.node_b])
         quality, complement = score.key()
-        loop = _creates_self_loop(design, pair.kind, pair.node_a, pair.node_b)
+        loop = _creates_self_loop(design, pair.node_a, pair.node_b)
         return (-quality, -complement, loop, pair.kind, pair.node_a,
                 pair.node_b)
 
