@@ -83,20 +83,13 @@ class CostModel:
         muxes = 0.0
         for node_id in datapath.nodes:
             for sources in datapath.port_sources(node_id).values():
-                if len(sources) > 1:  # a single source needs no mux
-                    muxes += library.mux_area(len(sources),
-                                              width(node_id, bits))
+                muxes += library.mux_area(len(sources), width(node_id, bits))
         wiring = 0.0
-        positions = plan.positions
-        pitch = plan.slot_pitch_mm
-        wire_width = library.wire_width
         for arc in datapath.arcs:
             wire_bits = 1 if arc.is_condition else min(width(arc.src, bits),
                                                        width(arc.dst, bits))
-            # Len(A) as Floorplan.wirelength_mm gives it, inlined.
-            (sx, sy), (dx, dy) = positions[arc.src], positions[arc.dst]
-            wiring += (max(abs(sx - dx) + abs(sy - dy), 1) * pitch
-                       * wire_width(wire_bits))
+            wiring += (plan.wirelength_mm(arc.src, arc.dst)
+                       * library.wire_width(wire_bits))
         return HardwareCost(units, registers, muxes, wiring)
 
     def hardware_total(self, datapath: DataPath) -> float:
