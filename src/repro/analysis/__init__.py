@@ -8,37 +8,25 @@ transformations are semantics-preserving, checked per design point.
 :func:`analyze_design` bundles it for one design point; the
 ``repro-hlts analyze`` CLI subcommand, the ``analysis`` lint layer and
 ``SynthesisParams(verify_mergers=True)`` all go through it.
-
-:mod:`repro.analysis.timing` extends the family below the RTL:
-:func:`analyze_timing` runs deterministic static timing analysis over
-the expanded gate netlist (arrivals, slack, false-path pruning), and
-the ``timing`` lint layer and ``repro-hlts timing`` expose it.
 """
 
 from .dataflow import (AbstractValue, DataflowCertificate, analyze_dataflow,
                        infer_feedback)
 from .equivalence import (COMMUTATIVE, Divergence, EquivalenceCertificate,
                           ValueNumbering, certify)
-from .timing import (DEFAULT_TABLE, DelayTable, TimingReport, analyze_timing,
-                     default_period)
 from .verify import AnalysisResult, analyze_design, merger_preserves_semantics
 
 __all__ = [
     "AbstractValue",
     "AnalysisResult",
     "COMMUTATIVE",
-    "DEFAULT_TABLE",
-    "DelayTable",
-    "TimingReport",
     "DataflowCertificate",
     "Divergence",
     "EquivalenceCertificate",
     "ValueNumbering",
     "analyze_dataflow",
     "analyze_design",
-    "analyze_timing",
     "certify",
-    "default_period",
     "infer_feedback",
     "merger_preserves_semantics",
 ]

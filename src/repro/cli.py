@@ -12,9 +12,6 @@ Examples::
     repro-hlts analyze                # equivalence certificates
     repro-hlts analyze ewf --flow default --format json
     repro-hlts dataflow diffeq --bits 8 --narrow
-    repro-hlts timing                 # STA every benchmark, default period
-    repro-hlts timing tseng --flow ours --period 150 -v
-    repro-hlts bench-dataflow         # write BENCH_dataflow.json
     repro-hlts table1 --workers 4 --cache-dir .repro-cache
 
 Each subcommand is one row of :func:`_commands`.
@@ -316,34 +313,6 @@ def _analyze_command(args) -> int:
     return _print_results(args, results, flow=args.flow, strict=args.strict)
 
 
-def _timing_command(args) -> int:
-    """The ``timing`` subcommand: static timing analysis of the gates."""
-    from .analysis.timing import analyze_timing
-    from .gates import expand_to_gates
-    from .rtl import generate_rtl
-
-    results: list[TargetResult] = []
-    for target, design in _designs(args, "timing"):
-        netlist = expand_to_gates(generate_rtl(design, args.bits))
-        report = analyze_timing(
-            netlist, bits=args.bits, period=args.period, k_paths=args.paths,
-            sequential_constants=args.sequential_constants)
-        ok = report.ok and (not args.strict or not report.unconstrained())
-        lines = [f"== {report.summary()} [{_status(ok)}]"]
-        lines += [f"   VIOLATED {e.kind} {e.name}: slack {e.slack:+.2f} "
-                  f"(arrival {e.arrival:.2f}, {e.levels} levels)"
-                  for e in report.violations()]
-        lines += [f"   unconstrained {e.kind} {e.name}: cone proved "
-                  f"constant" for e in report.unconstrained()]
-        lines += [f"   skipped {e.kind} {e.name}: {e.skip_reason}"
-                  for e in report.skipped()]
-        if args.verbose:
-            lines += [f"   {path.format()}" for path in report.paths]
-        results.append((ok, {"target": target, "cmd_ok": ok,
-                             **report.to_dict()}, lines))
-    return _print_results(args, results, flow=args.flow, strict=args.strict)
-
-
 def _dataflow_command(args) -> int:
     """The ``dataflow`` subcommand: abstract-interpretation facts,
     certificate self-check, DFA findings and optional width narrowing."""
@@ -384,20 +353,6 @@ def _dataflow_command(args) -> int:
                 "narrowing": narrow.to_dict() if narrow else None,
                 **report.to_dict()}, lines))
     return _print_results(args, results, strict=args.strict)
-
-
-def _bench_dataflow_command(args) -> int:
-    from .harness.bench_dataflow import run_bench_dataflow
-    report = run_bench_dataflow(
-        bits=args.bits, repeats=args.repeats, vectors=args.vectors,
-        input_bits=args.input_bits, output=args.output, progress=_progress)
-    print(f"wrote {args.output}: {report['cells_total']} cells, "
-          f"certs ok: {report['all_certs_ok']}, "
-          f"benchmarks with pruned faults: "
-          f"{report['benchmarks_with_pruned']}, "
-          f"with narrowing savings: "
-          f"{report['benchmarks_with_area_delta']}")
-    return 0 if report["all_certs_ok"] else 1
 
 
 #: One ``add_argument`` call: (flags, keyword arguments).
@@ -458,19 +413,9 @@ def _commands() -> list[Command]:
                      "allocation (default: ours)")
     strict = _arg("--strict", action="store_true",
                   help="treat warnings as failures for the exit status")
-    vectors = _arg("--vectors", type=int, default=64,
-                   help="random vectors per certificate self-check "
-                        "(default: 64)")
 
     def verbose(help_: str) -> Argument:
         return _arg("-v", "--verbose", action="store_true", help=help_)
-
-    def writes(output: str, repeats: int) -> list[Argument]:
-        return [_arg("--repeats", type=int, default=repeats,
-                     help=f"timing repeats; the minimum is recorded "
-                          f"(default: {repeats})"),
-                _arg("--output", default=output,
-                     help=f"output path (default: {output})")]
 
     tables = [(f"table{n}", f"reproduce table{n} ({bench})", _table_command,
                [bits_list, *journal, *parallel], {"benchmark": bench})
@@ -537,7 +482,10 @@ def _commands() -> list[Command]:
         ("dataflow",
          "abstract-interpretation dataflow facts: value ranges, known "
          "bits, certificate self-check, DFA findings", _dataflow_command,
-         [targets, bits_list, vectors,
+         [targets, bits_list,
+          _arg("--vectors", type=int, default=64,
+               help="random vectors per certificate self-check "
+                    "(default: 64)"),
           _arg("--input-bits", type=_width, default=None,
                help="assume primary inputs occupy at most this many bits "
                     "(default: the full datapath width)"),
@@ -546,29 +494,6 @@ def _commands() -> list[Command]:
                     "equivalence-gated width-narrowing area delta"),
           flow, strict, fmt,
           verbose("also print the per-variable abstract values")], {}),
-        ("timing",
-         "static timing analysis: arrivals, slack, K worst paths over the "
-         "expanded gate netlist", _timing_command,
-         [targets, flow, bits,
-          _arg("--period", type=float, default=None,
-               help="clock period in gate units (default: the "
-                    "library-implied period at --bits)"),
-          _arg("--paths", type=int, default=4, metavar="K",
-               help="worst paths to extract gate by gate (default: 4)"),
-          _arg("--sequential-constants", action="store_true",
-               help="seed DFF launches with reset-reachable constants for "
-                    "stronger false-path pruning"),
-          _arg("--strict", action="store_true",
-               help="treat unconstrained endpoints as failures for the "
-                    "exit status"),
-          fmt, verbose("also print the K worst paths gate by gate")], {}),
-        ("bench-dataflow",
-         "time the dataflow fixpoint, fault pruning and width narrowing "
-         "and write BENCH_dataflow.json", _bench_dataflow_command,
-         [bits_list, *writes("BENCH_dataflow.json", 3), vectors,
-          _arg("--input-bits", type=_width, default=8,
-               help="narrowing cells assume inputs occupy at most "
-                    "min(this, bits) bits (default: 8)")], {}),
     ]
 
 

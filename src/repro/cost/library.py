@@ -1,4 +1,4 @@
-"""The module library: area and delay parameters of data-path units.
+"""The module library: area parameters of data-path units.
 
 Paper §4.2: "The cost of data path units which performs logic,
 arithmetic, or storage operations is given by the corresponding module
@@ -20,12 +20,11 @@ from ..dfg.ops import UnitClass
 
 @dataclass(frozen=True)
 class ModuleParams:
-    """Area model ``quadratic·bits² + linear·bits + fixed`` and delay."""
+    """Area model ``quadratic·bits² + linear·bits + fixed``."""
 
     quadratic: float
     linear: float
     fixed: float
-    delay_steps: int = 1
 
     def area(self, bits: int) -> float:
         """Area in mm² of one instance at the given bit width."""
@@ -34,7 +33,7 @@ class ModuleParams:
 
 @dataclass(frozen=True)
 class ModuleLibrary:
-    """Area/delay parameters for every data-path unit kind."""
+    """Area parameters for every data-path unit kind."""
 
     units: dict[UnitClass, ModuleParams] = field(default_factory=lambda: {
         UnitClass.MULTIPLIER: ModuleParams(0.00080, 0.0040, 0.002),
@@ -63,10 +62,6 @@ class ModuleLibrary:
         if inputs <= 1:
             return 0.0
         return self.mux_per_input.area(bits) * inputs
-
-    def unit_delay(self, unit: UnitClass) -> int:
-        """Execution delay, in control steps, of a unit class."""
-        return self.units[unit].delay_steps
 
     def wire_width(self, bits: int) -> float:
         """Wid(A): the physical width of a ``bits``-wide connection."""

@@ -34,7 +34,6 @@ from ..analysis.dataflow import DataflowCertificate, analyze_dataflow
 from ..etpn.datapath import DataPath, NodeKind
 from ..etpn.design import Design
 from .estimate import CostModel, HardwareCost
-from .library import DEFAULT_LIBRARY, ModuleLibrary
 
 
 @dataclass
@@ -144,8 +143,7 @@ def _node_width(datapath: DataPath, node_id: str, cert: DataflowCertificate,
 def narrow_design(design: Design, bits: int,
                   assumptions: Optional[Mapping[str, tuple[int, int]]]
                   = None,
-                  cert: Optional[DataflowCertificate] = None,
-                  library: Optional[ModuleLibrary] = None
+                  cert: Optional[DataflowCertificate] = None
                   ) -> NarrowingReport:
     """Attempt to narrow one design point and report the area effect.
 
@@ -156,15 +154,13 @@ def narrow_design(design: Design, bits: int,
             engine (None analyses the full input range).
         cert: a pre-computed dataflow certificate to reuse; must match
             ``bits``.
-        library: module library (the default library when None).
 
     The equivalence certifier gates the result: when it cannot certify
     the design point, the report keeps the baseline cost and says why.
     """
     from ..analysis.equivalence import certify
 
-    lib = library if library is not None else DEFAULT_LIBRARY
-    cost_model = CostModel(bits=bits, library=lib)
+    cost_model = CostModel(bits=bits)
     baseline = cost_model.hardware(design.datapath)
     if cert is None:
         cert = analyze_dataflow(design.dfg, bits, assumptions=assumptions)

@@ -15,10 +15,9 @@ state.
 :meth:`GateNetlist.add` only accepts fanins that already exist, so gid
 order is a topological order of the combinational logic; DFF D inputs,
 connected after the fact, close the sequential feedback.  The ternary
-pass (:func:`repro.gates.ternary.propagate`) and the static timing
-analyser value a whole netlist in one pass in that order, and
-:func:`in_topological_order` tells them when a netlist written around
-the API has broken it.
+pass (:func:`repro.gates.ternary.propagate`) values a whole netlist in
+one pass in that order, and :func:`in_topological_order` tells when a
+netlist written around the API has broken it.
 """
 
 from __future__ import annotations
@@ -135,8 +134,8 @@ class GateNetlist:
         Floating-DFF detection delegates to the shared lint-rule
         implementation (``GAT001``) and reports every floating DFF, not
         just the first; cycle detection shares
-        :func:`combinational_cycle` with rule ``GAT002`` and the static
-        timing analyser, and reports the offending gate ids.
+        :func:`combinational_cycle` with rule ``GAT002`` and reports the
+        offending gate ids.
         """
         from ..lint.rules_gates import floating_dffs
         floating = floating_dffs(self)
@@ -204,10 +203,10 @@ def in_topological_order(netlist: GateNetlist) -> bool:
 
     :meth:`GateNetlist.add` guarantees it, so gid order is a
     topological order and one pass in gid order values every gate after
-    its fanins (:func:`repro.gates.ternary.propagate`, the static timing
-    analyser).  DFF D inputs are exempt: they close the sequential
-    feedback, which a combinational pass never follows.  Only gates
-    written into ``gates`` directly can break the order.
+    its fanins (:func:`repro.gates.ternary.propagate`).  DFF D inputs
+    are exempt: they close the sequential feedback, which a
+    combinational pass never follows.  Only gates written into
+    ``gates`` directly can break the order.
     """
     dff = GateType.DFF
     for gate in netlist.gates:
@@ -237,12 +236,12 @@ def check_topological_order(netlist: GateNetlist) -> None:
 def combinational_cycle(netlist: GateNetlist) -> list[int]:
     """One combinational cycle as a gate-id list, or [] when none exists.
 
-    Edges run from fanin to gate; DFFs break timing loops, so edges into
-    a DFF's D input are excluded.  :meth:`GateNetlist.add` cannot create
-    a cycle (fanins must already exist), so this only fires on netlists
-    assembled or transformed by other means — which is exactly where
-    :meth:`GateNetlist.check_complete`, lint rule ``GAT002`` and the
-    static timing analyser (which all share this function) need it.
+    Edges run from fanin to gate; DFFs break feedback loops, so edges
+    into a DFF's D input are excluded.  :meth:`GateNetlist.add` cannot
+    create a cycle (fanins must already exist), so this only fires on
+    netlists assembled or transformed by other means — which is exactly
+    where :meth:`GateNetlist.check_complete` and lint rule ``GAT002``
+    (which both share this function) need it.
     """
     if in_topological_order(netlist):
         return []

@@ -1,14 +1,11 @@
-"""Shared ternary (0/1/X) gate evaluation.
+"""Ternary (0/1/X) gate evaluation.
 
-One three-valued evaluator serves two engines: the ATPG fault pruner's
-sequential constant propagation (:mod:`repro.atpg.prune`) and the
-static timing analyser's false-path pruning
-(:mod:`repro.analysis.timing.engine`).  Both need the identical
-controlling-value semantics — a 0 on any AND input or a 1 on any OR
-input decides the output regardless of the X inputs — so the timing
-engine's "provably constant, carries no transition" judgement agrees
-gate-for-gate with the pruner's "provably untestable" one.  Both also
-share :func:`propagate`, the one pass that values a whole netlist.
+The ATPG fault pruner's sequential constant propagation
+(:mod:`repro.atpg.prune`) values lines in three-valued logic with
+controlling-value semantics: a 0 on any AND input or a 1 on any OR
+input decides the output regardless of the X inputs.
+:func:`eval_gate` evaluates one gate and :func:`propagate` is the one
+pass that values a whole netlist.
 """
 
 from __future__ import annotations

@@ -50,10 +50,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..synth import SynthesisParams, SynthesisResult
 
 #: Key-material epoch; bump when cached semantics change so stale
-#: on-disk entries miss instead of resurrecting old behaviour.
-#: v2: cells gained the width-narrowing knobs (``narrow_widths``,
-#: ``narrow_input_bits``) — a narrowed cell's area must never be served
-#: for a plain one, and v1 entries predate the fields entirely.
+#: on-disk entries miss instead of resurrecting old behaviour.  Adding
+#: or dropping an :class:`~repro.harness.experiment.ExperimentConfig`
+#: field needs no bump: :func:`cell_key` hashes every field by name, so
+#: that alone moves every cell key.
 CACHE_EPOCH = "repro-cache-v2"
 
 #: On-disk entry format tag.
@@ -98,10 +98,9 @@ def cell_key(dfg: "DFG", flow: str, bits: int, config: Any) -> str:
 
     Covers the canonical DFG, the flow, the bit width and the complete
     :class:`~repro.harness.experiment.ExperimentConfig` (budgets, fault
-    sampling, ATPG seed — and the dataflow narrowing knobs, so a
-    narrowed cell and a plain one never share a key), plus the
-    per-width paper parameters ``ours`` derives from the bit width —
-    everything that can change a row.
+    sampling, ATPG seed), hashed field by field through ``asdict``,
+    plus the per-width paper parameters ``ours`` derives from the bit
+    width — everything that can change a row.
     """
     from ..io import dfg_to_dict
     material: dict[str, Any] = {

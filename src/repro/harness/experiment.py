@@ -52,14 +52,6 @@ class ExperimentConfig:
                                                         saturation=5))
     max_backtracks: int = 64
     seed: int = 2026
-    #: Price the data path at the widths the dataflow certificate
-    #: proves sufficient (equivalence-gated; a refused narrowing keeps
-    #: the declared-width area).  Part of the cache key: narrowed and
-    #: plain cells never collide.
-    narrow_widths: bool = False
-    #: Narrowing input assumption: primary inputs occupy at most
-    #: ``min(narrow_input_bits, bits)`` bits (None = the full width).
-    narrow_input_bits: int | None = None
 
     @staticmethod
     def quick(bits: int) -> "ExperimentConfig":
@@ -91,10 +83,6 @@ class CellResult:
     degraded: bool = False
     #: Why (synthesis degradation reasons + ATPG budget provenance).
     degradation: tuple[str, ...] = ()
-    #: True when ``area_mm2`` is the certificate-narrowed pricing
-    #: (requested via :attr:`ExperimentConfig.narrow_widths` *and* the
-    #: equivalence certifier validated the design point).
-    narrowed: bool = False
 
     def row(self) -> dict[str, object]:
         """Flat dict for table rendering and EXPERIMENTS.md."""
@@ -113,7 +101,8 @@ class CellResult:
             "area_mm2": round(self.area_mm2, 3),
             "seq_depth": round(self.seq_depth, 1),
             "degraded": self.degraded,
-            "narrowed": self.narrowed,
+            # Always False: recorded rows and journals still carry it.
+            "narrowed": False,
         }
 
 
@@ -192,9 +181,6 @@ def run_cell(benchmark: str, flow: str,
         degradation.append(f"atpg budget_exhausted:{atpg.budget_reason}")
     cost_model = CostModel(bits=config.bits)
     area = cost_model.hardware_total(design.datapath)
-    narrowed = False
-    if config.narrow_widths:
-        area, narrowed = _narrowed_area(design, config, area)
     analysis = analyze(design.datapath)
     return CellResult(
         benchmark=benchmark, flow=flow, bits=config.bits, design=design,
@@ -203,22 +189,7 @@ def run_cell(benchmark: str, flow: str,
         register_groups=design.binding.registers(),
         seq_depth=sequential_depth_metric(design.datapath),
         testability_quality=analysis.design_quality(),
-        degraded=bool(degradation), degradation=tuple(degradation),
-        narrowed=narrowed)
-
-
-def _narrowed_area(design: Design, config: ExperimentConfig,
-                   baseline: float) -> tuple[float, bool]:
-    """Certificate-narrowed area, or the baseline when narrowing is
-    refused (the equivalence certifier could not validate the point)."""
-    from ..analysis.dataflow import input_assumptions
-    from ..cost import narrow_design
-    assumptions = input_assumptions(design.dfg, config.bits,
-                                    config.narrow_input_bits)
-    report = narrow_design(design, config.bits, assumptions=assumptions)
-    if not report.applied:
-        return baseline, False
-    return report.narrowed.total_mm2, True
+        degraded=bool(degradation), degradation=tuple(degradation))
 
 
 def module_symbol(design: Design, module: str) -> str:

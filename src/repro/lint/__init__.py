@@ -15,7 +15,6 @@ Layers and code prefixes::
     NET  control Petri net        GAT  gate netlist   TST  testability
     EQV  value-flow equivalence   LNT  pipeline-stage failure
     DFA  abstract-interpretation value facts
-    TIM  static timing analysis
 
 See ``repro-hlts lint --list-rules`` or DESIGN.md for the full table.
 """
@@ -25,7 +24,7 @@ from .registry import (LAYERS, LintContext, Rule, all_rules, get_rule, rule,
                        rules_for_layer, run_layer)
 from .runner import (PIPELINE_FAILURE_CODE, lint_binding, lint_dataflow,
                      lint_datapath, lint_design, lint_dfg, lint_netlist,
-                     lint_petri, lint_pipeline, lint_schedule, lint_timing,
+                     lint_petri, lint_pipeline, lint_schedule,
                      run_analysis_layer)
 
 __all__ = [
@@ -34,6 +33,5 @@ __all__ = [
     "rules_for_layer", "run_layer",
     "PIPELINE_FAILURE_CODE", "lint_binding", "lint_dataflow",
     "lint_datapath", "lint_design", "lint_dfg", "lint_netlist",
-    "lint_petri", "lint_pipeline", "lint_schedule", "lint_timing",
-    "run_analysis_layer",
+    "lint_petri", "lint_pipeline", "lint_schedule", "run_analysis_layer",
 ]

@@ -9,9 +9,9 @@ builds the context for each layer and collects every emission into a
 :class:`~repro.lint.diagnostic.LintReport`.
 
 Codes are stable and unique: ``DFG``/``DFA``/``SCH``/``BND``/``NET``/
-``EQV``/``GAT``/``TIM``/``TST`` prefixes map to the dfg, dataflow,
-schedule, binding, Petri-net, analysis, gate, timing and testability
-layers (see DESIGN.md for the full table).
+``EQV``/``GAT``/``TST`` prefixes map to the dfg, dataflow, schedule,
+binding, Petri-net, analysis, gate and testability layers (see
+DESIGN.md for the full table).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .diagnostic import Diagnostic, LintReport, Severity
 
 #: The checkable layers, in pipeline order.
 LAYERS = ("dfg", "dataflow", "sched", "binding", "petri", "analysis",
-          "gates", "timing", "testability")
+          "gates", "testability")
 
 
 @dataclass
@@ -38,12 +38,9 @@ class LintContext:
         steps: the schedule, op_id -> control step (sched/binding).
         binding: the allocation (binding/analysis layers).
         net: the control Petri net (petri layer).
-        netlist: the gate-level netlist (gates/timing layers).
+        netlist: the gate-level netlist (gates layer).
         datapath: the structural data path (testability layer).
         depth_limit: sequential C/O depth above which TST002 fires.
-        period: clock period the timing layer audits against; None
-            derives the library default (at which findings mean the
-            netlist drifted from the model the allocator priced).
         cache: scratch space shared by the rules of one run, used to
             memoise expensive whole-design analyses.
     """
@@ -57,7 +54,6 @@ class LintContext:
     netlist: Any = None
     datapath: Any = None
     depth_limit: float = 8.0
-    period: Optional[float] = None
     cache: dict[str, Any] = field(default_factory=dict)
 
 
@@ -187,4 +183,3 @@ def _load_builtin_rules() -> None:
     from . import rules_petri  # noqa: F401
     from . import rules_sched  # noqa: F401
     from . import rules_testability  # noqa: F401
-    from . import rules_timing  # noqa: F401

@@ -3,8 +3,8 @@
 Entry points by granularity:
 
 * :func:`lint_dfg`, :func:`lint_schedule`, :func:`lint_binding`,
-  :func:`lint_petri`, :func:`lint_netlist`, :func:`lint_timing`,
-  :func:`lint_datapath` — audit one intermediate representation;
+  :func:`lint_petri`, :func:`lint_netlist`, :func:`lint_datapath` —
+  audit one intermediate representation;
 * :func:`lint_design` — audit a bound, scheduled ETPN design point
   (schedule + binding + control net + testability smells);
 * :func:`lint_pipeline` — audit everything derivable from a DFG:
@@ -73,20 +73,6 @@ def lint_netlist(netlist) -> LintReport:
     """Run every gate-layer rule over ``netlist``."""
     return run_layer("gates", LintContext(name=netlist.name,
                                           netlist=netlist))
-
-
-def lint_timing(netlist, bits: int = 8,
-                period: float | None = None) -> LintReport:
-    """Run every timing-layer rule (``TIM00x``) over ``netlist``.
-
-    ``period=None`` audits at the library-derived default period; the
-    context is fresh, so the timing report is computed for this run
-    alone — :func:`lint_pipeline` instead shares one context (and one
-    report) between the gates and timing layers.
-    """
-    return run_layer("timing", LintContext(name=netlist.name,
-                                           netlist=netlist, bits=bits,
-                                           period=period))
 
 
 def lint_datapath(datapath, depth_limit: float = 8.0) -> LintReport:
@@ -185,13 +171,5 @@ def lint_pipeline(dfg, bits: int = 8, gates: bool = True,
         except Exception as exc:
             report.add(_pipeline_failure(dfg.name, "gate netlist", exc))
             return report
-        # Gates and timing share one context: both walk the same
-        # netlist, and the memoised timing report serves all TIM rules.
-        gate_ctx = LintContext(name=netlist.name, netlist=netlist,
-                               bits=bits)
-        report.extend(run_layer("gates", gate_ctx))
-        try:
-            report.extend(run_layer("timing", gate_ctx))
-        except Exception as exc:
-            report.add(_pipeline_failure(dfg.name, "timing analysis", exc))
+        report.extend(lint_netlist(netlist))
     return report

@@ -25,10 +25,6 @@ Seams (see DESIGN.md §11):
 ``harness.worker``        top of one grid cell's evaluation, inline or
                           in its worker process (payload: the cell's
                           (benchmark, flow, bits) key)
-``timing.cone_eval``      inside the static timing analyser's
-                          per-endpoint barrier, just before one
-                          endpoint reads its cone's arrival (payload:
-                          the (endpoint name, driver gid) pair)
 ====================== ==================================================
 """
 
@@ -47,7 +43,6 @@ SEAMS = frozenset({
     "atpg.podem_step",
     "journal.pre_write",
     "harness.worker",
-    "timing.cone_eval",
 })
 
 #: Injection actions.

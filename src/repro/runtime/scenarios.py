@@ -224,39 +224,6 @@ def scenario_worker_crash(benchmark: str, bits: int,
     ])
 
 
-def scenario_timing_cone_raise(benchmark: str, bits: int,
-                               workdir: Path) -> tuple[bool, str]:
-    """A timing cone evaluation raises mid-analysis: the analyser must
-    tag and skip exactly the faulty endpoints, keep timing the rest,
-    and the explicitly-degraded report must still serialise."""
-    import json
-
-    from ..analysis.timing import analyze_timing
-    from ..bench import load
-    from ..etpn.from_dfg import default_design
-    from ..gates import expand_to_gates
-    from ..rtl import generate_rtl
-    design = default_design(load(benchmark))
-    netlist = expand_to_gates(generate_rtl(design, bits))
-    with ChaosInjector(Injection("timing.cone_eval", ACTION_RAISE,
-                                 at_visit=2, count=2)):
-        report = analyze_timing(netlist, bits=bits)
-    skipped = report.skipped()
-    timed = [e for e in report.endpoints
-             if e.analysed and e.slack is not None]
-    return _check([
-        ("injected failures surfaced as skipped endpoints",
-         len(skipped) == 2),
-        ("skip reasons carry the ChaosError",
-         all("ChaosError" in e.skip_reason for e in skipped)),
-        ("report explicitly degraded", report.degraded),
-        ("every surviving endpoint still timed",
-         len(timed) == len(report.endpoints) - 2 and len(timed) > 0),
-        ("degraded report still serialises",
-         bool(json.dumps(report.to_dict()))),
-    ])
-
-
 #: The registered matrix, in execution order.
 SCENARIOS: list[tuple[str, Callable[[str, int, Path],
                                     tuple[bool, str]], str]] = [
@@ -272,8 +239,6 @@ SCENARIOS: list[tuple[str, Callable[[str, int, Path],
      "crash between journal commits; resume matches uninterrupted run"),
     ("worker-crash", scenario_worker_crash,
      "grid worker process dies; partial grid + resume completes"),
-    ("timing-cone-raise", scenario_timing_cone_raise,
-     "timing cone evaluation raises; endpoints skipped, report degraded"),
 ]
 
 

@@ -77,8 +77,6 @@ WIDTH_COMMANDS = [
     ["export", "ex", "--bits"], ["bench", "ex", "--bits"],
     ["chaos", "--bits"], ["lint", "--bits"], ["analyze", "--bits"],
     ["dataflow", "--bits"], ["dataflow", "--input-bits"],
-    ["timing", "--bits"], ["bench-dataflow", "--bits"],
-    ["bench-dataflow", "--input-bits"],
 ]
 
 

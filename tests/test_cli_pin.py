@@ -75,16 +75,6 @@ CASES = [
       "fmt": "json", "input_bits": 8, "narrow": True, "strict": False,
       "targets": ["tseng"], "traceback": False, "vectors": 8,
       "verbose": False}),
-    (["timing", "tseng", "--flow", "ours", "--period", "150", "-v",
-      "--paths", "2", "--sequential-constants", "--strict"],
-     {"bits": 8, "command": "timing", "flow": "ours", "fmt": "text",
-      "paths": 2, "period": 150.0, "sequential_constants": True,
-      "strict": True, "targets": ["tseng"], "traceback": False,
-      "verbose": True}),
-    (["bench-dataflow", "--bits", "4", "--output", "bd.json"],
-     {"bits": [4], "command": "bench-dataflow", "input_bits": 8,
-      "output": "bd.json", "repeats": 3, "traceback": False,
-      "vectors": 64}),
 ]
 
 

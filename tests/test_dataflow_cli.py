@@ -1,10 +1,8 @@
-"""Tests for the ``dataflow`` CLI command and the bench harness."""
+"""Tests for the ``dataflow`` CLI command."""
 
 from __future__ import annotations
 
 import json
-
-import pytest
 
 from repro.cli import main
 
@@ -75,30 +73,3 @@ class TestDataflowCommand:
                        "begin o := a + b; end")
         assert main(["dataflow", str(src), "--bits", "8"]) == 0
         assert "tiny@8b" in capsys.readouterr().out
-
-
-class TestBenchDataflowHarness:
-    @pytest.fixture(scope="class")
-    def cell(self):
-        from repro.harness.bench_dataflow import time_cell
-        return time_cell("tseng", 4, repeats=1, vectors=16, input_bits=4)
-
-    def test_cell_keys(self, cell):
-        for key in ("benchmark", "bits", "ops", "loop_iterations",
-                    "analysis_cold_seconds", "analysis_warm_seconds",
-                    "constant_ops", "known_bits", "max_required_width",
-                    "check_ok", "flows", "prune"):
-            assert key in cell, key
-        assert cell["benchmark"] == "tseng" and cell["bits"] == 4
-
-    def test_cell_certificates_check(self, cell):
-        assert cell["check_ok"] is True
-        assert cell["check_problems"] == []
-        for flow in ("default", "ours"):
-            assert cell["flows"][flow]["cert_check_ok"] is True
-
-    def test_cell_prunes_faults(self, cell):
-        prune = cell["prune"]
-        assert prune["total_faults"] > 0
-        assert 0 < prune["pruned"] < prune["total_faults"]
-        assert prune["constant_lines"] > 0

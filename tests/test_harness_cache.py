@@ -44,18 +44,6 @@ class TestKeys:
         assert cell_key(dfg, "camad", 4, _tiny_config(4)) != \
             cell_key(dfg, "camad", 4, ExperimentConfig(bits=4))
 
-    def test_cell_key_covers_narrowing_knobs(self):
-        # A narrowed cell and a plain one must never share a key, nor
-        # may two narrowed cells with different input assumptions.
-        dfg = load("ex")
-        plain = cell_key(dfg, "ours", 16, ExperimentConfig(bits=16))
-        narrowed = cell_key(dfg, "ours", 16,
-                            ExperimentConfig(bits=16, narrow_widths=True))
-        assumed = cell_key(dfg, "ours", 16,
-                           ExperimentConfig(bits=16, narrow_widths=True,
-                                            narrow_input_bits=8))
-        assert len({plain, narrowed, assumed}) == 3
-
 
 class TestSynthesisTier:
     def test_baseline_synthesis_shared_across_widths(self):

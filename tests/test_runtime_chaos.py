@@ -178,7 +178,7 @@ class TestScenarioMatrix:
         from repro.runtime import run_scenarios, scenario_names
         outcomes = run_scenarios(bits=4, workdir=tmp_path)
         assert [o.name for o in outcomes] == scenario_names()
-        assert len(outcomes) >= 7
+        assert len(outcomes) >= 6
         failed = [f"{o.name}: {o.detail}" for o in outcomes if not o.ok]
         assert not failed, failed
 
