@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.analysis.dataflow import input_assumptions
 from repro.atpg import ATPGConfig, RandomPhaseConfig, run_atpg
 from repro.atpg import engine as engine_module
 from repro.bench import load
+from repro.cost import narrow_design
 from repro.errors import ATPGError
 from repro.gates import (GateNetlist, GateType, expand_to_gates,
                          expand_with_controller)
@@ -147,3 +149,13 @@ class TestHarness:
     def test_render_sharing(self, cell):
         text = render_sharing(cell.design)
         assert "share" in text
+
+    def test_narrowed_cell_shrinks_area(self, cell):
+        # ``dataflow --narrow`` prices a design at its proved widths
+        # against the same area the cell's row records.
+        assumptions = input_assumptions(cell.design.dfg, cell.bits, 2)
+        report = narrow_design(cell.design, cell.bits,
+                               assumptions=assumptions)
+        assert report.applied
+        assert report.baseline.total_mm2 == cell.area_mm2
+        assert report.narrowed.total_mm2 < cell.area_mm2

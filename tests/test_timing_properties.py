@@ -1,16 +1,13 @@
-"""Differential properties of the timing engine, via hypothesis.
+"""Timing-level property of ternary constant propagation, via hypothesis.
 
-Static timing analysis is checked against an independent oracle: a
-hand-rolled synchronous unit-delay event simulation.  Under the unit
-delay table (every gate 1.0, ``clk_q``/``setup``/``fanin_step`` 0) an
-STA arrival is a pure level count, so on any netlist
-
-* the simulated last-toggle time of an endpoint never exceeds its STA
-  arrival (arrivals are sound upper bounds on real switching), and
-* an endpoint the analyser proves *false* (arrival None, cone constant
-  under ternary propagation) never toggles at all — not even
-  transiently, because ternary evaluation is instantaneous-value
-  monotone.
+:func:`repro.gates.ternary.propagate` values a netlist with every
+primary input and DFF Q unknown (X); the ATPG fault pruner calls a line
+it values 0 or 1 constant.  That judgement is checked against an
+independent oracle: a hand-rolled synchronous unit-delay event
+simulation of one clock edge.  A line proved constant never toggles,
+not even transiently, because ternary evaluation is monotone: every
+instantaneous value of the line refines its all-X value.  An endpoint
+(output or DFF D input) driven by such a line is a false path.
 """
 
 from __future__ import annotations
@@ -18,17 +15,8 @@ from __future__ import annotations
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.analysis.timing import DelayTable, analyze_timing
 from repro.gates import GateNetlist, GateType
-from repro.gates.ternary import eval_gate
-
-#: Every gate exactly one unit, no sequential margins: an arrival under
-#: this table is the depth (in gates) of the worst live path.
-UNIT = DelayTable(buf=1.0, not_=1.0, and_=1.0, or_=1.0, nand=1.0,
-                  nor=1.0, xor=1.0, xnor=1.0, fanin_step=0.0,
-                  clk_q=0.0, setup=0.0)
-
-PERIOD = 100.0  # looser than any drawable cone, so slack never matters
+from repro.gates.ternary import eval_gate, propagate
 
 _COMB = (GateType.BUF, GateType.NOT, GateType.AND, GateType.OR,
          GateType.NAND, GateType.NOR, GateType.XOR, GateType.XNOR)
@@ -115,40 +103,22 @@ def simulate(net: GateNetlist, old: dict[int, int],
     return last_toggle
 
 
-def _timed_gid(net: GateNetlist, endpoint) -> int:
-    """The gid whose signal the endpoint's arrival describes (a DFF
-    endpoint times its D fanin's driver)."""
-    if endpoint.kind == "dff":
-        return net.gates[endpoint.gid].fanins[0]
-    return endpoint.gid
+def _endpoint_drivers(net: GateNetlist) -> set[int]:
+    """The gids whose signals the outputs and the DFF D inputs carry."""
+    drivers = set(net.outputs.values())
+    drivers.update(gate.fanins[0] for gate in net.dffs())
+    return drivers
 
 
 class TestDifferential:
     @settings(max_examples=60, deadline=None)
     @given(netlists())
-    def test_arrival_bounds_last_toggle(self, drawn):
-        net, old, new = drawn
-        report = analyze_timing(net, bits=4, table=UNIT, period=PERIOD,
-                                k_paths=0)
-        assert not report.cycle and not report.table_problems
-        toggles = simulate(net, old, new)
-        for endpoint in report.endpoints:
-            if not endpoint.analysed or endpoint.arrival is None:
-                continue
-            last = toggles.get(_timed_gid(net, endpoint))
-            if last is not None:
-                assert last <= endpoint.arrival + 1e-9, (
-                    f"{endpoint.name}: toggled at {last}, "
-                    f"STA arrival {endpoint.arrival}")
-
-    @settings(max_examples=60, deadline=None)
-    @given(netlists())
     def test_proved_false_endpoints_never_toggle(self, drawn):
         net, old, new = drawn
-        report = analyze_timing(net, bits=4, table=UNIT, period=PERIOD,
-                                k_paths=0)
+        values = propagate(net, {})
         toggles = simulate(net, old, new)
-        for endpoint in report.endpoints:
-            if endpoint.analysed and endpoint.arrival is None:
-                assert _timed_gid(net, endpoint) not in toggles, (
-                    f"{endpoint.name} proved false yet toggled")
+        for gid in _endpoint_drivers(net):
+            if values[gid] is not None:
+                assert gid not in toggles, (
+                    f"gate {gid} proved constant {values[gid]} yet "
+                    f"toggled at {toggles[gid]}")
