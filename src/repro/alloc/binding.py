@@ -62,13 +62,6 @@ class Binding:
     _registers: _Kept = field(default=None, init=False, repr=False,
                               compare=False)
 
-    def __getstate__(self) -> dict[str, dict[str, str]]:
-        """Pickle and copy the maps only; the groupings are derived."""
-        return {"module_of": self.module_of, "register_of": self.register_of}
-
-    def __setstate__(self, state: dict[str, dict[str, str]]) -> None:
-        self.__init__(**state)  # type: ignore[misc]
-
     # ------------------------------------------------------------------
     def module_groups(self) -> Groups:
         """Module id -> the sorted op_ids bound to it (read-only)."""

@@ -99,7 +99,7 @@ def _bench_command(args) -> int:
     cells = _run_grid(args, [(args.flow, args.bits)], budget)
     print(render_summary(cells))
     for cell in cells:
-        for reason in getattr(cell, "degradation", ()):
+        for reason in cell.degradation:
             print(f"note: {cell.flow}/{cell.bits}-bit degraded: {reason}",
                   file=sys.stderr)
     return _report_skips(cells)
@@ -393,8 +393,7 @@ def _commands() -> list[Command]:
                   "recomputing them")]
     cache_dir = _arg("--cache-dir", metavar="PATH", default=None,
                      help="content-hash result cache directory; repeated "
-                          "cells (and bit-width-independent baseline "
-                          "synthesis) become lookups")
+                          "cells and sweep points become lookups")
     parallel = [
         _arg("--workers", type=int, default=None, metavar="N",
              help="worker processes for grid cells (default: one per CPU "

@@ -210,10 +210,6 @@ class DFG:
         """Op ids reading ``var`` (once each), in program order."""
         return list(self._uses.get(var, ()))
 
-    def unit_classes(self) -> dict[str, UnitClass]:
-        """Map each op_id to its functional-unit class."""
-        return {o: unit_class(op.kind) for o, op in self._operations.items()}
-
     def __len__(self) -> int:
         return len(self._operations)
 

@@ -1,13 +1,13 @@
 """Experiment harness: table/figure regeneration for the paper's §5.
 
-:func:`~repro.harness.experiment.run_cell` produces one table cell;
-:func:`~repro.harness.cache.evaluate_cell`, the one evaluator every grid
-cell goes through, runs it through the content-hash cache.  Grids run
-through :func:`~repro.runtime.run_journaled_grid`.
+:func:`~repro.harness.experiment.run_cell` produces one table cell.
+Grids of cells run through :func:`~repro.runtime.run_journaled_grid`,
+whose one cell evaluator turns each cell into its journal record and
+serves repeats from the content-hash cache
+(:class:`~repro.harness.cache.ResultCache`).
 """
 
-from .cache import (CacheStats, ResultCache, cell_key, evaluate_cell,
-                    run_cell_cached, synthesis_key)
+from .cache import CacheStats, ResultCache, cell_key, synthesis_key
 from .experiment import (CellResult, ExperimentConfig, FLOW_ORDER,
                          PAPER_PARAMS, run_cell, synthesize_flow,
                          synthesize_flow_result)
@@ -23,7 +23,6 @@ __all__ = [
     "ExperimentConfig",
     "ResultCache",
     "cell_key",
-    "evaluate_cell",
     "format_allocation",
     "load_rows",
     "render_lifetimes",
@@ -33,7 +32,6 @@ __all__ = [
     "render_report",
     "render_table",
     "run_cell",
-    "run_cell_cached",
     "shape_checks",
     "synthesis_key",
     "synthesize_flow",

@@ -12,21 +12,17 @@ experimental setup.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
 
 from ..atpg import ATPGConfig, ATPGResult, RandomPhaseConfig, run_atpg
 from ..bench import load
 from ..cost import CostModel
 from ..dfg import unit_class, UnitClass
 from ..etpn.design import Design
-from ..gates import expand_to_gates, expand_with_controller
+from ..gates import expand_with_controller
 from ..rtl import build_control_table, generate_rtl
 from ..runtime.budget import Budget
 from ..synth import SynthesisParams, SynthesisResult, run_flow
 from ..testability import analyze, sequential_depth_metric
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .cache import ResultCache
 
 #: The flow order the paper's tables use.
 FLOW_ORDER = ("camad", "approach1", "approach2", "ours")
@@ -45,7 +41,6 @@ class ExperimentConfig:
     """
 
     bits: int = 8
-    embedded_controller: bool = True
     fault_fraction: float = 1.0
     random: RandomPhaseConfig = field(default_factory=lambda:
                                       RandomPhaseConfig(max_sequences=24,
@@ -107,35 +102,16 @@ class CellResult:
 
 
 def synthesize_flow_result(benchmark: str, flow: str, bits: int,
-                           budget: Budget | None = None,
-                           cache: "ResultCache | None" = None
-                           ) -> SynthesisResult:
+                           budget: Budget | None = None) -> SynthesisResult:
     """Run one of the four flows, keeping the full result (history,
-    skipped candidates, degradation provenance).
-
-    With a ``cache``, the run is keyed on the canonical DFG + flow +
-    parameters and served from the cache when already known; the three
-    baseline flows share one entry across bit widths because their
-    synthesis never consults the cost model.  Degraded (budget-starved)
-    results are never cached.
-    """
-    dfg = load(benchmark)
-    cost_model = CostModel(bits=bits)
+    skipped candidates, degradation provenance); ``ours`` runs with the
+    paper's (k, α, β) for ``bits``."""
     params = None
     if flow == "ours":
         k, alpha, beta = PAPER_PARAMS.get(bits, (3, 2.0, 1.0))
         params = SynthesisParams(k=k, alpha=alpha, beta=beta)
-    if cache is not None:
-        from .cache import synthesis_key
-        key = synthesis_key(dfg, flow, params, bits)
-        hit = cache.get_synthesis(key)
-        if hit is not None:
-            return hit
-    result = run_flow(flow, dfg, cost_model=cost_model, params=params,
-                      budget=budget)
-    if cache is not None:
-        cache.put_synthesis(key, result)
-    return result
+    return run_flow(flow, load(benchmark), cost_model=CostModel(bits=bits),
+                    params=params, budget=budget)
 
 
 def synthesize_flow(benchmark: str, flow: str, bits: int,
@@ -146,27 +122,25 @@ def synthesize_flow(benchmark: str, flow: str, bits: int,
 
 def run_cell(benchmark: str, flow: str,
              config: ExperimentConfig,
-             budget: Budget | None = None,
-             cache: "ResultCache | None" = None) -> CellResult:
+             budget: Budget | None = None) -> CellResult:
     """Produce one table cell (synthesis + ATPG + cost).
 
-    A shared ``budget`` bounds both the synthesis loop and the ATPG
-    run; an exhausted budget yields a valid, ``degraded``-flagged cell
-    instead of a crash or a hang.  A ``cache`` memoises the synthesis
-    stage (see :func:`synthesize_flow_result`); whole-cell caching
-    lives one level up in :func:`repro.harness.cache.run_cell_cached`.
+    The gate model embeds the FSM controller, so only the data ports
+    are ATPG-controllable (DESIGN §6, "Test setting").  A shared
+    ``budget`` bounds both the synthesis loop and the ATPG run; an
+    exhausted budget yields a valid, ``degraded``-flagged cell instead
+    of a crash or a hang.  Grid cells reach this through
+    :func:`repro.runtime.run_journaled_grid`'s one evaluator, which
+    turns the cell into its journal record and serves repeats from the
+    cell cache.
     """
     synthesis = synthesize_flow_result(benchmark, flow, config.bits,
-                                       budget=budget, cache=cache)
+                                       budget=budget)
     design = synthesis.design
     rtl = generate_rtl(design, config.bits)
-    if config.embedded_controller:
-        table = build_control_table(design, rtl)
-        netlist = expand_with_controller(rtl, table)
-        max_frames = 2 * table.phase_count + 1
-    else:
-        netlist = expand_to_gates(rtl)
-        max_frames = design.num_steps + 2
+    table = build_control_table(design, rtl)
+    netlist = expand_with_controller(rtl, table)
+    max_frames = 2 * table.phase_count + 1
     sequence_length = 4 * (design.num_steps + 1)
     atpg_config = ATPGConfig(
         seed=config.seed,

@@ -134,13 +134,6 @@ class LintReport:
         """Sorted distinct rule codes present in the report."""
         return sorted({d.code for d in self.diagnostics})
 
-    def by_layer(self) -> dict[str, list[Diagnostic]]:
-        """Group findings by IR layer."""
-        grouping: dict[str, list[Diagnostic]] = {}
-        for diag in self.sorted():
-            grouping.setdefault(diag.layer, []).append(diag)
-        return grouping
-
     def sorted(self) -> list[Diagnostic]:
         """Findings under a total order: severity, layer, code, location.
 

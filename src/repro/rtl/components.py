@@ -89,9 +89,6 @@ class UnitSpec:
     def needs_op_select(self) -> bool:
         return len(self.kinds) > 1
 
-    def port_needs_mux(self, port: int) -> bool:
-        return len(self.port_sources.get(port, [])) > 1
-
 
 @dataclass
 class RTLDesign:

@@ -8,15 +8,17 @@ path, an atomic write-temp-rename (:mod:`repro.runtime.atomic`) for
 first creation and repair — so a crash loses at most the newest
 record and the file always parses.  ``repro-hlts table*`` and
 ``bench`` grow ``--journal``/``--resume``: a resumed run replays
-finished cells from the journal (restored as :class:`JournaledCell`,
-which renders exactly like the live :class:`~repro.harness.experiment.
-CellResult` it checkpoints) and computes only the remainder.
+finished cells from the journal and computes only the remainder.
 
-Everything a table needs is journaled — the flat ``row()`` dict plus
-the pre-rendered allocation lines — so restoring never re-runs
-synthesis, and deterministic fields of a resumed table are
-byte-identical to an uninterrupted run (wall-clock seconds are the one
-nondeterministic column; the chaos harness masks them when comparing).
+A finished cell is its record: the flat ``row()`` dict plus the
+pre-rendered allocation lines, everything a table needs.  The one cell
+evaluator turns a live :class:`~repro.harness.experiment.CellResult`
+into that record, and the record is what a worker sends back, what the
+journal and the cell cache store, and what a grid returns (restored as
+a :class:`JournaledCell`).  So restoring never re-runs synthesis, and
+deterministic fields of a resumed table are byte-identical to an
+uninterrupted run (wall-clock seconds are the one nondeterministic
+column; the chaos harness masks them when comparing).
 
 :func:`run_journaled_grid` is the one way a grid of cells runs — the
 table and ``bench`` commands, the chaos scenarios and the benchmark all
@@ -46,11 +48,13 @@ CellKey = tuple[str, str, int]
 
 @dataclass
 class JournaledCell:
-    """A completed cell restored from the journal.
+    """A completed cell, rebuilt from its record.
 
-    Quacks like :class:`~repro.harness.experiment.CellResult` for table
-    rendering: ``row()`` and the allocation lines are served verbatim
-    from the journal record.
+    Every cell a grid returns is one, whether computed, served by the
+    cache or replayed from the journal.  It quacks like
+    :class:`~repro.harness.experiment.CellResult` for table rendering:
+    ``row()`` and the allocation lines are served verbatim from the
+    record.
     """
 
     benchmark: str
@@ -70,13 +74,9 @@ class JournaledCell:
 
 
 def cell_record(cell: Any, provenance: dict[str, Any] | None = None) -> dict:
-    """Serialise one completed cell (live or restored) to a journal row."""
-    if isinstance(cell, JournaledCell):
-        alloc = list(cell.alloc_lines)
-        provenance = {**cell.provenance, **(provenance or {})}
-    else:
-        from ..harness.tables import format_allocation
-        alloc = format_allocation(cell)
+    """Serialise one computed :class:`~repro.harness.experiment.
+    CellResult` to its journal record."""
+    from ..harness.tables import format_allocation
     record = {
         "format": JOURNAL_FORMAT,
         "kind": "cell",
@@ -84,7 +84,7 @@ def cell_record(cell: Any, provenance: dict[str, Any] | None = None) -> dict:
         "flow": cell.flow,
         "bits": cell.bits,
         "row": cell.row(),
-        "alloc": alloc,
+        "alloc": format_allocation(cell),
     }
     if provenance:
         record["provenance"] = provenance
@@ -229,11 +229,11 @@ class SkippedCell:
         return (self.benchmark, self.flow, self.bits)
 
 
-class GridCells(list[Any]):
-    """The cells of one grid run in grid order — a live ``CellResult``
-    per computed cell, a :class:`JournaledCell` per replayed or
-    cache-served one; they render identically — and what became of the
-    rest.  Skipped cells are absent: the grid is explicitly partial."""
+class GridCells(list[JournaledCell]):
+    """The cells of one grid run in grid order, each a
+    :class:`JournaledCell` rebuilt from its record, and what became of
+    the rest.  Skipped cells are absent: the grid is explicitly
+    partial."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -251,20 +251,46 @@ class GridCells(list[Any]):
 
 def _grid_cell(key: CellKey, config: Any, cache: Any, budget: Any,
                cell_wall_seconds: Optional[float],
-               injections: tuple[Injection, ...]) -> tuple[Any, dict]:
-    """One grid cell through the shared evaluator: under a fresh
-    per-cell budget when the grid has no shared one, and under its own
-    chaos plan unless an injector is already active."""
-    from ..harness.cache import evaluate_cell
+               injections: tuple[Injection, ...]) -> tuple[dict, bool]:
+    """Evaluate one grid cell: ``(its journal record, cache hit?)``.
 
+    The cell runs under a fresh per-cell budget when the grid has no
+    shared one, and under its own chaos plan unless an injector is
+    already active.  It visits the ``harness.worker`` chaos seam, then
+    serves a cell-cache hit's stored record as it is; otherwise it runs
+    :func:`~repro.harness.experiment.run_cell` and stores the record
+    unless the cell is degraded.  The record's provenance keeps the
+    cache key and a degraded cell's reasons (the why, not just the
+    row's degraded bit).
+    """
+    from ..harness import experiment
+
+    benchmark, flow = key[:2]
     if budget is None and cell_wall_seconds is not None:
         budget = Budget(wall_seconds=cell_wall_seconds)
     plan: AbstractContextManager[Any] = (
         ChaosInjector(*injections)
         if injections and active_injector() is None else nullcontext())
     with plan:
-        return evaluate_cell(key[0], key[1], config, cache=cache,
-                             budget=budget)
+        chaos_point("harness.worker", (benchmark, flow, config.bits))
+        provenance: dict[str, Any] = {}
+        if cache is not None:
+            from ..bench import load
+            from ..harness.cache import cell_key
+            provenance["cache_key"] = cell_key(load(benchmark), flow,
+                                               config.bits, config)
+            stored = cache.get_cell(provenance["cache_key"])
+            if stored is not None:
+                return stored, True
+        # Looked up at call time, so a wrapper installed on the module
+        # sees every cell.
+        cell = experiment.run_cell(benchmark, flow, config, budget=budget)
+        if cell.degradation:
+            provenance["degradation"] = list(cell.degradation)
+        record = cell_record(cell, provenance)
+        if cache is not None:
+            cache.put_cell(provenance["cache_key"], record)
+        return record, False
 
 
 def _label(key: CellKey) -> str:
@@ -289,13 +315,13 @@ def run_journaled_grid(benchmark: str,
 
     Cells run inline, or with ``workers > 1`` one worker process per
     cell (:mod:`repro.runtime.worker`).  Workers never touch the
-    journal: this process, the sole writer, appends each cell's record
-    as it finishes, so ``resume`` works with any worker count and
-    ``workers=1`` and ``workers=N`` journal the same records (in finish
-    order; :func:`scrubbed_records` sorts them).  A cell whose
-    evaluation raises, or whose worker dies or is reaped, becomes a
-    :class:`SkippedCell`; a ``ChaosCrash`` raised in this process still
-    escapes, and Ctrl-C returns the partial grid.
+    journal: each sends back its cell's record, and this process, the
+    sole writer, appends it as the cell finishes, so ``resume`` works
+    with any worker count and ``workers=1`` and ``workers=N`` journal
+    the same records (in finish order; :func:`scrubbed_records` sorts
+    them).  A cell whose evaluation raises, or whose worker dies or is
+    reaped, becomes a :class:`SkippedCell`; a ``ChaosCrash`` raised in
+    this process still escapes, and Ctrl-C returns the partial grid.
 
     Args:
         benchmark: the benchmark every cell runs.
@@ -308,7 +334,7 @@ def run_journaled_grid(benchmark: str,
             cell; it is process-local, so it forces ``workers`` to 1.
         workers: worker processes; None or 1 runs every cell inline.
         cache: a :class:`~repro.harness.cache.ResultCache`; workers
-            share its disk tier.
+            share its directory.
         cell_wall_seconds: per-cell wall-clock budget when no ``budget``
             is given (an overrunning cell degrades to a partial row),
             and the reap deadline of a cell's worker.
@@ -317,7 +343,8 @@ def run_journaled_grid(benchmark: str,
             it has one: the deterministic way to kill one worker.
 
     Returns:
-        The :class:`GridCells` of the run.
+        The :class:`GridCells` of the run: one :class:`JournaledCell`
+        per finished cell, computed, cache-served or replayed alike.
     """
     say = progress or (lambda message: None)
     if budget is not None:
@@ -329,7 +356,7 @@ def run_journaled_grid(benchmark: str,
     cells = GridCells()
     keys = list(dict.fromkeys((benchmark, flow, bits)
                               for flow, bits in grid))
-    results: dict[CellKey, Any] = {}
+    results: dict[CellKey, JournaledCell] = {}
     pending: list[CellKey] = []
     for key in keys:
         if key in done:
@@ -358,14 +385,13 @@ def run_journaled_grid(benchmark: str,
                 cells.skipped.append(SkippedCell(*key, finished.error))
                 say(f"skipped {_label(key)}: {finished.error}")
                 continue
-            cell, record = finished.value
+            record, hit = finished.value
             if journal is not None:
                 journal.append(record)
-            results[key] = cell
+            results[key] = restore_cell(record)
             cells.computed += 1
-            how = ("cache hit" if isinstance(cell, JournaledCell)
-                   else "computed")
-            say(f"finished {_label(key)} ({how})")
+            say(f"finished {_label(key)} "
+                f"({'cache hit' if hit else 'computed'})")
     except KeyboardInterrupt:
         cells.interrupted = True
         cells.skipped.extend(SkippedCell(*key, "interrupted")

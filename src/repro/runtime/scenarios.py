@@ -177,15 +177,13 @@ def scenario_journal_crash_resume(benchmark: str, bits: int,
     except ChaosCrash:
         died = True
     mid_records = crashed.records()  # must parse: never truncated
-    resumed_cells = run_journaled_grid(benchmark, grid, _quick_config,
-                                       journal=crashed, resume=True)
-    replayed = sum(1 for c in resumed_cells
-                   if type(c).__name__ == "JournaledCell")
+    resumed = run_journaled_grid(benchmark, grid, _quick_config,
+                                 journal=crashed, resume=True)
     return _check([
         ("injected crash killed the run mid-grid", died),
         ("journal survived the crash as valid JSONL with one cell",
          len(mid_records) == 1),
-        ("resume replayed the journaled cell", replayed == 1),
+        ("resume replayed the journaled cell", resumed.replayed == 1),
         ("resumed journal rows byte-identical to uninterrupted run "
          "(wall-clock masked)",
          scrubbed_records(crashed.records())

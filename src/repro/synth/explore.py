@@ -64,9 +64,9 @@ def explore(dfg: DFG, cost_model: CostModel | None = None,
     alone.  A design already found at an earlier point is not repeated.
 
     ``cache`` is an optional :class:`~repro.harness.cache.ResultCache`:
-    each grid point's synthesis is keyed on the canonical DFG and the
-    full parameter set, so re-running a sweep (or sharing parameters
-    with a table run) is served from the cache.
+    each grid point's synthesis is keyed on the canonical DFG, the full
+    parameter set and the cost-model width, so re-running a sweep is
+    served from the cache.
     """
     cost_model = cost_model or CostModel()
     memo = MergerMemo(dfg, cost_model)
@@ -79,7 +79,7 @@ def explore(dfg: DFG, cost_model: CostModel | None = None,
         key = ""
         if cache is not None:
             from ..harness.cache import synthesis_key
-            key = synthesis_key(dfg, "ours", params, cost_model.bits)
+            key = synthesis_key(dfg, params, cost_model.bits)
             result = cache.get_synthesis(key)
         if result is None:
             # All positional, so a stand-in taking ``*args`` fits;

@@ -25,14 +25,6 @@ class LineTestability:
     co: float = 0.0
     so: float = UNREACHABLE_DEPTH
 
-    def controllability_score(self) -> float:
-        """Scalar controllability: high CC, low SC is good."""
-        return self.cc / (1.0 + self.sc)
-
-    def observability_score(self) -> float:
-        """Scalar observability: high CO, low SO is good."""
-        return self.co / (1.0 + self.so)
-
 
 @dataclass(frozen=True)
 class NodeTestability:
