@@ -2,13 +2,11 @@
 
 from .binding import (Binding, default_binding, module_unit_class,
                       validate_binding)
-from .connectivity import connectivity_left_edge
 from .left_edge import left_edge, testability_left_edge
 from .module_alloc import connectivity_module_binding, min_module_binding
 
 __all__ = [
     "Binding",
-    "connectivity_left_edge",
     "connectivity_module_binding",
     "default_binding",
     "left_edge",

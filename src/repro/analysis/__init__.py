@@ -6,15 +6,15 @@ every DFG output computes the original behavioural expression
 (``EQV0xx`` lint rules on divergence) — the paper's claim that merger
 transformations are semantics-preserving, checked per design point.
 :func:`analyze_design` bundles it for one design point; the
-``repro-hlts analyze`` CLI subcommand, the ``analysis`` lint layer and
-``SynthesisParams(verify_mergers=True)`` all go through it.
+``repro-hlts analyze`` CLI subcommand and the ``analysis`` lint layer
+both go through it.
 """
 
 from .dataflow import (AbstractValue, DataflowCertificate, analyze_dataflow,
                        infer_feedback)
 from .equivalence import (COMMUTATIVE, Divergence, EquivalenceCertificate,
                           ValueNumbering, certify)
-from .verify import AnalysisResult, analyze_design, merger_preserves_semantics
+from .verify import AnalysisResult, analyze_design
 
 __all__ = [
     "AbstractValue",
@@ -28,5 +28,4 @@ __all__ = [
     "analyze_design",
     "certify",
     "infer_feedback",
-    "merger_preserves_semantics",
 ]

@@ -2,11 +2,9 @@
 
 :func:`analyze_design` runs the ``analysis`` lint layer over a design
 point and packages the certificate it computed into an
-:class:`AnalysisResult`; :func:`merger_preserves_semantics` is the
-narrow boolean the synthesis kernel consults when
-``SynthesisParams(verify_mergers=True)`` is set.
+:class:`AnalysisResult`.
 
-Lint is imported inside the functions: the analysis core must stay
+Lint is imported inside the function: the analysis core must stay
 importable from the lint rule module without a cycle.
 """
 
@@ -15,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from ..errors import ReproError
 from .equivalence import EquivalenceCertificate
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
@@ -78,16 +75,3 @@ def analyze_design(design) -> AnalysisResult:
     report = run_analysis_layer(ctx)
     return AnalysisResult(name=design.dfg.name, report=report,
                           certificate=cached_certificate(ctx))
-
-
-def merger_preserves_semantics(design) -> bool:
-    """May the synthesis kernel accept this merged design point?
-
-    True when the design point's symbolic equivalence certificate is
-    valid.  Conservative: any analysis failure (uncertifiable design)
-    rejects the merger rather than accepting it unverified.
-    """
-    try:
-        return analyze_design(design).verified
-    except ReproError:
-        return False

@@ -43,20 +43,17 @@ class ATPGConfig:
     #: Prune faults the sequential constant-propagation analysis proves
     #: untestable before spending any random/PODEM budget on them.
     analysis_prune: bool = True
-    #: Wall-clock allowance for the whole run (None = unlimited); a
-    #: shared :class:`Budget` passed to :func:`run_atpg` wins over this.
-    wall_seconds: float | None = None
 
 
 def run_atpg(netlist: GateNetlist, config: ATPGConfig | None = None,
              budget: Budget | None = None) -> ATPGResult:
     """Run the full ATPG flow on a gate netlist.
 
-    When ``budget`` (or ``config.wall_seconds``) is given, every phase —
-    random TPG, fault simulation and PODEM — charges the same budget and
-    stops cleanly at its next boundary once it is exhausted; faults
-    never attempted are counted as aborted, and the result carries
-    ``budget_exhausted`` provenance instead of the run hanging or dying.
+    When ``budget`` is given, every phase — random TPG, fault
+    simulation and PODEM — charges it and stops cleanly at its next
+    boundary once it is exhausted; faults never attempted are counted
+    as aborted, and the result carries ``budget_exhausted`` provenance
+    instead of the run hanging or dying.
 
     Raises:
         ATPGError: ``config.max_frames`` is below 1, before any phase runs.
@@ -65,8 +62,6 @@ def run_atpg(netlist: GateNetlist, config: ATPGConfig | None = None,
     if config.max_frames < 1:
         raise ATPGError(f"max_frames must be at least 1, got "
                         f"{config.max_frames}")
-    if budget is None and config.wall_seconds is not None:
-        budget = Budget(wall_seconds=config.wall_seconds)
     rng = random.Random(config.seed)
     started = time.perf_counter()
 

@@ -20,6 +20,15 @@ from .fault_sim import FaultSimulator
 from .faults import Fault
 
 
+#: Probability a register load-enable bit is 1: biased high so data
+#: actually moves through the machine.
+LOAD_BIAS = 0.75
+#: Probability a mux-select / op-select bit is 1.
+SELECT_BIAS = 0.4
+#: Probability a data bit is 1.
+DATA_BIAS = 0.5
+
+
 @dataclass
 class RandomPhaseConfig:
     """Knobs of the random phase.
@@ -29,18 +38,11 @@ class RandomPhaseConfig:
         saturation: stop after this many consecutive sequences that
             detect nothing new.
         sequence_length: cycles per sequence.
-        load_bias: probability a register load-enable bit is 1 — biased
-            high so data actually moves through the machine.
-        select_bias: probability a mux-select / op-select bit is 1.
-        data_bias: probability a data bit is 1.
     """
 
     max_sequences: int = 48
     saturation: int = 8
     sequence_length: int = 24
-    load_bias: float = 0.75
-    select_bias: float = 0.4
-    data_bias: float = 0.5
 
 
 @dataclass
@@ -59,19 +61,18 @@ class RandomPhaseResult:
         return sum(len(seq) for seq in self.kept_sequences)
 
 
-def _bit_bias(name: str, config: RandomPhaseConfig) -> float:
+def _bit_bias(name: str) -> float:
     if name.endswith("_load"):
-        return config.load_bias
+        return LOAD_BIAS
     if "_sel" in name or "_op_" in name:
-        return config.select_bias
-    return config.data_bias
+        return SELECT_BIAS
+    return DATA_BIAS
 
 
 def random_sequence(circuit: CompiledCircuit, config: RandomPhaseConfig,
                     rng: random.Random) -> list[dict[str, int]]:
     """One weighted-random input sequence (single-bit values)."""
-    biases = [(name, _bit_bias(name, config))
-              for name in circuit.input_names]
+    biases = [(name, _bit_bias(name)) for name in circuit.input_names]
     sequence = []
     for _ in range(config.sequence_length):
         sequence.append({name: int(rng.random() < bias)

@@ -366,17 +366,24 @@ def _arg(*flags: str, **kwargs: Any) -> Argument:
     return flags, kwargs
 
 
-def _width(text: str) -> int:
-    """The ``type`` of every bit-width flag: a positive integer, so a
-    zero or negative width exits 2 with a usage message."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive bit width, got {text!r}")
-    return value
+def _positive(what: str) -> Callable[[str], int]:
+    """The ``type`` of a flag that takes a positive integer, so a zero
+    or negative ``what`` exits 2 with a usage message."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = 0
+        if value < 1:
+            raise argparse.ArgumentTypeError(
+                f"expected a positive {what}, got {text!r}")
+        return value
+    return parse
+
+
+#: The ``type`` of every bit-width flag and of every count flag.
+_width = _positive("bit width")
+_count = _positive("count")
 
 
 def _commands() -> list[Command]:
@@ -395,7 +402,7 @@ def _commands() -> list[Command]:
                      help="content-hash result cache directory; repeated "
                           "cells and sweep points become lookups")
     parallel = [
-        _arg("--workers", type=int, default=None, metavar="N",
+        _arg("--workers", type=_count, default=None, metavar="N",
              help="worker processes for grid cells (default: one per CPU "
                   "this process may use; 1 = inline)"),
         cache_dir]
@@ -482,7 +489,7 @@ def _commands() -> list[Command]:
          "abstract-interpretation dataflow facts: value ranges, known "
          "bits, certificate self-check, DFA findings", _dataflow_command,
          [targets, bits_list,
-          _arg("--vectors", type=int, default=64,
+          _arg("--vectors", type=_count, default=64,
                help="random vectors per certificate self-check "
                     "(default: 64)"),
           _arg("--input-bits", type=_width, default=None,

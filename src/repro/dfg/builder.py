@@ -101,14 +101,13 @@ class DFGBuilder:
         return self
 
     # ------------------------------------------------------------------
-    def build(self, validate: bool = True) -> DFG:
+    def build(self) -> DFG:
         """Finalise the graph: resolve reaching definitions and validate."""
         self._mark_implicit_inputs()
         self._resolve_reaching_defs()
         dfg = DFG(self.name, self._variables, self._operations,
                   self._op_order, loop_condition=self._loop_condition)
-        if validate:
-            validate_dfg(dfg)
+        validate_dfg(dfg)
         return dfg
 
     def _mark_implicit_inputs(self) -> None:

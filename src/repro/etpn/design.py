@@ -110,16 +110,6 @@ class Design:
         check_precedence(self.dfg, self.steps)
         validate_binding(self.dfg, self.steps, self.binding)
 
-    def lint(self, depth_limit: float = 8.0):
-        """Collect-all design-rule audit of this design point.
-
-        Runs the schedule, binding, Petri-net and testability rule
-        layers and returns a :class:`repro.lint.LintReport` instead of
-        raising (use :meth:`validate` for the raise-style check).
-        """
-        from ..lint import lint_design
-        return lint_design(self, depth_limit=depth_limit)
-
     def replaced(self, steps: dict[str, int] | None = None,
                  binding: Binding | None = None,
                  label: str | None = None) -> "Design":

@@ -63,16 +63,13 @@ def _digest(material: dict) -> str:
 def synthesis_key(dfg: "DFG", params: "SynthesisParams", bits: int) -> str:
     """Cache key of one ``explore`` point: Algorithm 1 on ``dfg`` with
     every :class:`SynthesisParams` field and the cost-model bit width
-    (ΔH depends on it).  The material still names the flow, ``ours``,
-    as it did when baseline flows were cached too, so on-disk entries
-    written then keep hitting.
+    (ΔH depends on it).
     """
     from ..io import dfg_to_dict
     return _digest({
         "epoch": CACHE_EPOCH,
         "kind": "synthesis",
         "dfg": dfg_to_dict(dfg),
-        "flow": "ours",
         "params": asdict(params),
         "bits": bits,
     })

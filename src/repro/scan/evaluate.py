@@ -34,8 +34,8 @@ class ScanResult:
     effort: int = 0
     seconds: float = 0.0
     overhead_mm2: float = 0.0
-    #: ``config.wall_seconds`` ran out: the random phase or PODEM
-    #: stopped early and the coverage counts what was found by then.
+    #: The budget ran out: the random phase or PODEM stopped early and
+    #: the coverage counts what was found by then.
     budget_exhausted: bool = False
 
     @property
@@ -53,22 +53,20 @@ def scan_overhead_mm2(chain_bits: int, library: ModuleLibrary | None = None,
 
 
 def evaluate_scan(netlist: GateNetlist, registers: list[str],
-                  config: ATPGConfig | None = None) -> ScanResult:
+                  config: ATPGConfig | None = None,
+                  budget: Budget | None = None) -> ScanResult:
     """Insert a chain over ``registers`` (mutates a copy) and run ATPG.
 
     The flow mirrors the engine: random sequences first (the chain is
     exercised by the weighted-random scan_enable bit), then full-scan
     combinational PODEM for the remainder, with scan cycle accounting.
-    ``config.wall_seconds`` bounds both phases with one shared
-    :class:`Budget`, as in :func:`~repro.atpg.run_atpg`; once it runs
-    out, no further fault is attempted and the result is tagged
-    ``budget_exhausted``.
+    ``budget`` bounds both phases, as in :func:`~repro.atpg.run_atpg`;
+    once it runs out, no further fault is attempted and the result is
+    tagged ``budget_exhausted``.
     """
     import copy
 
     config = config or ATPGConfig()
-    budget = (None if config.wall_seconds is None
-              else Budget(wall_seconds=config.wall_seconds))
     scanned = copy.deepcopy(netlist)
     chain = insert_scan_chain(scanned, registers)
     circuit = CompiledCircuit(scanned)

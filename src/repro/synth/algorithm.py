@@ -4,19 +4,18 @@ Each iteration runs the testability analysis, selects the ``k`` best
 merger pairs by the C/O balance principle, estimates ΔE and ΔH for each
 (by actually rescheduling — scheduling and allocation proceed
 simultaneously), applies the pair with the smallest
-ΔC = α·ΔE + β·ΔH, and repeats until no merger is feasible.
+ΔC = α·ΔE + β·ΔH, and repeats until no merger with ΔC < 0 remains.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from itertools import count
 
 from ..alloc.binding import Binding
 from ..cost import CostModel
 from ..cost.library import ModuleLibrary
 from ..dfg import DFG
-from ..errors import SynthesisError
 from ..etpn.design import Design, Signature
 from ..etpn.from_dfg import default_design
 from ..runtime.budget import Budget
@@ -37,36 +36,11 @@ class SynthesisParams:
             k emphasises testability; large k emphasises ΔC.
         alpha: weight of ΔE (execution time) in ΔC.
         beta: weight of ΔH (hardware cost) in ΔC.
-        require_improvement: stop once no candidate in the k-window has
-            ΔC < 0.  This is the reading of "until no merger exists"
-            consistent with the paper's tables (the reported designs
-            keep module counts and schedule lengths comparable to the
-            baselines rather than compacting maximally); set False for
-            the literal keep-merging-while-feasible behaviour.
-        max_execution_time: optional design constraint — mergers that
-            would push E past this many control steps are rejected.
-        max_iterations: safety bound on the merger loop.
-        debug_lint: re-lint the design after every applied merger and
-            abort with :class:`SynthesisError` the moment a
-            transformation produces an illegal design.  Slow; meant for
-            debugging new transformations, not production runs.
-        verify_mergers: statically verify every candidate merger with
-            :func:`repro.analysis.verify.merger_preserves_semantics`
-            (a valid symbolic equivalence certificate) and reject
-            candidates that fail; the loop then only ever commits
-            provably semantics-preserving design points.  Slower than
-            ``debug_lint`` but catches value-flow corruption the
-            structural lint rules cannot see.
     """
 
     k: int = 3
     alpha: float = 2.0
     beta: float = 1.0
-    require_improvement: bool = True
-    max_execution_time: int | None = None
-    max_iterations: int = 10_000
-    debug_lint: bool = False
-    verify_mergers: bool = False
     #: Candidate ranking: "balance" (the paper, §3) or "connectivity"
     #: (the conventional strawman — used by the A1 ablation bench).
     selection: str = "balance"
@@ -100,7 +74,6 @@ class KeptOutcome:
     delta_e: float
     delta_h: float
     order: tuple[str, ...]
-    execution_time: int
     steps: _Packed
     module_of: _Packed
     register_of: _Packed
@@ -164,8 +137,8 @@ class MergerMemo:
         design = outcome.design
         kept = KeptOutcome(
             outcome.kind, outcome.kept, outcome.absorbed, outcome.delta_e,
-            outcome.delta_h, outcome.order, design.execution_time,
-            self._pack(design.steps), self._pack(design.binding.module_of),
+            outcome.delta_h, outcome.order, self._pack(design.steps),
+            self._pack(design.binding.module_of),
             self._pack(design.binding.register_of), design.datapath.area)
         return kept
 
@@ -195,28 +168,33 @@ def synthesize(dfg: DFG, params: SynthesisParams | None = None,
                memo: MergerMemo | None = None) -> SynthesisResult:
     """Run the paper's integrated test-synthesis algorithm on ``dfg``.
 
+    The loop applies one merger per iteration and stops when no merger
+    with ΔC < 0 remains (see :func:`_best_merger`).  It always stops:
+    each applied merger folds one module or register into another, so
+    a run applies fewer mergers than the default design has modules and
+    registers.
+
     Args:
         dfg: the behavioural data-flow graph.
-        params: (k, α, β) and constraints; defaults to (3, 2, 1).
+        params: (k, α, β) and the ranking and merge-order strategies;
+            defaults to (3, 2, 1).
         cost_model: bit width and module library for ΔH; defaults to
             8-bit with the standard library.
         label: label recorded on the produced design.
-        budget: optional wall-clock/step budget charged once per merger
-            iteration; on exhaustion the best design found so far is
-            returned with ``degraded=True`` instead of running on.
+        budget: optional wall-clock/step budget, charged and checked at
+            the start of every merger iteration; on exhaustion the best
+            design found so far is returned with ``degraded=True``
+            instead of running on.
         memo: rankings and merger outcomes shared with other runs on the
             same DFG and cost model (a fresh one when omitted); the
             result is the same either way.
 
     Returns:
         The final design and the full merger history.  A candidate whose
-        rescheduling, verification or cost evaluation raises is recorded
-        in ``result.skipped`` and the loop continues — one misbehaving
-        candidate never aborts the run.  The loop hitting
-        ``max_iterations`` likewise yields a degraded best-so-far result
-        rather than an exception; only an invalid *final* design (or a
-        ``debug_lint`` audit failure) still raises
-        :class:`~repro.errors.SynthesisError`.
+        rescheduling or cost evaluation raises is recorded in
+        ``result.skipped`` and the loop continues — one misbehaving
+        candidate never aborts the run.  Only an invalid *final* design
+        raises :class:`~repro.errors.SynthesisError`.
 
     Raises:
         ValueError: ``memo`` was made for another DFG or cost model.
@@ -233,8 +211,11 @@ def synthesize(dfg: DFG, params: SynthesisParams | None = None,
     skipped: list[SkippedCandidate] = []
     degradation: list[str] = []
 
-    for iteration in range(params.max_iterations):
-        if budget is not None and not budget.charge():
+    for iteration in count():
+        # ``charge`` reads the clock only every few hundred steps, so the
+        # deadline is checked here as well.
+        if budget is not None and (not budget.charge()
+                                   or budget.exhausted()):
             degradation.append(
                 f"budget_exhausted:{budget.reason} after "
                 f"{len(history)} mergers")
@@ -244,17 +225,12 @@ def synthesize(dfg: DFG, params: SynthesisParams | None = None,
         if found is None:
             break
         outcome, design = found
-        if params.debug_lint:
-            _debug_lint(design, iteration, outcome)
         history.append(MergeRecord(
             iteration=iteration, kind=outcome.kind, kept=outcome.kept,
             absorbed=outcome.absorbed, delta_e=outcome.delta_e,
             delta_h=outcome.delta_h,
             delta_c=outcome.delta_c(params.alpha, params.beta),
             order=outcome.order))
-    else:
-        degradation.append(f"merger loop did not terminate within "
-                           f"{params.max_iterations} iterations")
 
     design.validate()
     return SynthesisResult(design, history,
@@ -264,36 +240,6 @@ def synthesize(dfg: DFG, params: SynthesisParams | None = None,
                            skipped=skipped,
                            degraded=bool(degradation),
                            degradation_reasons=degradation)
-
-
-def _debug_lint(design: Design, iteration: int, outcome: KeptOutcome) -> None:
-    """Fail fast when a merger produced an illegal design (debug aid)."""
-    report = design.lint()
-    if report.has_errors:
-        detail = "; ".join(d.message for d in report.errors())
-        raise SynthesisError(
-            f"{design.dfg.name}: lint errors after merger #{iteration} "
-            f"({outcome.kind} {outcome.absorbed} -> {outcome.kept}): {detail}")
-
-
-def _admissible(params: SynthesisParams, outcome: KeptOutcome,
-                design_of: Callable[[KeptOutcome], Design]) -> bool:
-    if (params.max_execution_time is not None
-            and outcome.execution_time > params.max_execution_time):
-        return False
-    if params.verify_mergers and not _merger_verified(design_of(outcome)):
-        return False
-    return True
-
-
-def _merger_verified(design: Design) -> bool:
-    """Is the merged design point provably semantics-preserving?
-
-    Imported lazily: the analysis package is an optional heavyweight
-    dependency of the inner loop, paid only under ``verify_mergers``.
-    """
-    from ..analysis import merger_preserves_semantics
-    return merger_preserves_semantics(design)
 
 
 def _rank(design: Design, selection: str) -> list[CandidatePair]:
@@ -310,13 +256,16 @@ def _best_merger(design: Design, params: SynthesisParams,
                  ) -> tuple[KeptOutcome, Design] | None:
     """Steps 3-14 of Algorithm 1 for one iteration.
 
-    The k top balance-ranked pairs are costed and the cheapest ΔC wins.
-    If none of the k is feasible the search continues down the ranking
-    (the loop only ends "until no merger exists").  Candidate evaluation
-    runs behind an exception barrier: a candidate whose rescheduling,
-    verification or cost estimate raises is appended to ``skipped`` and
-    the ranking walk continues with the next pair.  The ranking and the
-    outcomes come from ``memo`` when a run has already worked them out.
+    The k top balance-ranked feasible pairs are costed and the cheapest
+    ΔC < 0 wins.  When none of them has ΔC < 0 the search continues down
+    the ranking; None means no feasible merger anywhere in the ranking
+    lowers ΔC, which ends the run.  (The literal "until no merger
+    exists" would compact every design to one module per class, which
+    the paper's tables contradict; DESIGN.md §6.)  Candidate evaluation
+    runs behind an exception barrier: a candidate whose rescheduling or
+    cost estimate raises is appended to ``skipped`` and the ranking walk
+    continues with the next pair.  The ranking and the outcomes come
+    from ``memo`` when a run has already worked them out.
     """
     key = (design.signature, params.selection, params.order_strategy)
     entry = memo.designs.get(key)
@@ -327,14 +276,6 @@ def _best_merger(design: Design, params: SynthesisParams,
     window: list[KeptOutcome] = []
     # The designs this walk evaluated, by the id of their kept outcome.
     fresh: dict[int, Design] = {}
-
-    def design_of(outcome: KeptOutcome) -> Design:
-        """The design an outcome produced: the evaluated one when this
-        walk evaluated it, else one rebuilt from the memo."""
-        evaluated = fresh.get(id(outcome))
-        if evaluated is None:
-            return memo.design(outcome, design.label)
-        return evaluated.replaced(label=design.label)
 
     def improves(outcome: KeptOutcome) -> bool:
         return outcome.delta_c(params.alpha, params.beta) < -1e-12
@@ -353,8 +294,7 @@ def _best_merger(design: Design, params: SynthesisParams,
                 outcome = outcomes[pair] = memo.keep(merged)
                 if merged is not None:
                     fresh[id(outcome)] = merged.design
-            if outcome is None or not _admissible(params, outcome,
-                                                  design_of):
+            if outcome is None:
                 continue
         except ChaosCrash:
             raise  # simulated process death must not be absorbed
@@ -364,21 +304,19 @@ def _best_merger(design: Design, params: SynthesisParams,
                 f"{type(exc).__name__}: {exc}"))
             continue
         window.append(outcome)
-        if len(window) < params.k:
-            continue
-        # The k-window is full.  Without the improvement gate the best
-        # ΔC in the window wins outright; with it, keep extending the
-        # ranking until the window contains an improving merger — the
-        # balance principle then still decides *which* improving merger
-        # is taken first.
-        if not params.require_improvement or any(improves(o) for o in window):
+        # Once the k-window is full, keep extending the ranking until
+        # the window contains an improving merger: the balance principle
+        # then still decides *which* improving merger is taken first.
+        if len(window) >= params.k and any(improves(o) for o in window):
             break
+    window = [o for o in window if improves(o)]
     if not window:
         return None
-    if params.require_improvement:
-        window = [o for o in window if improves(o)]
-        if not window:
-            return None
     best = min(window, key=lambda o: (o.delta_c(params.alpha, params.beta),
                                       o.kind, o.kept, o.absorbed))
-    return best, design_of(best)
+    # The evaluated design when this walk evaluated it, else one rebuilt
+    # from the memo.
+    evaluated = fresh.get(id(best))
+    if evaluated is None:
+        return best, memo.design(best, design.label)
+    return best, evaluated.replaced(label=design.label)

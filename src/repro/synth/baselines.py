@@ -14,9 +14,8 @@ harness pushes every flow through the identical RTL→gates→ATPG path.
 
 from __future__ import annotations
 
-from ..alloc import (Binding, connectivity_left_edge,
-                     connectivity_module_binding, min_module_binding,
-                     testability_left_edge)
+from ..alloc import (Binding, connectivity_module_binding,
+                     min_module_binding, testability_left_edge)
 from ..cost import CostModel
 from ..dfg import DFG, variable_lifetimes
 from ..dfg.analysis import asap_steps
@@ -33,30 +32,22 @@ def _design(dfg: DFG, steps: dict[str, int], module_of: dict[str, str],
     return design
 
 
-def run_camad(dfg: DFG, cost_model: CostModel | None = None,
-              share_registers: bool = False) -> SynthesisResult:
+def run_camad(dfg: DFG) -> SynthesisResult:
     """The CAMAD baseline: connectivity-driven, testability-blind.
 
     The paper's CAMAD rows (Tables 1-3) share functional modules by
     connectivity but keep one register per variable (e.g. twelve
-    dedicated registers and only four muxes for Ex), so dedicated
-    registers are the default here; ``share_registers=True`` adds
-    connectivity-driven register packing for the ablation benches.
+    dedicated registers and only four muxes for Ex).
     """
     steps = asap_steps(dfg)
     module_of = connectivity_module_binding(dfg, steps)
-    if share_registers:
-        lifetimes = variable_lifetimes(dfg, steps)
-        register_of = connectivity_left_edge(dfg, lifetimes, module_of)
-    else:
-        register_of = {name: f"R_{name}" for name, var in
-                       sorted(dfg.variables.items()) if var.needs_register()}
+    register_of = {name: f"R_{name}" for name, var in
+                   sorted(dfg.variables.items()) if var.needs_register()}
     design = _design(dfg, steps, module_of, register_of, "camad")
     return SynthesisResult(design, params={"flow": "camad"})
 
 
-def run_approach1(dfg: DFG, cost_model: CostModel | None = None
-                  ) -> SynthesisResult:
+def run_approach1(dfg: DFG) -> SynthesisResult:
     """Approach 1: FDS scheduling + modified left-edge allocation."""
     steps = fds_schedule(dfg)
     module_of = min_module_binding(dfg, steps)
@@ -66,8 +57,7 @@ def run_approach1(dfg: DFG, cost_model: CostModel | None = None
     return SynthesisResult(design, params={"flow": "approach1"})
 
 
-def run_approach2(dfg: DFG, cost_model: CostModel | None = None
-                  ) -> SynthesisResult:
+def run_approach2(dfg: DFG) -> SynthesisResult:
     """Approach 2: mobility-path scheduling + modified left-edge."""
     steps = mobility_path_schedule(dfg)
     module_of = min_module_binding(dfg, steps)
@@ -99,12 +89,13 @@ def run_flow(name: str, dfg: DFG,
              budget: object = None) -> SynthesisResult:
     """Run one of the four §5 flows by name.
 
-    ``budget`` bounds the iterative flow (``ours``); the one-shot
-    baselines complete in a single pass and ignore it.
+    ``params``, ``cost_model`` and ``budget`` serve the iterative flow
+    (``ours``); the one-shot baselines price nothing, complete in a
+    single pass and ignore them.
     """
     if name not in FLOWS:
         raise KeyError(f"unknown flow {name!r}; choose from {sorted(FLOWS)}")
     if name == "ours":
         return run_ours(dfg, params=params, cost_model=cost_model,
                         budget=budget)
-    return FLOWS[name](dfg, cost_model)
+    return FLOWS[name](dfg)

@@ -48,9 +48,9 @@ class SynthesisResult:
             one-shot baseline flows).
         params: the (k, α, β) and bit width the run used.
         skipped: candidates whose evaluation raised and were survived.
-        degraded: True when the run stopped early (budget exhausted,
-            iteration ceiling) — ``design`` is then the best design
-            found so far, still validated, not the converged optimum.
+        degraded: True when the run stopped early on an exhausted
+            budget — ``design`` is then the best design found so far,
+            still validated, not the converged optimum.
         degradation_reasons: why the run is marked degraded.
     """
 

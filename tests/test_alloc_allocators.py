@@ -1,8 +1,8 @@
 """Unit tests for left-edge, modified left-edge and module binders."""
 
 
-from repro.alloc import (connectivity_left_edge, connectivity_module_binding,
-                         left_edge, min_module_binding)
+from repro.alloc import (connectivity_module_binding, left_edge,
+                         min_module_binding)
 from repro.alloc import testability_left_edge as modified_left_edge
 from repro.dfg import DFGBuilder, variable_lifetimes
 from repro.dfg.lifetime import Lifetime
@@ -95,14 +95,3 @@ class TestModuleBinding:
         a = min_module_binding(diamond_dfg, steps)
         b = connectivity_module_binding(diamond_dfg, steps)
         assert len(set(a.values())) == len(set(b.values()))
-
-
-class TestConnectivityRegisterAllocation:
-    def test_prefers_shared_connections(self, multidef_dfg):
-        steps = {"N1": 0, "N2": 1}
-        lifetimes = variable_lifetimes(multidef_dfg, steps)
-        module_of = min_module_binding(multidef_dfg, steps)
-        result = connectivity_left_edge(multidef_dfg, lifetimes, module_of)
-        # Same register count as plain left-edge.
-        assert (len(set(result.values()))
-                == len(set(left_edge(lifetimes).values())))

@@ -90,3 +90,22 @@ def test_non_positive_width_is_a_usage_error(command, width, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage:")
     assert f"expected a positive bit width, got '{width}'" in err
+
+
+#: Every subcommand flag that takes a count.
+COUNT_COMMANDS = [
+    ["table1", "--workers"], ["table2", "--workers"], ["table3", "--workers"],
+    ["bench", "ex", "--workers"], ["dataflow", "--vectors"],
+]
+
+
+@pytest.mark.parametrize("count", ["0", "-1", "two"])
+@pytest.mark.parametrize("command", COUNT_COMMANDS,
+                         ids=[" ".join(c) for c in COUNT_COMMANDS])
+def test_non_positive_count_is_a_usage_error(command, count, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main([*command, count])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert f"expected a positive count, got '{count}'" in err

@@ -24,8 +24,8 @@ class TestKeys:
         # Pinned, not just repeatable: on-disk explore entries written
         # by earlier runs hit only while the digest holds.
         assert synthesis_key(load("ex"), SynthesisParams(), 4) == (
-            "5923e9b99ca6d20c269ca272128263e0"
-            "a5b1f27bb0aa3727a4a50049ddb35ed4")
+            "153d530c2d024c1db6fb8debf47db544"
+            "138a1bf1d176e5052fe4a78722ca5f25")
 
     def test_ours_key_covers_bits_and_params(self):
         dfg = load("ex")

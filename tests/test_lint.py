@@ -7,8 +7,6 @@ the full pipeline audit with zero errors.
 
 from __future__ import annotations
 
-import types
-
 import pytest
 
 from repro.alloc.binding import Binding, default_binding, validate_binding
@@ -17,7 +15,7 @@ from repro.dfg import DFGBuilder
 from repro.dfg.graph import DFG, DependenceEdge, Operation, Variable
 from repro.dfg.ops import OpKind
 from repro.dfg.validate import validate_dfg
-from repro.errors import BindingError, DFGError, PetriNetError, SynthesisError
+from repro.errors import BindingError, DFGError, PetriNetError
 from repro.etpn.from_dfg import default_design
 from repro.gates.netlist import Gate, GateNetlist, GateType
 from repro.lint import (Diagnostic, LintReport, Severity, all_rules,
@@ -26,8 +24,6 @@ from repro.lint import (Diagnostic, LintReport, Severity, all_rules,
                         lint_schedule)
 from repro.petri.net import PetriNet, Transition
 from repro.sched.asap_alap import asap_schedule
-from repro.synth import SynthesisParams, synthesize
-from repro.synth.algorithm import _debug_lint
 
 PAPER_BENCHMARKS = ("ex", "dct", "diffeq", "ewf", "paulin", "tseng")
 
@@ -535,19 +531,6 @@ class TestValidatorsRunErrorRulesOnly:
         assert _raised(lambda: validate_binding(dfg, steps, binding),
                        BindingError) \
             == _full_run_errors(lint_binding(dfg, steps, binding))
-
-
-class TestSynthesisHook:
-    def test_debug_lint_passes_on_legal_mergers(self, diamond_dfg):
-        result = synthesize(diamond_dfg, SynthesisParams(debug_lint=True))
-        assert result.design.label == "ours"
-
-    def test_debug_lint_raises_on_illegal_design(self, chain_dfg):
-        design = default_design(chain_dfg).replaced(binding=Binding())
-        outcome = types.SimpleNamespace(kind="mm", absorbed="M_a",
-                                        kept="M_b")
-        with pytest.raises(SynthesisError, match="lint errors after merger"):
-            _debug_lint(design, 0, outcome)
 
 
 class TestDiagnosticFormatting:

@@ -111,6 +111,27 @@ class TestKernelIntegration:
         assert 0 < partial.iterations <= 2 < full.iterations
         partial.design.validate()
 
+    def test_synthesize_honours_a_deadline_between_mergers(self,
+                                                           monkeypatch):
+        """The clock passes the deadline during the first merger's
+        evaluation; the loop stops at the next iteration boundary."""
+        import repro.synth.algorithm as algorithm
+        clock = FakeClock()
+        budget = Budget(wall_seconds=10.0, clock=clock)
+        try_merge = algorithm.try_merge
+
+        def slow_merge(*args, **kwargs):
+            clock.now = 11.0
+            return try_merge(*args, **kwargs)
+
+        monkeypatch.setattr(algorithm, "try_merge", slow_merge)
+        result = run_ours(load("ex"), budget=budget)
+        assert result.degraded
+        assert result.iterations == 1
+        assert result.degradation_reasons == [
+            "budget_exhausted:deadline after 1 mergers"]
+        result.design.validate()
+
     def test_synthesize_unlimited_budget_not_degraded(self):
         result = run_ours(load("ex"), budget=Budget.unlimited())
         assert not result.degraded
@@ -137,8 +158,7 @@ class TestKernelIntegration:
         config = ATPGConfig(
             random=RandomPhaseConfig(max_sequences=2, saturation=1,
                                      sequence_length=8),
-            max_frames=4, max_backtracks=16, fault_fraction=0.5,
-            wall_seconds=0.0)
-        result = run_atpg(netlist, config)
+            max_frames=4, max_backtracks=16, fault_fraction=0.5)
+        result = run_atpg(netlist, config, budget=Budget(wall_seconds=0.0))
         assert result.budget_exhausted
         assert result.budget_reason == REASON_DEADLINE

@@ -1,7 +1,5 @@
 """Unit and integration tests for the scan extension."""
 
-from dataclasses import replace
-
 import pytest
 
 from repro.atpg import ATPGConfig, Fault, RandomPhaseConfig
@@ -11,6 +9,7 @@ from repro.errors import NetlistError
 from repro.gates import CompiledCircuit, expand_to_gates, GateNetlist
 from repro.gates.simulate import FULL
 from repro.rtl import generate_rtl
+from repro.runtime import Budget
 from repro.scan import (ScanTestCost, chain_bits_for_registers,
                         evaluate_scan, insert_scan_chain,
                         register_dependency_graph, scan_load_sequence,
@@ -179,8 +178,8 @@ class TestEvaluate:
                 unbounded.test_cycles, unbounded.effort) == (988, 915,
                                                              5654, 220812)
         # Setup alone outlasts a microsecond: no phase gets to run.
-        starved = evaluate_scan(netlist, registers,
-                                replace(config, wall_seconds=1e-6))
+        starved = evaluate_scan(netlist, registers, config,
+                                budget=Budget(wall_seconds=1e-6))
         assert starved.budget_exhausted
         assert (starved.detected, starved.test_cycles,
                 starved.effort) == (0, 0, 0)

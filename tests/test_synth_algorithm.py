@@ -80,19 +80,6 @@ class TestAlgorithm:
             if outcome is not None:
                 assert outcome.delta_c(params.alpha, params.beta) >= -1e-12
 
-    def test_full_compaction_mode(self, bigger_dfg):
-        """With the literal reading every feasible merger is applied."""
-        from repro.synth import try_merge
-        result = synthesize(bigger_dfg,
-                            SynthesisParams(require_improvement=False))
-        model = CostModel()
-        for pair in compatible_pairs(result.design):
-            assert try_merge(result.design, pair.kind, pair.node_a,
-                             pair.node_b, model) is None
-        gated = synthesize(bigger_dfg)
-        assert (result.design.binding.module_count()
-                <= gated.design.binding.module_count())
-
     def test_history_records_deltas(self, bigger_dfg):
         result = synthesize(bigger_dfg,
                             SynthesisParams(k=3, alpha=2.0, beta=1.0))
@@ -100,12 +87,6 @@ class TestAlgorithm:
             assert record.kind in ("module", "register")
             assert record.delta_c == pytest.approx(
                 2.0 * record.delta_e + 1.0 * record.delta_h)
-
-    def test_execution_time_constraint(self, bigger_dfg):
-        base_e = default_design(bigger_dfg).execution_time
-        result = synthesize(bigger_dfg,
-                            SynthesisParams(max_execution_time=base_e))
-        assert result.design.execution_time <= base_e
 
     def test_params_recorded(self, bigger_dfg):
         result = synthesize(bigger_dfg, SynthesisParams(k=5),
@@ -155,39 +136,37 @@ class TestBaselines:
 
 
 class TestVerifyMergers:
-    def test_verified_run_matches_plain_run(self, bigger_dfg):
-        """Every merger Algorithm 1 takes on a linear design is
-        semantics-preserving, so verification must not change the
-        outcome — it only proves it."""
-        plain = synthesize(bigger_dfg)
-        checked = synthesize(bigger_dfg,
-                             SynthesisParams(verify_mergers=True))
-        assert ([(r.kind, r.kept, r.absorbed) for r in plain.history]
-                == [(r.kind, r.kept, r.absorbed) for r in checked.history])
-
     def test_final_design_carries_a_valid_certificate(self, bigger_dfg):
         from repro.analysis import analyze_design
-        result = synthesize(bigger_dfg,
-                            SynthesisParams(verify_mergers=True))
+        result = synthesize(bigger_dfg)
         analysis = analyze_design(result.design)
         assert analysis.verified, analysis.report.format_text()
 
-    def test_rejecting_verifier_blocks_every_merger(self, bigger_dfg,
-                                                    monkeypatch):
+    def test_every_candidate_design_is_certified_and_lint_clean(
+            self, monkeypatch):
+        """Every design a merger evaluation returns, applied or not,
+        computes its DFG's behaviour and breaks no design rule."""
         import repro.synth.algorithm as algorithm
-        monkeypatch.setattr(algorithm, "_merger_verified",
-                            lambda outcome: False)
-        blocked = synthesize(bigger_dfg,
-                             SynthesisParams(verify_mergers=True))
-        assert blocked.history == []
-        assert synthesize(bigger_dfg).history  # sanity: mergers do exist
+        from repro.analysis import analyze_design
+        from repro.bench import load
+        from repro.lint import lint_design
 
-    def test_verifier_not_consulted_by_default(self, bigger_dfg,
-                                               monkeypatch):
-        import repro.synth.algorithm as algorithm
+        try_merge = algorithm.try_merge
+        evaluated = []
 
-        def explode(outcome):
-            raise AssertionError("verifier must not run by default")
+        def audited(*args, **kwargs):
+            outcome = try_merge(*args, **kwargs)
+            if outcome is not None:
+                evaluated.append(outcome.design)
+            return outcome
 
-        monkeypatch.setattr(algorithm, "_merger_verified", explode)
-        assert synthesize(bigger_dfg).history
+        monkeypatch.setattr(algorithm, "try_merge", audited)
+        for name in ("ex", "diffeq", "dct"):
+            evaluated.clear()
+            result = run_ours(load(name), cost_model=CostModel(bits=4))
+            assert result.history and len(evaluated) > result.iterations
+            for design in evaluated:
+                analysis = analyze_design(design)
+                assert analysis.verified, analysis.report.format_text()
+                report = lint_design(design, bits=4)
+                assert not report.has_errors, report.format_text()
