@@ -10,22 +10,16 @@ transformations are semantics-preserving, checked per design point.
 both go through it.
 """
 
-from .dataflow import (AbstractValue, DataflowCertificate, analyze_dataflow,
-                       infer_feedback)
 from .equivalence import (COMMUTATIVE, Divergence, EquivalenceCertificate,
                           ValueNumbering, certify)
 from .verify import AnalysisResult, analyze_design
 
 __all__ = [
-    "AbstractValue",
     "AnalysisResult",
     "COMMUTATIVE",
-    "DataflowCertificate",
     "Divergence",
     "EquivalenceCertificate",
     "ValueNumbering",
-    "analyze_dataflow",
     "analyze_design",
     "certify",
-    "infer_feedback",
 ]

@@ -9,8 +9,7 @@ per fault — but at orders of magnitude more effort than the static
 argument.
 
 :func:`constant_lines` finds such lines by **sequential ternary
-constant propagation**, the gate-level counterpart of the DFG engine's
-known-bits component: every primary input is X (unknown), every DFF
+constant propagation**: every primary input is X (unknown), every DFF
 starts at its reset value 0 (the convention both the fault simulator's
 :meth:`~repro.gates.simulate.CompiledCircuit.zero_state` and the PODEM
 unroller use — see :mod:`repro.atpg.unroll`), and the next-state

@@ -11,7 +11,6 @@ Examples::
     repro-hlts lint diffeq my.hdl --strict --format json
     repro-hlts analyze                # equivalence certificates
     repro-hlts analyze ewf --flow default --format json
-    repro-hlts dataflow diffeq --bits 8 --narrow
     repro-hlts table1 --workers 4 --cache-dir .repro-cache
 
 Each subcommand is one row of :func:`_commands`.
@@ -21,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -208,18 +208,6 @@ def _resolve(target: str, bits: int, optimize: bool = False):
         return compile_source(handle.read(), optimize=optimize, bits=bits)
 
 
-def _dfgs(args, bits: int) -> Iterator[tuple[str, Any]]:
-    """Yield ``(target, dfg)`` per target (default: every benchmark);
-    a file that does not compile exits 2."""
-    for target in args.targets or names():
-        try:
-            dfg = _resolve(target, bits)
-        except ReproError as exc:
-            raise _CommandError(f"{target}: cannot compile: {exc}",
-                                2) from exc
-        yield target, dfg
-
-
 def _design(dfg, flow: str, bits: int):
     """The design point ``--flow`` names: the unmerged default allocation
     (``default``) or Algorithm 1's synthesised design (``ours``)."""
@@ -230,8 +218,14 @@ def _design(dfg, flow: str, bits: int):
 
 
 def _designs(args, verb: str) -> Iterator[tuple[str, Any]]:
-    """Yield ``(target, design)`` at ``--flow`` and ``--bits``."""
-    for target, dfg in _dfgs(args, args.bits):
+    """Yield ``(target, design)`` per target (default: every benchmark)
+    at ``--flow`` and ``--bits``; a file that does not compile exits 2."""
+    for target in args.targets or names():
+        try:
+            dfg = _resolve(target, args.bits)
+        except ReproError as exc:
+            raise _CommandError(f"{target}: cannot compile: {exc}",
+                                2) from exc
         _progress(f"{verb} {target}/{args.flow}/{args.bits}-bit ...")
         yield target, _design(dfg, args.flow, args.bits)
 
@@ -313,48 +307,6 @@ def _analyze_command(args) -> int:
     return _print_results(args, results, flow=args.flow, strict=args.strict)
 
 
-def _dataflow_command(args) -> int:
-    """The ``dataflow`` subcommand: abstract-interpretation facts,
-    certificate self-check, DFA findings and optional width narrowing."""
-    from .analysis.dataflow import analyze_dataflow, input_assumptions
-    from .cost import narrow_design
-    from .lint import lint_dataflow
-
-    results: list[TargetResult] = []
-    for target, dfg in _dfgs(args, max(args.bits)):
-        for bits in args.bits:
-            assumptions = input_assumptions(dfg, bits, args.input_bits)
-            cert = analyze_dataflow(dfg, bits, assumptions=assumptions)
-            problems = cert.check(dfg, vectors=args.vectors)
-            report = lint_dataflow(dfg, bits=bits)
-            narrow = None
-            if args.narrow:
-                narrow = narrow_design(_design(dfg, args.flow, bits), bits,
-                                       assumptions=assumptions, cert=cert)
-            ok = not problems and report.ok(strict=args.strict)
-            lines = [f"== {cert.summary()} "
-                     f"[check {args.vectors} vectors: {_status(ok)}]",
-                     *_diagnostic_lines(report)]
-            lines += [f"   CHECK: {problem}" for problem in problems]
-            if narrow is not None:
-                lines.append(f"   narrowing: {narrow.summary()}")
-            if args.verbose:
-                lines += [f"   {var}: {fact}" for var, fact
-                          in sorted(cert.var_facts.items())]
-            results.append((ok, {
-                "name": target, "bits": bits, "ok": ok,
-                "constant_ops": len(cert.constant_ops()),
-                "known_bits": cert.known_bit_total(),
-                "max_required_width": cert.max_required_width(),
-                "loop_iterations": cert.loop_iterations,
-                "widened": cert.widened,
-                "check_vectors": args.vectors,
-                "check_problems": problems,
-                "narrowing": narrow.to_dict() if narrow else None,
-                **report.to_dict()}, lines))
-    return _print_results(args, results, strict=args.strict)
-
-
 #: One ``add_argument`` call: (flags, keyword arguments).
 Argument = tuple[tuple[str, ...], dict[str, Any]]
 #: One subcommand: (name, help, handler, arguments, fixed defaults).
@@ -381,9 +333,31 @@ def _positive(what: str) -> Callable[[str], int]:
     return parse
 
 
-#: The ``type`` of every bit-width flag and of every count flag.
+def _finite(what: str, above_zero: bool = False) -> Callable[[str], float]:
+    """The ``type`` of a flag that takes a finite number ``>= 0`` (``> 0``
+    when ``above_zero``), so a negative, NaN or infinite ``what`` exits 2
+    with a usage message."""
+    bound = "positive" if above_zero else "non-negative"
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value)
+                and (value > 0 if above_zero else value >= 0)):
+            raise argparse.ArgumentTypeError(
+                f"expected a finite {bound} {what}, got {text!r}")
+        return value
+    return parse
+
+
+#: The ``type`` of every bit-width, count, weight, depth and time flag.
 _width = _positive("bit width")
 _count = _positive("count")
+_weight = _finite("weight")
+_depth = _finite("depth")
+_seconds = _finite("number of seconds", above_zero=True)
 
 
 def _commands() -> list[Command]:
@@ -414,14 +388,8 @@ def _commands() -> list[Command]:
                dest="fmt", help="output format (default: text)")
     bits = _arg("--bits", type=_width, default=8,
                 help="data-path bit width (default: 8)")
-    flow = _arg("--flow", choices=["ours", "default"], default="ours",
-                help="the synthesised design (ours) or the unmerged default "
-                     "allocation (default: ours)")
     strict = _arg("--strict", action="store_true",
                   help="treat warnings as failures for the exit status")
-
-    def verbose(help_: str) -> Argument:
-        return _arg("-v", "--verbose", action="store_true", help=help_)
 
     tables = [(f"table{n}", f"reproduce table{n} ({bench})", _table_command,
                [bits_list, *journal, *parallel], {"benchmark": bench})
@@ -433,9 +401,9 @@ def _commands() -> list[Command]:
                                        ("fig3", ["dct", "diffeq"]))]
     return tables + figures + [
         ("synth", "synthesise one benchmark with ours", _synth_command,
-         [benchmark, _arg("-k", type=int, default=3),
-          _arg("-a", "--alpha", type=float, default=2.0),
-          _arg("-b", "--beta", type=float, default=1.0), bits], {}),
+         [benchmark, _arg("-k", type=_count, default=3),
+          _arg("-a", "--alpha", type=_weight, default=2.0),
+          _arg("-b", "--beta", type=_weight, default=1.0), bits], {}),
         ("explore", "Pareto sweep over (k, alpha, beta)", _explore_command,
          [benchmark, bits, cache_dir], {}),
         ("export", "export a synthesised design", _export_command,
@@ -446,7 +414,7 @@ def _commands() -> list[Command]:
           _arg("--output", default=None)], {}),
         ("bench", "one table cell (flow x width)", _bench_command,
          [benchmark, _arg("--flow", choices=FLOW_ORDER, default="ours"), bits,
-          _arg("--wall-seconds", type=float, default=None,
+          _arg("--wall-seconds", type=_seconds, default=None,
                help="wall-clock budget for the cell; on exhaustion the "
                     "cell completes with a degraded partial result"),
           *journal, *parallel], {}),
@@ -475,31 +443,21 @@ def _commands() -> list[Command]:
                     "linting (benchmarks are linted as registered)"),
           _arg("--no-gates", action="store_true",
                help="skip the gate-level expansion rules (faster)"),
-          _arg("--depth-limit", type=float, default=8.0,
+          _arg("--depth-limit", type=_depth, default=8.0,
                help="sequential C/O depth threshold for TST002"),
           _arg("--list-rules", action="store_true",
                help="print the rule table and exit")], {}),
         ("analyze",
          "equivalence certificates: every output computes the DFG's "
          "expression", _analyze_command,
-         [targets, flow, bits, fmt, strict,
-          verbose("also print the per-output certificate expressions")],
+         [targets,
+          _arg("--flow", choices=["ours", "default"], default="ours",
+               help="the synthesised design (ours) or the unmerged "
+                    "default allocation (default: ours)"),
+          bits, fmt, strict,
+          _arg("-v", "--verbose", action="store_true",
+               help="also print the per-output certificate expressions")],
          {}),
-        ("dataflow",
-         "abstract-interpretation dataflow facts: value ranges, known "
-         "bits, certificate self-check, DFA findings", _dataflow_command,
-         [targets, bits_list,
-          _arg("--vectors", type=_count, default=64,
-               help="random vectors per certificate self-check "
-                    "(default: 64)"),
-          _arg("--input-bits", type=_width, default=None,
-               help="assume primary inputs occupy at most this many bits "
-                    "(default: the full datapath width)"),
-          _arg("--narrow", action="store_true",
-               help="also synthesise the design (--flow) and report the "
-                    "equivalence-gated width-narrowing area delta"),
-          flow, strict, fmt,
-          verbose("also print the per-variable abstract values")], {}),
     ]
 
 
@@ -520,9 +478,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--traceback", action="store_true",
                         help="print the full traceback on pipeline errors "
                              "instead of a one-line message")
-    _add_commands(parser.add_subparsers(dest="command", required=True),
-                  _commands())
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    _add_commands(subparsers, _commands())
     args = parser.parse_args(argv)
+    if getattr(args, "resume", False) and not args.journal:
+        subparsers.choices[args.command].error("--resume needs --journal")
     try:
         return args.run(args)
     except _CommandError as exc:

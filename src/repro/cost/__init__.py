@@ -3,7 +3,6 @@
 from .estimate import CostModel, HardwareCost
 from .floorplan import Floorplan, Slot, floorplan
 from .library import DEFAULT_LIBRARY, ModuleLibrary, ModuleParams
-from .narrow import NarrowingReport, narrow_design, proved_widths
 
 __all__ = [
     "DEFAULT_LIBRARY",
@@ -12,9 +11,6 @@ __all__ = [
     "HardwareCost",
     "ModuleLibrary",
     "ModuleParams",
-    "NarrowingReport",
     "Slot",
     "floorplan",
-    "narrow_design",
-    "proved_widths",
 ]

@@ -11,7 +11,6 @@ constraints are discharged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from ..etpn.datapath import DataPath
 from ..etpn.design import Design
@@ -61,35 +60,31 @@ class CostModel:
     library: ModuleLibrary = field(default_factory=lambda: DEFAULT_LIBRARY)
 
     # ------------------------------------------------------------------
-    def hardware(self, datapath: DataPath,
-                 widths: Mapping[str, int] | None = None) -> HardwareCost:
+    def hardware(self, datapath: DataPath) -> HardwareCost:
         """Compute H for a data path on its floorplan.
 
-        Every node is priced at ``bits`` unless ``widths`` gives it
-        another width (:mod:`repro.cost.narrow` prices proved widths).
-        A module or register costs its unit area at its width, a mux its
-        sink's width, and a wire the narrower end's width (conditions
-        are 1 bit); ports and constants are free.
+        Every node is priced at ``bits``: a module or register costs its
+        unit area, a mux its per-input area times its input count, and a
+        wire its floorplanned length times its width (conditions are
+        1 bit); ports and constants are free.
         """
         library = self.library
         plan = placement(datapath, library.slot_pitch_mm)
-        width = (widths or {}).get
         bits = self.bits
-        units = sum(library.unit_area(datapath.module_class(m.node_id),
-                                      width(m.node_id, bits))
+        units = sum(library.unit_area(datapath.module_class(m.node_id), bits)
                     for m in datapath.modules())
-        registers = sum(library.register_area(width(r.node_id, bits))
-                        for r in datapath.registers())
+        # Summed register by register, not multiplied: ΔH ties between
+        # candidates are decided on these exact floats.
+        registers = sum(library.register_area(bits)
+                        for _ in datapath.registers())
         muxes = 0.0
         for node_id in datapath.nodes:
             for sources in datapath.port_sources(node_id).values():
-                muxes += library.mux_area(len(sources), width(node_id, bits))
+                muxes += library.mux_area(len(sources), bits)
         wiring = 0.0
         for arc in datapath.arcs:
-            wire_bits = 1 if arc.is_condition else min(width(arc.src, bits),
-                                                       width(arc.dst, bits))
             wiring += (plan.wirelength_mm(arc.src, arc.dst)
-                       * library.wire_width(wire_bits))
+                       * library.wire_width(1 if arc.is_condition else bits))
         return HardwareCost(units, registers, muxes, wiring)
 
     def hardware_total(self, datapath: DataPath) -> float:

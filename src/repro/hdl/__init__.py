@@ -2,7 +2,7 @@
 
 from .ast_nodes import (Assignment, BinaryExpr, DesignUnit, LoopSpec,
                         NameExpr, NumberExpr, UnaryExpr)
-from .compiler import compile_source, compile_unit
+from .compiler import compile_source
 from .lexer import Token, tokenize
 from .parser import parse
 
@@ -16,7 +16,6 @@ __all__ = [
     "Token",
     "UnaryExpr",
     "compile_source",
-    "compile_unit",
     "parse",
     "tokenize",
 ]

@@ -137,8 +137,3 @@ def compile_source(source: str, optimize: bool = False,
         from ..dfg.optimize import optimize as run_passes
         dfg, _ = run_passes(dfg, bits=bits)
     return dfg
-
-
-def compile_unit(unit: DesignUnit) -> DFG:
-    """Compile an already-parsed design."""
-    return _Compiler(unit).run()

@@ -14,24 +14,22 @@ Layers and code prefixes::
     DFG  data-flow graph          SCH  schedule       BND  binding
     NET  control Petri net        GAT  gate netlist   TST  testability
     EQV  value-flow equivalence   LNT  pipeline-stage failure
-    DFA  abstract-interpretation value facts
 
 See ``repro-hlts lint --list-rules`` or DESIGN.md for the full table.
 """
 
 from .diagnostic import Diagnostic, LintReport, Severity
-from .registry import (LAYERS, LintContext, Rule, all_rules, get_rule, rule,
+from .registry import (LAYERS, LintContext, Rule, all_rules, rule,
                        rules_for_layer, run_layer)
-from .runner import (PIPELINE_FAILURE_CODE, lint_binding, lint_dataflow,
-                     lint_datapath, lint_design, lint_dfg, lint_netlist,
-                     lint_petri, lint_pipeline, lint_schedule,
-                     run_analysis_layer)
+from .runner import (PIPELINE_FAILURE_CODE, lint_binding, lint_datapath,
+                     lint_design, lint_dfg, lint_netlist, lint_petri,
+                     lint_pipeline, lint_schedule, run_analysis_layer)
 
 __all__ = [
     "Diagnostic", "LintReport", "Severity",
-    "LAYERS", "LintContext", "Rule", "all_rules", "get_rule", "rule",
+    "LAYERS", "LintContext", "Rule", "all_rules", "rule",
     "rules_for_layer", "run_layer",
-    "PIPELINE_FAILURE_CODE", "lint_binding", "lint_dataflow",
-    "lint_datapath", "lint_design", "lint_dfg", "lint_netlist",
-    "lint_petri", "lint_pipeline", "lint_schedule", "run_analysis_layer",
+    "PIPELINE_FAILURE_CODE", "lint_binding", "lint_datapath",
+    "lint_design", "lint_dfg", "lint_netlist", "lint_petri",
+    "lint_pipeline", "lint_schedule", "run_analysis_layer",
 ]

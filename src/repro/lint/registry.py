@@ -8,10 +8,10 @@ needs from the :class:`LintContext` and reports findings through
 builds the context for each layer and collects every emission into a
 :class:`~repro.lint.diagnostic.LintReport`.
 
-Codes are stable and unique: ``DFG``/``DFA``/``SCH``/``BND``/``NET``/
-``EQV``/``GAT``/``TST`` prefixes map to the dfg, dataflow, schedule,
-binding, Petri-net, analysis, gate and testability layers (see
-DESIGN.md for the full table).
+Codes are stable and unique: ``DFG``/``SCH``/``BND``/``NET``/``EQV``/
+``GAT``/``TST`` prefixes map to the dfg, schedule, binding, Petri-net,
+analysis, gate and testability layers (see DESIGN.md for the full
+table).
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from typing import Any, Callable, Optional
 from .diagnostic import Diagnostic, LintReport, Severity
 
 #: The checkable layers, in pipeline order.
-LAYERS = ("dfg", "dataflow", "sched", "binding", "petri", "analysis",
-          "gates", "testability")
+LAYERS = ("dfg", "sched", "binding", "petri", "analysis", "gates",
+          "testability")
 
 
 @dataclass
@@ -32,9 +32,7 @@ class LintContext:
 
     Attributes:
         name: name of the design under inspection (used in messages).
-        dfg: the data-flow graph (dfg/dataflow/sched/binding/analysis
-            layers).
-        bits: word width the dataflow layer analyses values at.
+        dfg: the data-flow graph (dfg/sched/binding/analysis layers).
         steps: the schedule, op_id -> control step (sched/binding).
         binding: the allocation (binding/analysis layers).
         net: the control Petri net (petri layer).
@@ -47,7 +45,6 @@ class LintContext:
 
     name: str = ""
     dfg: Any = None
-    bits: int = 8
     steps: Optional[dict[str, int]] = None
     binding: Any = None
     net: Any = None
@@ -120,16 +117,6 @@ def rules_for_layer(layer: str) -> list[Rule]:
     return [r for r in all_rules() if r.layer == layer]
 
 
-def get_rule(code: str) -> Rule:
-    """Look up a rule by code.
-
-    Raises:
-        KeyError: unknown code.
-    """
-    _load_builtin_rules()
-    return _RULES[code]
-
-
 def run_layer(layer: str, ctx: LintContext) -> LintReport:
     """Run every rule of ``layer`` against ``ctx`` and collect findings."""
     report = LintReport()
@@ -177,7 +164,6 @@ def _load_builtin_rules() -> None:
     _LOADED = True
     from . import rules_analysis  # noqa: F401
     from . import rules_binding  # noqa: F401
-    from . import rules_dataflow  # noqa: F401
     from . import rules_dfg  # noqa: F401
     from . import rules_gates  # noqa: F401
     from . import rules_petri  # noqa: F401

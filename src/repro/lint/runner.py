@@ -41,17 +41,6 @@ def lint_dfg(dfg) -> LintReport:
     return run_layer("dfg", LintContext(name=dfg.name, dfg=dfg))
 
 
-def lint_dataflow(dfg, bits: int = 8) -> LintReport:
-    """Run every dataflow-layer rule (``DFA00x``) over ``dfg``.
-
-    The context is fresh, so the abstract-interpretation certificate is
-    computed (and memoised) for this run alone; :func:`lint_design`
-    instead shares one context — and one certificate — across layers.
-    """
-    return run_layer("dataflow", LintContext(name=dfg.name, dfg=dfg,
-                                             bits=bits))
-
-
 def lint_schedule(dfg, steps: dict[str, int]) -> LintReport:
     """Run every schedule-layer rule over ``steps``."""
     return run_layer("sched", LintContext(name=dfg.name, dfg=dfg,
@@ -100,27 +89,18 @@ def run_analysis_layer(ctx: LintContext) -> LintReport:
 # ----------------------------------------------------------------------
 # Aggregate checkers
 # ----------------------------------------------------------------------
-def lint_design(design, depth_limit: float = 8.0,
-                bits: int = 8) -> LintReport:
+def lint_design(design, depth_limit: float = 8.0) -> LintReport:
     """Audit one ETPN design point across every derivable layer.
 
-    Checks the schedule, the binding, the value-flow facts, the control
-    Petri net, the equivalence certificate and the testability smells
-    of the data path.  Derivation failures become ``LNT001``
-    diagnostics.
+    Checks the schedule, the binding, the control Petri net, the
+    equivalence certificate and the testability smells of the data
+    path.  Derivation failures become ``LNT001`` diagnostics.
     """
     dfg = design.dfg
     report = lint_schedule(dfg, design.steps)
     report.extend(lint_binding(dfg, design.steps, design.binding))
-    # One shared context for the whole-design layers: the dataflow
-    # certificate is computed once and serves every DFA rule.
-    shared = LintContext(name=dfg.name, dfg=dfg, bits=bits,
-                         steps=design.steps, binding=design.binding,
-                         net=design.control_net)
-    try:
-        report.extend(run_layer("dataflow", shared))
-    except Exception as exc:
-        report.add(_pipeline_failure(dfg.name, "dataflow analysis", exc))
+    shared = LintContext(name=dfg.name, dfg=dfg, steps=design.steps,
+                         binding=design.binding, net=design.control_net)
     try:
         report.extend(run_layer("petri", shared))
     except Exception as exc:
@@ -161,7 +141,7 @@ def lint_pipeline(dfg, bits: int = 8, gates: bool = True,
     except Exception as exc:
         report.add(_pipeline_failure(dfg.name, "default design", exc))
         return report
-    report.extend(lint_design(design, depth_limit, bits=bits))
+    report.extend(lint_design(design, depth_limit))
 
     if gates and not report.has_errors:
         from ..gates.expand import expand_to_gates

@@ -1,6 +1,6 @@
 """Scheduling: schedule helpers, legality, schedulers and rescheduling."""
 
-from .asap_alap import alap_schedule, asap_schedule, frames, minimum_horizon
+from .asap_alap import asap_schedule, frames, minimum_horizon
 from .constraints import check_precedence, module_conflicts, precedence_violations
 from .fds import fds_schedule
 from .list_sched import list_schedule, peak_usage
@@ -13,7 +13,6 @@ from .schedule import (assert_complete, compact, ops_by_step, schedule_length,
 
 __all__ = [
     "ConstraintGraph",
-    "alap_schedule",
     "asap_schedule",
     "assert_complete",
     "build_constraints",

@@ -1,27 +1,21 @@
-"""ASAP/ALAP schedulers and time-frame computation with fixed ops.
+"""The ASAP scheduler and time-frame computation with fixed ops.
 
-Thin, schedule-producing wrappers over :mod:`repro.dfg.analysis`, plus
-the frame computation force-directed scheduling needs: earliest/latest
-steps when some operations are already fixed.
+A thin, schedule-producing wrapper over :mod:`repro.dfg.analysis`,
+plus the frame computation force-directed scheduling needs:
+earliest/latest steps when some operations are already fixed.
 """
 
 from __future__ import annotations
 
 from ..dfg import DFG
-from ..dfg.analysis import (alap_steps, asap_steps, critical_path_length,
-                            edge_latency, topological_order)
+from ..dfg.analysis import (asap_steps, critical_path_length, edge_latency,
+                            topological_order)
 from ..errors import ScheduleError
 
 
 def asap_schedule(dfg: DFG, delays: dict[str, int] | None = None) -> dict[str, int]:
     """The as-soon-as-possible schedule (the default schedule)."""
     return asap_steps(dfg, delays)
-
-
-def alap_schedule(dfg: DFG, horizon: int | None = None,
-                  delays: dict[str, int] | None = None) -> dict[str, int]:
-    """The as-late-as-possible schedule within ``horizon`` steps."""
-    return alap_steps(dfg, horizon, delays)
 
 
 def frames(dfg: DFG, horizon: int,

@@ -76,7 +76,6 @@ WIDTH_COMMANDS = [
     ["synth", "ex", "--bits"], ["explore", "ex", "--bits"],
     ["export", "ex", "--bits"], ["bench", "ex", "--bits"],
     ["chaos", "--bits"], ["lint", "--bits"], ["analyze", "--bits"],
-    ["dataflow", "--bits"], ["dataflow", "--input-bits"],
 ]
 
 
@@ -95,7 +94,7 @@ def test_non_positive_width_is_a_usage_error(command, width, capsys):
 #: Every subcommand flag that takes a count.
 COUNT_COMMANDS = [
     ["table1", "--workers"], ["table2", "--workers"], ["table3", "--workers"],
-    ["bench", "ex", "--workers"], ["dataflow", "--vectors"],
+    ["bench", "ex", "--workers"], ["synth", "ex", "-k"],
 ]
 
 
@@ -109,3 +108,47 @@ def test_non_positive_count_is_a_usage_error(command, count, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage:")
     assert f"expected a positive count, got '{count}'" in err
+
+
+#: Every flag that takes a finite real number, the bound it states and
+#: the values it rejects.
+NUMBER_COMMANDS = [
+    (["synth", "ex", "-a"], "non-negative weight", ["-1", "nan", "inf", "x"]),
+    (["synth", "ex", "--beta"], "non-negative weight",
+     ["-1", "nan", "inf", "x"]),
+    (["lint", "--depth-limit"], "non-negative depth",
+     ["-1", "nan", "inf", "x"]),
+    (["bench", "ex", "--wall-seconds"], "positive number of seconds",
+     ["-1", "nan", "inf", "x", "0"]),
+]
+
+
+@pytest.mark.parametrize(
+    "command,bound,value",
+    [(command, bound, value) for command, bound, values in NUMBER_COMMANDS
+     for value in values],
+    ids=[f"{' '.join(command)}-{value}" for command, _, values
+         in NUMBER_COMMANDS for value in values])
+def test_non_finite_or_out_of_range_number_is_a_usage_error(
+        command, bound, value, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main([*command, value])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert f"expected a finite {bound}, got '{value}'" in err
+
+
+#: Every subcommand that resumes from a journal.
+RESUME_COMMANDS = [["table1"], ["table2"], ["table3"], ["bench", "ex"]]
+
+
+@pytest.mark.parametrize("command", RESUME_COMMANDS,
+                         ids=[" ".join(c) for c in RESUME_COMMANDS])
+def test_resume_without_journal_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main([*command, "--resume", "--workers", "1"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert "--resume needs --journal" in err

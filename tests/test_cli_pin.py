@@ -69,12 +69,6 @@ CASES = [
      {"bits": 4, "command": "analyze", "flow": "default", "fmt": "json",
       "strict": True, "targets": ["ex"], "traceback": False,
       "verbose": True}),
-    (["dataflow", "tseng", "--bits", "16", "--narrow", "--input-bits", "8",
-      "--format", "json", "--vectors", "8", "--flow", "default"],
-     {"bits": [16], "command": "dataflow", "flow": "default",
-      "fmt": "json", "input_bits": 8, "narrow": True, "strict": False,
-      "targets": ["tseng"], "traceback": False, "vectors": 8,
-      "verbose": False}),
 ]
 
 

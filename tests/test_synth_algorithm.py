@@ -168,5 +168,5 @@ class TestVerifyMergers:
             for design in evaluated:
                 analysis = analyze_design(design)
                 assert analysis.verified, analysis.report.format_text()
-                report = lint_design(design, bits=4)
+                report = lint_design(design)
                 assert not report.has_errors, report.format_text()

@@ -89,10 +89,9 @@ def test_one_sweep_evaluates_each_design_pair_once(monkeypatch):
     priced: list = []
     real_hardware = CostModel.hardware
 
-    def counting_hardware(self, datapath, widths=None):
-        if widths is None:
-            priced.append(datapath)   # kept alive, so ids stay unique
-        return real_hardware(self, datapath, widths)
+    def counting_hardware(self, datapath):
+        priced.append(datapath)   # kept alive, so ids stay unique
+        return real_hardware(self, datapath)
 
     monkeypatch.setattr(CostModel, "hardware", counting_hardware)
     dfg, cost_model = load("ex"), CostModel(bits=4)
