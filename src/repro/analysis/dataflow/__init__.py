@@ -1,30 +1,19 @@
-"""repro.analysis.dataflow — abstract-interpretation value analysis.
+"""repro.analysis.dataflow — the word-level abstract value domain.
 
-A forward fixpoint over the DFG on the product lattice of unsigned
-intervals and known bits (:mod:`~repro.analysis.dataflow.domain`), with
-loop-carried feedback and widening
-(:mod:`~repro.analysis.dataflow.engine`), packaged as an independently
-re-checkable :class:`~repro.analysis.dataflow.certificate.
-DataflowCertificate`.  Two layers consume the facts: width narrowing
-in :mod:`repro.cost.narrow` and the ``DFA0xx`` lint rules.  The
-untestable-fault pruning in :mod:`repro.atpg.prune` does not: it runs
-its own gate-level ternary propagation (:mod:`repro.gates.ternary`).
+:mod:`~repro.analysis.dataflow.domain` is the product lattice of
+unsigned intervals and known bits, with sound transfer functions for
+every DFG operation kind.  Nothing else in the package reads it: the
+fixpoint engine, the certificate, width narrowing and the ``DFA0xx``
+lint rules that were built on it are retired, and ROADMAP lists the
+domain's own removal.  The untestable-fault pruning in
+:mod:`repro.atpg.prune` runs its own gate-level ternary propagation
+(:mod:`repro.gates.ternary`).
 """
 
-from .certificate import CERT_FORMAT, DataflowCertificate
 from .domain import AbstractValue, join, reduce, transfer, widen
-from .engine import (MAX_ITERATIONS, WIDEN_DELAY, analyze_dataflow,
-                     infer_feedback, input_assumptions)
 
 __all__ = [
     "AbstractValue",
-    "CERT_FORMAT",
-    "DataflowCertificate",
-    "MAX_ITERATIONS",
-    "WIDEN_DELAY",
-    "analyze_dataflow",
-    "infer_feedback",
-    "input_assumptions",
     "join",
     "reduce",
     "transfer",

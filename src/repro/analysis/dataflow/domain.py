@@ -1,4 +1,4 @@
-"""The abstract domain of the dataflow engine: intervals × known bits.
+"""An abstract domain of unsigned words: intervals × known bits.
 
 An :class:`AbstractValue` over-approximates the set of unsigned words a
 signal can carry as the *product* of two lattices:

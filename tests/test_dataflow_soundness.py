@@ -1,15 +1,8 @@
-"""Property-based soundness of the dataflow engine (hypothesis).
-
-The central contract: for any randomly generated DFG (straight-line or
-looped, over every transferable operation kind) and any random concrete
-vectors, every simulated value lies inside the certificate's derived
-facts — :meth:`DataflowCertificate.check` is an independent concrete
-re-simulation, so an empty problem list *is* the property.
-
-Plus the narrowing-rejection regression: when the equivalence certifier
-cannot certify a design point, :func:`repro.cost.narrow_design` must
-refuse (``applied=False``, baseline area kept) rather than report a
-saving for an unproved behaviour.
+"""Property-based soundness of the abstract domain's transfer functions
+(hypothesis): for abstractions built to contain sampled concrete
+operands, the concrete result of :func:`repro.rtl.apply_op` lies inside
+the transferred abstraction, for every transferable operation kind at
+8 bits.
 """
 
 from __future__ import annotations
@@ -17,12 +10,9 @@ from __future__ import annotations
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.analysis.dataflow import (AbstractValue, analyze_dataflow,
-                                     transfer)
-from repro.cost import narrow_design
-from repro.dfg import DFGBuilder, OpKind
+from repro.analysis.dataflow import AbstractValue, transfer
+from repro.dfg import OpKind
 from repro.dfg.ops import arity
-from repro.etpn import default_design
 from repro.rtl import apply_op
 from repro.rtl.semantics import mask
 
@@ -30,66 +20,6 @@ _KINDS = [OpKind.ADD, OpKind.SUB, OpKind.MUL, OpKind.DIV, OpKind.AND,
           OpKind.OR, OpKind.XOR, OpKind.NOT, OpKind.SHL, OpKind.SHR,
           OpKind.LT, OpKind.GT, OpKind.LE, OpKind.GE, OpKind.EQ, OpKind.NE,
           OpKind.MOVE]
-
-
-@st.composite
-def analysable_dfgs(draw):
-    """Random DFGs over every kind, sometimes looped via ``v1`` naming.
-
-    Operands are earlier values, inputs, or literals; conditions come
-    from comparisons.  A looped variant writes ``i0``'s next state to
-    ``i01`` so :func:`infer_feedback` recognises the pair.
-    """
-    num_inputs = draw(st.integers(2, 4))
-    num_ops = draw(st.integers(1, 10))
-    builder = DFGBuilder("prop")
-    inputs = [f"i{k}" for k in range(num_inputs)]
-    builder.inputs(*inputs)
-    available = list(inputs)  # data values only — condition vars are
-    comparisons: list[str] = []  # never readable as operands
-    for index in range(num_ops):
-        kind = draw(st.sampled_from(_KINDS))
-        lhs = draw(st.sampled_from(available))
-        if draw(st.booleans()):
-            rhs: object = draw(st.sampled_from(available))
-        else:
-            rhs = draw(st.integers(0, 255))
-        target = f"v{index}"
-        if arity(kind) == 1:
-            builder.op(f"N{index}", kind, target, lhs)
-        else:
-            builder.op(f"N{index}", kind, target, lhs, rhs)
-        if kind in (OpKind.LT, OpKind.GT, OpKind.LE, OpKind.GE, OpKind.EQ,
-                    OpKind.NE):
-            comparisons.append(target)  # a condition variable
-        else:
-            available.append(target)
-    if comparisons and draw(st.booleans()):
-        # Loop-carried pair: next-state of input i0, recognised by the
-        # ``<var>1`` naming convention.
-        builder.op("Nfb", OpKind.MOVE, "i01", available[-1])
-        builder.loop(comparisons[-1])
-        builder.outputs("i01")
-    else:
-        builder.outputs(available[-1])
-    return builder.build()
-
-
-@settings(max_examples=120, deadline=None)
-@given(analysable_dfgs(), st.sampled_from([4, 8, 16]),
-       st.integers(0, 2 ** 31))
-def test_certificate_always_sound(dfg, bits, seed):
-    cert = analyze_dataflow(dfg, bits)
-    assert cert.check(dfg, vectors=24, seed=seed) == [], \
-        f"unsound facts for {dfg.name}@{bits}b"
-
-
-@settings(max_examples=80, deadline=None)
-@given(analysable_dfgs(), st.integers(0, 2 ** 31))
-def test_certificate_sound_under_assumptions(dfg, seed):
-    assumptions = {v.name: (0, 7) for v in dfg.inputs()}
-    cert = analyze_dataflow(dfg, 8, assumptions=assumptions)
-    assert cert.check(dfg, vectors=24, seed=seed) == []
 
 
 @settings(max_examples=150, deadline=None)
@@ -118,51 +48,3 @@ def test_transfer_sound_on_sampled_members(kind, av, bv, lo_a, km_a,
     result = transfer(kind, a, b, bits)
     concrete = apply_op(kind, av, 0 if arity(kind) == 1 else bv, bits)
     assert result.contains(concrete)
-
-
-class TestNarrowingRejection:
-    """Narrowing must refuse when equivalence cannot be certified."""
-
-    def _design(self):
-        b = DFGBuilder("nr")
-        b.inputs("a", "b")
-        b.op("N1", "+", "t", "a", "b")
-        b.op("N2", "*", "out", "t", "t")
-        b.outputs("out")
-        return default_design(b.build())
-
-    def test_invalid_certificate_refuses(self, monkeypatch):
-        import repro.analysis.equivalence as eq
-
-        class FakeCert:
-            valid = False
-            divergences = ["out: mismatch"]
-
-        monkeypatch.setattr(eq, "certify",
-                            lambda dfg, steps, binding: FakeCert())
-        design = self._design()
-        report = narrow_design(design, 8)
-        assert not report.applied
-        assert "divergence" in report.reason
-        assert report.narrowed == report.baseline
-        assert report.area_delta_mm2 == 0.0
-
-    def test_certifier_crash_refuses(self, monkeypatch):
-        import repro.analysis.equivalence as eq
-
-        def boom(dfg, steps, binding):
-            raise RuntimeError("cannot certify")
-
-        monkeypatch.setattr(eq, "certify", boom)
-        design = self._design()
-        report = narrow_design(design, 8)
-        assert not report.applied
-        assert "cannot certify" in report.reason
-        assert report.narrowed == report.baseline
-
-    def test_valid_certificate_applies(self):
-        design = self._design()
-        report = narrow_design(design, 16,
-                               assumptions={"a": (0, 15), "b": (0, 15)})
-        assert report.applied and report.equivalence_valid
-        assert report.narrowed.total_mm2 < report.baseline.total_mm2
