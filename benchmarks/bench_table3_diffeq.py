@@ -1,7 +1,8 @@
 """Table 3 — the area-optimised Diffeq benchmark (paper §5).
 
 The looping HAL design: the control part has a guarded back edge, so
-this table also exercises the Petri-net loop handling end to end.
+this table also exercises the loop handling (the loop condition leaves
+the data path as a status port) end to end.
 """
 
 from __future__ import annotations

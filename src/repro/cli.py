@@ -484,7 +484,13 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "resume", False) and not args.journal:
         subparsers.choices[args.command].error("--resume needs --journal")
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a reader gone early (``| head``) fails here
+        return code
+    except BrokenPipeError:
+        # Python's SIGPIPE recipe: the flush at exit goes to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -1,8 +1,9 @@
 """Hardware and execution-time estimation (paper §4.2).
 
 ``H = Σ Area(V_i) + Σ Len(A_j) × Wid(A_j)`` over the floorplanned data
-path; ``E`` is the critical path of the control Petri net, which is
-the schedule's step count (:attr:`Design.execution_time`).  The
+path; ``E`` is the critical path of the control part, a chain of
+control steps, so it is the schedule's step count
+(:attr:`Design.execution_time`).  The
 synthesis algorithm compares candidate mergers by ΔE and ΔH, the
 increases these two numbers suffer when the merger's scheduling
 constraints are discharged.

@@ -29,10 +29,6 @@ class HDLSemanticError(ReproError):
     """The behavioural HDL source parsed but is semantically invalid."""
 
 
-class PetriNetError(ReproError):
-    """A Petri net is malformed or an operation on it is invalid."""
-
-
 class ScheduleError(ReproError):
     """A schedule is illegal (precedence or binding constraints violated)."""
 

@@ -2,10 +2,12 @@
 
 A :class:`Design` bundles the three facts that fully determine an
 RT-level implementation and lazily derives the expensive views: the
-structural data path, the control Petri net and variable lifetimes.
-The execution time is the schedule's step count (DESIGN.md §8).
-Designs are immutable; transformations produce new ones via
-:meth:`Design.replaced`.
+structural data path and variable lifetimes.  The control part is the
+schedule's chain of control steps, with the DFG's loop condition (if
+any) guarding the back edge; the RTL control table realises it, so
+there is no separate control model and the execution time is the step
+count (DESIGN.md §8).  Designs are immutable; transformations produce
+new ones via :meth:`Design.replaced`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from typing import TYPE_CHECKING
 from ..alloc.binding import Binding, validate_binding
 from ..dfg import DFG
 from ..dfg.lifetime import Lifetime, variable_lifetimes
-from ..petri import PetriNet, control_net_for_design
 from ..sched.constraints import check_precedence
 from ..sched.resched import current_module_orders, lifetime_orders
 from ..sched.schedule import schedule_length
@@ -33,7 +34,7 @@ Signature = tuple[tuple[tuple[str, int], ...], tuple[tuple[str, str], ...],
 #: The cached views of a :class:`Design` that depend only on its binding,
 #: and those that depend only on its steps (besides the shared DFG).
 _BINDING_VIEWS = ("datapath",)
-_STEPS_VIEWS = ("control_net", "lifetimes")
+_STEPS_VIEWS = ("lifetimes",)
 
 
 class Design:
@@ -76,11 +77,6 @@ class Design:
         return datapath
 
     @cached_property
-    def control_net(self) -> PetriNet:
-        """The timed Petri net control part."""
-        return control_net_for_design(self.dfg, self.steps)
-
-    @cached_property
     def lifetimes(self) -> dict[str, Lifetime]:
         """Variable lifetimes under this design's schedule."""
         return variable_lifetimes(self.dfg, self.steps)
@@ -99,8 +95,8 @@ class Design:
     def execution_time(self) -> int:
         """E: the critical path of the control part (paper §4.2).
 
-        The control part is a chain of :attr:`num_steps` places, so E is
-        the step count (DESIGN.md §8).
+        The control part is a chain of :attr:`num_steps` control steps,
+        so E is the step count (DESIGN.md §8).
         """
         return self.num_steps
 
@@ -116,8 +112,8 @@ class Design:
         """A new design with some components swapped (others shared).
 
         The new design also shares the views already derived from what
-        it keeps: the data path when the binding stays, the control
-        net and lifetimes when the steps stay.
+        it keeps: the data path when the binding stays, the lifetimes
+        when the steps stay.
         """
         design = Design(self.dfg,
                         self.steps if steps is None else steps,

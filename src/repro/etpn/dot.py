@@ -1,4 +1,4 @@
-"""Graphviz (dot) export of data paths and control nets.
+"""Graphviz (dot) export of data paths.
 
 For inspection and documentation: ``dot -Tsvg`` renders the data-path
 structure the paper's figures sketch.  Pure text generation — no
@@ -7,7 +7,6 @@ graphviz dependency.
 
 from __future__ import annotations
 
-from ..petri.net import PetriNet
 from .datapath import DataPath, NodeKind
 
 _SHAPE = {
@@ -39,26 +38,3 @@ def datapath_to_dot(datapath: DataPath) -> str:
     lines.append("}")
     return "\n".join(lines)
 
-
-def control_net_to_dot(net: PetriNet) -> str:
-    """The control Petri net as a dot digraph (places round,
-    transitions bars)."""
-    lines = [f'digraph "{net.name}_control" {{', "  rankdir=LR;"]
-    for place in sorted(net.places.values(), key=lambda p: p.place_id):
-        peripheries = 2 if place.place_id in net.initial_marking else 1
-        label = place.place_id
-        if place.label:
-            label += f"\\n{place.label}"
-        lines.append(f'  "{place.place_id}" [shape=circle, '
-                     f'peripheries={peripheries}, label="{label}"];')
-    for transition in sorted(net.transitions.values(),
-                             key=lambda t: t.trans_id):
-        guard = f"\\n[{transition.guard}]" if transition.guard else ""
-        lines.append(f'  "{transition.trans_id}" [shape=box, '
-                     f'height=0.1, label="{transition.trans_id}{guard}"];')
-        for src in transition.inputs:
-            lines.append(f'  "{src}" -> "{transition.trans_id}";')
-        for dst in transition.outputs:
-            lines.append(f'  "{transition.trans_id}" -> "{dst}";')
-    lines.append("}")
-    return "\n".join(lines)

@@ -1,7 +1,7 @@
 """Diagnostics: the unit of output of every design-rule check.
 
 A :class:`Diagnostic` is one finding — a stable rule code (``DFG003``,
-``NET002``, ...), a severity, the offending location inside the design
+``BND004``, ...), a severity, the offending location inside the design
 and a human-readable message with an optional fix hint.  Checkers never
 raise on a finding; they collect :class:`Diagnostic` objects into a
 :class:`LintReport` so a single run surfaces *every* violation, the way
@@ -43,10 +43,10 @@ class Diagnostic:
         code: stable rule identifier, e.g. ``"DFG003"``.
         severity: how bad the finding is.
         layer: which intermediate representation it was found in
-            (``dfg``, ``sched``, ``binding``, ``petri``, ``gates``,
+            (``dfg``, ``sched``, ``binding``, ``analysis``, ``gates``,
             ``testability`` or ``pipeline``).
-        location: the offending element (an op id, place id, module id,
-            gate id ...), empty for whole-design findings.
+        location: the offending element (an op id, module id, gate id
+            ...), empty for whole-design findings.
         message: human-readable description of the violation.
         hint: optional suggestion for fixing it.
     """

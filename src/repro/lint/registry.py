@@ -8,10 +8,9 @@ needs from the :class:`LintContext` and reports findings through
 builds the context for each layer and collects every emission into a
 :class:`~repro.lint.diagnostic.LintReport`.
 
-Codes are stable and unique: ``DFG``/``SCH``/``BND``/``NET``/``EQV``/
-``GAT``/``TST`` prefixes map to the dfg, schedule, binding, Petri-net,
-analysis, gate and testability layers (see DESIGN.md for the full
-table).
+Codes are stable and unique: ``DFG``/``SCH``/``BND``/``EQV``/``GAT``/
+``TST`` prefixes map to the dfg, schedule, binding, analysis, gate and
+testability layers (see DESIGN.md for the full table).
 """
 
 from __future__ import annotations
@@ -22,8 +21,7 @@ from typing import Any, Callable, Optional
 from .diagnostic import Diagnostic, LintReport, Severity
 
 #: The checkable layers, in pipeline order.
-LAYERS = ("dfg", "sched", "binding", "petri", "analysis", "gates",
-          "testability")
+LAYERS = ("dfg", "sched", "binding", "analysis", "gates", "testability")
 
 
 @dataclass
@@ -35,7 +33,6 @@ class LintContext:
         dfg: the data-flow graph (dfg/sched/binding/analysis layers).
         steps: the schedule, op_id -> control step (sched/binding).
         binding: the allocation (binding/analysis layers).
-        net: the control Petri net (petri layer).
         netlist: the gate-level netlist (gates layer).
         datapath: the structural data path (testability layer).
         depth_limit: sequential C/O depth above which TST002 fires.
@@ -47,7 +44,6 @@ class LintContext:
     dfg: Any = None
     steps: Optional[dict[str, int]] = None
     binding: Any = None
-    net: Any = None
     netlist: Any = None
     datapath: Any = None
     depth_limit: float = 8.0
@@ -166,6 +162,5 @@ def _load_builtin_rules() -> None:
     from . import rules_binding  # noqa: F401
     from . import rules_dfg  # noqa: F401
     from . import rules_gates  # noqa: F401
-    from . import rules_petri  # noqa: F401
     from . import rules_sched  # noqa: F401
     from . import rules_testability  # noqa: F401

@@ -3,10 +3,10 @@
 Entry points by granularity:
 
 * :func:`lint_dfg`, :func:`lint_schedule`, :func:`lint_binding`,
-  :func:`lint_petri`, :func:`lint_netlist`, :func:`lint_datapath` —
-  audit one intermediate representation;
+  :func:`lint_netlist`, :func:`lint_datapath` — audit one intermediate
+  representation;
 * :func:`lint_design` — audit a bound, scheduled ETPN design point
-  (schedule + binding + control net + testability smells);
+  (schedule + binding + equivalence + testability smells);
 * :func:`lint_pipeline` — audit everything derivable from a DFG:
   the graph itself, the default design built from it, and the expanded
   gate-level netlist.  This is what ``repro-hlts lint`` runs.
@@ -53,11 +53,6 @@ def lint_binding(dfg, steps: dict[str, int], binding) -> LintReport:
                                             steps=steps, binding=binding))
 
 
-def lint_petri(net) -> LintReport:
-    """Run every Petri-net-layer rule over ``net``."""
-    return run_layer("petri", LintContext(name=net.name, net=net))
-
-
 def lint_netlist(netlist) -> LintReport:
     """Run every gate-layer rule over ``netlist``."""
     return run_layer("gates", LintContext(name=netlist.name,
@@ -92,19 +87,15 @@ def run_analysis_layer(ctx: LintContext) -> LintReport:
 def lint_design(design, depth_limit: float = 8.0) -> LintReport:
     """Audit one ETPN design point across every derivable layer.
 
-    Checks the schedule, the binding, the control Petri net, the
-    equivalence certificate and the testability smells of the data
-    path.  Derivation failures become ``LNT001`` diagnostics.
+    Checks the schedule, the binding, the equivalence certificate and
+    the testability smells of the data path.  Derivation failures become
+    ``LNT001`` diagnostics.
     """
     dfg = design.dfg
     report = lint_schedule(dfg, design.steps)
     report.extend(lint_binding(dfg, design.steps, design.binding))
     shared = LintContext(name=dfg.name, dfg=dfg, steps=design.steps,
-                         binding=design.binding, net=design.control_net)
-    try:
-        report.extend(run_layer("petri", shared))
-    except Exception as exc:
-        report.add(_pipeline_failure(dfg.name, "control net", exc))
+                         binding=design.binding)
     try:
         report.extend(run_analysis_layer(shared))
     except Exception as exc:

@@ -20,6 +20,7 @@ enough for per-iteration use inside the PODEM decision loop.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Callable, Optional
 
@@ -32,6 +33,22 @@ REASON_STEPS = "steps"
 REASON_CANCELLED = "cancelled"
 
 
+def check_wall_seconds(wall_seconds: float | None,
+                       what: str = "wall_seconds") -> None:
+    """Reject a wall-clock allowance that is not a finite number >= 0.
+
+    A NaN allowance would never run out (every comparison with NaN is
+    false) and a negative one would run out at once.
+
+    Raises:
+        ValueError: naming ``what`` and the rejected value.
+    """
+    if wall_seconds is not None and not (math.isfinite(wall_seconds)
+                                         and wall_seconds >= 0):
+        raise ValueError(f"{what} must be a finite number >= 0, "
+                         f"got {wall_seconds!r}")
+
+
 class Budget:
     """A wall-clock / step budget shared by cooperating loops.
 
@@ -39,7 +56,11 @@ class Budget:
         wall_seconds: wall-clock allowance, or None for unlimited time.
         max_steps: abstract step ceiling, or None for unlimited steps.
             Steps are whatever unit the charging loop finds natural
-            (PODEM decisions, simulated cycles, explored markings...).
+            (PODEM decisions, simulated cycles, merger iterations...).
+
+    Raises:
+        ValueError: on construction, when ``wall_seconds`` is not a
+            finite number >= 0 or ``max_steps`` is below 0.
     """
 
     __slots__ = ("wall_seconds", "max_steps", "steps", "_clock",
@@ -48,6 +69,9 @@ class Budget:
     def __init__(self, wall_seconds: float | None = None,
                  max_steps: int | None = None, *,
                  clock: Callable[[], float] = time.monotonic) -> None:
+        check_wall_seconds(wall_seconds)
+        if max_steps is not None and max_steps < 0:
+            raise ValueError(f"max_steps must be >= 0, got {max_steps!r}")
         self.wall_seconds = wall_seconds
         self.max_steps = max_steps
         self.steps = 0
@@ -83,8 +107,7 @@ class Budget:
 
         Unlike :meth:`charge` this always consults the clock, so it is
         the right check at stage boundaries (between faults, between
-        markings, between merger iterations) where precision matters
-        more than speed.
+        merger iterations) where precision matters more than speed.
         """
         if self._reason is not None:
             return True

@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .atomic import atomic_write_text
-from .budget import Budget
+from .budget import Budget, check_wall_seconds
 from .chaos import ChaosInjector, Injection, active_injector, chaos_point
 from .worker import InlineRunner, ProcessRunner, Task, run_tasks
 
@@ -345,7 +345,12 @@ def run_journaled_grid(benchmark: str,
     Returns:
         The :class:`GridCells` of the run: one :class:`JournaledCell`
         per finished cell, computed, cache-served or replayed alike.
+
+    Raises:
+        ValueError: ``cell_wall_seconds`` is NaN, infinite or negative
+            (before any cell runs).
     """
+    check_wall_seconds(cell_wall_seconds, "cell_wall_seconds")
     say = progress or (lambda message: None)
     if budget is not None:
         workers = 1  # a shared Budget cannot cross process boundaries

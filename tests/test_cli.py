@@ -1,5 +1,10 @@
 """Tests for the command-line interface (fast subcommands only)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -152,3 +157,21 @@ def test_resume_without_journal_is_a_usage_error(command, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage:")
     assert "--resume needs --journal" in err
+
+
+def test_closed_stdout_prints_no_traceback():
+    # Like ``repro-hlts lint --list-rules | head -1``, deterministically:
+    # the reader is gone before the command writes a byte.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "lint", "--list-rules"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.stderr == b""
+    assert done.returncode == 1

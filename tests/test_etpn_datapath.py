@@ -107,4 +107,3 @@ class TestDesign:
     def test_loop_design(self, loop_dfg):
         design = default_design(loop_dfg)
         design.validate()
-        assert "t_loop" in design.control_net.transitions

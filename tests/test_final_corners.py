@@ -10,16 +10,7 @@ from repro.errors import BindingError
 from repro.etpn import default_design
 from repro.gates import GateNetlist, GateType
 from repro.gates.prune import observable_gates, prune_unobservable
-from repro.petri import control_net_from_schedule
 from repro.synth import SynthesisResult, run_ours
-
-
-class TestPetriCorners:
-    def test_step_labels_carried(self):
-        net = control_net_from_schedule("l", 2,
-                                        step_labels={0: "N1 N2", 1: "N3"})
-        assert net.places["S0"].label == "N1 N2"
-        assert net.places["S1"].label == "N3"
 
 
 class TestBindingCorners:

@@ -43,7 +43,7 @@ class TestHelpers:
 class TestErrorsModule:
     def test_hierarchy(self):
         from repro import errors
-        for name in ("DFGError", "PetriNetError", "ScheduleError",
+        for name in ("DFGError", "ScheduleError",
                      "BindingError", "SynthesisError", "NetlistError",
                      "ATPGError", "HDLSyntaxError", "HDLSemanticError"):
             assert issubclass(getattr(errors, name), errors.ReproError)

@@ -7,7 +7,7 @@ import pytest
 from repro.bench import load
 from repro.errors import ReproError
 from repro.etpn import default_design
-from repro.etpn.dot import control_net_to_dot, datapath_to_dot
+from repro.etpn.dot import datapath_to_dot
 from repro.io import (design_from_dict, design_to_dict, dfg_from_dict,
                       dfg_to_dict, load_design, save_design)
 from repro.rtl import evaluate_dfg
@@ -88,13 +88,6 @@ class TestDotExport:
         design = default_design(load("diffeq"))
         dot = datapath_to_dot(design.datapath)
         assert "style=dashed" in dot
-
-    def test_control_net_dot(self):
-        design = default_design(load("diffeq"))
-        dot = control_net_to_dot(design.control_net)
-        assert "t_loop" in dot
-        assert "[cond]" in dot
-        assert "peripheries=2" in dot  # the initial place
 
     def test_dot_is_parseable_brackets(self):
         design = default_design(load("ex"))

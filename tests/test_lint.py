@@ -15,14 +15,12 @@ from repro.dfg import DFGBuilder
 from repro.dfg.graph import DFG, DependenceEdge, Operation, Variable
 from repro.dfg.ops import OpKind
 from repro.dfg.validate import validate_dfg
-from repro.errors import BindingError, DFGError, PetriNetError
+from repro.errors import BindingError, DFGError
 from repro.etpn.from_dfg import default_design
 from repro.gates.netlist import Gate, GateNetlist, GateType
 from repro.lint import (Diagnostic, LintReport, Severity, all_rules,
                         lint_binding, lint_datapath, lint_design, lint_dfg,
-                        lint_netlist, lint_petri, lint_pipeline,
-                        lint_schedule)
-from repro.petri.net import PetriNet, Transition
+                        lint_netlist, lint_pipeline, lint_schedule)
 from repro.sched.asap_alap import asap_schedule
 
 PAPER_BENCHMARKS = ("ex", "dct", "diffeq", "ewf", "paulin", "tseng")
@@ -194,61 +192,6 @@ class TestBindingRules:
         assert not report.has_errors
 
 
-class TestPetriRules:
-    def test_empty_net(self):
-        report = lint_petri(PetriNet("void"))
-        assert codes(report) == {"NET001"}
-
-    def test_no_initial_marking(self):
-        net = PetriNet("dark")
-        net.add_place("p0")
-        assert "NET002" in codes(lint_petri(net))
-
-    def test_unreachable_structure(self):
-        net = PetriNet("island")
-        net.add_place("p0")
-        net.add_place("p1")
-        net.add_place("p2")
-        net.add_transition("t1", ["p1"], ["p2"])
-        net.set_initial("p0")
-        net.set_final("p2")
-        report = lint_petri(net)
-        assert {"NET003", "NET004", "NET005"} <= codes(report)
-        assert not report.has_errors  # reachability findings are warnings
-
-    def test_sourceless_transition(self):
-        net = PetriNet("free")
-        net.add_place("p0")
-        net.set_initial("p0")
-        # add_transition() rejects sourceless transitions, so seed one
-        # behind the API's back the way an external reader could.
-        net.transitions["tx"] = Transition("tx", (), ("p0",))
-        assert "NET006" in codes(lint_petri(net))
-
-    def test_control_net_of_design_is_clean(self, loop_dfg):
-        design = default_design(loop_dfg)
-        assert not lint_petri(design.control_net).has_errors
-
-    def test_validate_delegates_to_rules(self):
-        with pytest.raises(PetriNetError, match="no places"):
-            PetriNet("void").validate()
-
-    def test_free_choice_join_is_closure_reachable(self):
-        # The token-flow closure over-approximates reachability: it
-        # reaches the join of two mutually exclusive branches, so the
-        # NET003-NET005 warnings stay quiet.
-        net = PetriNet("choice")
-        for place in ("S0", "A", "B", "J"):
-            net.add_place(place)
-        net.add_transition("ta", ["S0"], ["A"])
-        net.add_transition("tb", ["S0"], ["B"])
-        net.add_transition("join", ["A", "B"], ["J"])
-        net.set_initial("S0")
-        net.set_final("J")
-        report = lint_petri(net)
-        assert not any(d.code.startswith("NET") for d in report)
-
-
 def seeded_gate_netlist() -> GateNetlist:
     """A netlist violating most gate rules at once (gates appended
     directly, bypassing the construction API's guards)."""
@@ -362,12 +305,6 @@ class TestAggregates:
         seen |= codes(lint_schedule(chain_dfg, {"N1": -1, "N3": 0, "N9": 5}))
         seen |= codes(lint_binding(chain_dfg, asap_schedule(chain_dfg),
                                    Binding()))
-        net = PetriNet("island")
-        net.add_place("p0")
-        net.add_place("p1")
-        net.add_transition("t1", ["p1"], ["p1"])
-        net.set_initial("p0")
-        seen |= codes(lint_petri(net))
         seen |= codes(lint_netlist(seeded_gate_netlist()))
         seen |= codes(lint_datapath(default_design(multidef_dfg).datapath))
         assert len(seen) >= 12, sorted(seen)
@@ -448,39 +385,6 @@ DFG_CASES = {
 }
 
 
-def _net(name, places, transitions, initial=(), final=()):
-    net = PetriNet(name)
-    for place in places:
-        net.add_place(place)
-    for trans_id, inputs, outputs in transitions:
-        if inputs:
-            net.add_transition(trans_id, inputs, outputs)
-        else:  # sourceless: seeded behind the API's back
-            net.transitions[trans_id] = Transition(trans_id, (),
-                                                   tuple(outputs))
-    net.set_initial(*initial)
-    net.set_final(*final)
-    return net
-
-
-NET_CASES = {
-    "empty": lambda: PetriNet("void"),
-    "no-marking": lambda: _net("dark", ["p0"], []),
-    "sourceless": lambda: _net("free", ["p0"], [("tx", [], ["p0"])],
-                               initial=["p0"]),
-    "sourceless-unmarked": lambda: _net("both", ["p0"],
-                                        [("tx", [], ["p0"])]),
-    "island-warnings": lambda: _net(
-        "island", ["p0", "p1", "p2"], [("t1", ["p1"], ["p2"])],
-        initial=["p0"], final=["p2"]),
-    "unsafe-warning": lambda: _net("unsafe", ["P0", "A"],
-                                   [("t", ["P0"], ["A"])],
-                                   initial=["P0", "A"]),
-    "clean": lambda: _net("chain", ["S0", "S1"], [("t0", ["S0"], ["S1"])],
-                          initial=["S0"], final=["S1"]),
-}
-
-
 def _rebind(dfg_name, edit):
     def build(request):
         dfg = request.getfixturevalue(dfg_name)
@@ -517,12 +421,6 @@ class TestValidatorsRunErrorRulesOnly:
         dfg = DFG_CASES[case](request)
         assert _raised(lambda: validate_dfg(dfg), DFGError) \
             == _full_run_errors(lint_dfg(dfg))
-
-    @pytest.mark.parametrize("case", sorted(NET_CASES))
-    def test_petri_validate_matches_full_layer(self, case):
-        net = NET_CASES[case]()
-        assert _raised(net.validate, PetriNetError) \
-            == _full_run_errors(lint_petri(net))
 
     @pytest.mark.parametrize("case", sorted(BINDING_CASES))
     def test_validate_binding_matches_full_layer(self, case, request):

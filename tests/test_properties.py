@@ -20,9 +20,7 @@ from repro.dfg.analysis import (alap_steps, asap_steps, critical_path_length)
 from repro.dfg.lifetime import max_overlap
 from repro.etpn import default_design
 from repro.harness.experiment import FLOW_ORDER, synthesize_flow
-from repro.lint import lint_petri
-from repro.petri import FINAL_PLACE, Guard, step_place
-from repro.rtl import apply_op
+from repro.rtl import apply_op, build_control_table, generate_rtl
 from repro.sched import check_precedence, compact, schedule_length
 from repro.sched.resched import merge_order_candidates
 from repro.testability import analyze
@@ -148,39 +146,21 @@ def test_first_feasible_merger_revalidates(dfg, seed):
 
 def assert_chain(design) -> None:
     """The control part is the chain whose critical path E is the step
-    count: ``S0 .. S{n-1}`` in a row, then the final place, with the
-    loop's guarded back edge to ``S0`` when the DFG loops."""
-    net = design.control_net
-    n = design.num_steps
-    chain = [step_place(step) for step in range(n)]
-    assert {p: place.delay for p, place in net.places.items()} \
-        == {**{p: 1 for p in chain}, FINAL_PLACE: 0}
-    expected = {f"t{i}": ((chain[i],), (chain[i + 1],), None)
-                for i in range(n - 1)}
-    condition = design.dfg.loop_condition
-    if condition is None:
-        expected[f"t{n - 1}"] = ((chain[-1],), (FINAL_PLACE,), None)
-    else:
-        expected["t_exit"] = ((chain[-1],), (FINAL_PLACE,),
-                              Guard(condition, negated=True))
-        expected["t_loop"] = ((chain[-1],), (chain[0],), Guard(condition))
-    assert {t.trans_id: (t.inputs, t.outputs, t.guard)
-            for t in net.transitions.values()} == expected
-    assert net.initial_marking == {chain[0]}
-    assert net.final_places == {FINAL_PLACE}
-    assert len(lint_petri(net)) == 0
-    assert design.execution_time == n
+    count: the control table realising it has a load phase and then one
+    phase per control step (a loop's back edge adds none)."""
+    table = build_control_table(design, generate_rtl(design, 4))
+    assert table.phase_count == design.execution_time + 1
 
 
 @pytest.mark.parametrize("dfg_name", names())
-def test_flow_control_nets_are_chains(dfg_name):
+def test_flow_control_parts_are_chains(dfg_name):
     for flow in FLOW_ORDER:
         assert_chain(synthesize_flow(dfg_name, flow, 4))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.booleans().flatmap(lambda looped: dfgs(looped=looped)))
-def test_random_control_nets_are_chains(dfg):
+def test_random_control_parts_are_chains(dfg):
     assert_chain(default_design(dfg))
 
 

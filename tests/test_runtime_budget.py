@@ -94,6 +94,17 @@ class TestBudget:
                         "budget_reason": REASON_STEPS,
                         "budget_steps": 2}
 
+    @pytest.mark.parametrize("wall_seconds",
+                             [float("nan"), float("inf"), -1.0])
+    def test_rejects_a_wall_allowance_that_breaks_it(self, wall_seconds):
+        # NaN never exhausted and a negative allowance exhausted at once.
+        with pytest.raises(ValueError, match="wall_seconds"):
+            Budget(wall_seconds=wall_seconds)
+
+    def test_rejects_a_negative_step_ceiling(self):
+        with pytest.raises(ValueError, match="max_steps"):
+            Budget(max_steps=-1)
+
 
 class TestKernelIntegration:
     def test_synthesize_starved_returns_degraded_best_so_far(self):

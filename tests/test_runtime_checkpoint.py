@@ -198,6 +198,23 @@ class TestJournaledGrid:
                                    journal=journal, resume=False)
         assert again.replayed == 0 and again.computed == 1
 
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), -1.0])
+    def test_bad_cell_wall_seconds_rejected_before_any_cell(
+            self, seconds, tmp_path, monkeypatch):
+        # A NaN allowance also made the worker reap horizon NaN, so a
+        # hung worker was never reaped.
+        import repro.harness.experiment as experiment
+        ran: list[str] = []
+        monkeypatch.setattr(experiment, "run_cell",
+                            lambda benchmark, *args, **kwargs:
+                            ran.append(benchmark))
+        journal = Journal(tmp_path / "grid.jsonl")
+        with pytest.raises(ValueError, match="cell_wall_seconds"):
+            run_journaled_grid("ex", [("ours", 4)], _tiny_config,
+                               journal=journal, cell_wall_seconds=seconds)
+        assert ran == []
+        assert journal.records() == []
+
     def test_no_journal_is_plain_run(self):
         cells = run_journaled_grid("ex", [("ours", 4)], _tiny_config)
         assert len(cells) == 1
