@@ -3,7 +3,6 @@
 from .expand import expand_to_gates, expand_with_controller
 from .netlist import Gate, GateNetlist, GateType
 from .prune import observable_gates, prune_unobservable
-from .vcd import dump_vcd
 from .verilog import netlist_to_verilog
 from .simulate import FULL, CompiledCircuit
 
@@ -15,7 +14,6 @@ __all__ = [
     "GateType",
     "expand_to_gates",
     "expand_with_controller",
-    "dump_vcd",
     "netlist_to_verilog",
     "observable_gates",
     "prune_unobservable",

@@ -8,7 +8,7 @@ lane is a pattern (pattern-parallel good simulation) or a fault machine
 in lane 0 and up to 63 faulty machines in the rest, injecting each
 fault only in its own lane through per-site masks).  A fault simulator
 asks for one function hooked at every site of its fault list and
-reuses it for every group; the BIST emulation does the same per unit.
+reuses it for every group.
 
 Gates are created in topological order (DFF feedback is closed through
 the state vector), so evaluation in gate-id order is always correct —

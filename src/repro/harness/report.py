@@ -12,33 +12,61 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from ..errors import ReproError
 from ..runtime.atomic import atomic_write_text
+from .experiment import FLOW_ORDER
 
 _TABLE_TITLES = {"table1": "Table 1 — Ex", "table2": "Table 2 — Dct",
                  "table3": "Table 3 — Diffeq"}
 _FLOW_TITLES = {"camad": "CAMAD", "approach1": "Approach 1",
                 "approach2": "Approach 2", "ours": "Ours"}
-_FLOW_ORDER = ["camad", "approach1", "approach2", "ours"]
+_CELL_COLUMNS = ("flow", "coverage_pct", "test_cycles", "area_mm2")
+#: The columns the report reads from each row kind it renders.
+_COLUMNS = {**{kind: ("bits", *_CELL_COLUMNS) for kind in _TABLE_TITLES},
+            "extra": ("benchmark", *_CELL_COLUMNS)}
 
 
 def load_rows(path: str | Path) -> list[dict]:
-    """Read a rows.jsonl file."""
-    from ..errors import ReproError
+    """Read a rows.jsonl file.
+
+    Raises:
+        ReproError: the file is missing, a line is not a JSON object,
+            or a row the report renders lacks a column it reads or
+            names a flow outside ``FLOW_ORDER``.  The message names the
+            file and the line.
+    """
     if not Path(path).is_file():
         raise ReproError(f"no recorded rows at {path}: run "
                          f"'pytest benchmarks/' first")
     rows = []
     with open(path) as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.strip()
-            if line:
-                rows.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                row = json.loads(line)
+            except ValueError:
+                row = None
+            if not isinstance(row, dict):
+                raise ReproError(f"{path}: line {number} is not a JSON "
+                                 f"object")
+            kind = row.get("kind")
+            if isinstance(kind, str) and kind in _COLUMNS:
+                missing = [c for c in _COLUMNS[kind] if c not in row]
+                if missing:
+                    raise ReproError(f"{path}: line {number}: {kind} row "
+                                     f"lacks {', '.join(missing)}")
+                if row["flow"] not in FLOW_ORDER:
+                    raise ReproError(f"{path}: line {number}: unknown "
+                                     f"flow {row['flow']!r}")
+            rows.append(row)
     return rows
 
 
 def _sorted_cells(rows: list[dict], kind: str) -> list[dict]:
     cells = [r for r in rows if r.get("kind") == kind]
-    return sorted(cells, key=lambda r: (_FLOW_ORDER.index(r["flow"]),
+    return sorted(cells, key=lambda r: (FLOW_ORDER.index(r["flow"]),
                                         r["bits"]))
 
 
@@ -73,24 +101,24 @@ def shape_checks(rows: list[dict], kind: str) -> list[tuple[str, bool]]:
     checks = []
     worst = all(
         by[("camad", b)]["coverage_pct"]
-        <= min(by[(f, b)]["coverage_pct"] for f in _FLOW_ORDER if f != "camad")
+        <= min(by[(f, b)]["coverage_pct"] for f in FLOW_ORDER if f != "camad")
         + 0.5
         for b in bits_list if ("camad", b) in by)
     checks.append(("CAMAD has the worst coverage at every width", worst))
     monotone = all(
         by[(f, bits_list[i])]["coverage_pct"]
         <= by[(f, bits_list[i + 1])]["coverage_pct"] + 1.0
-        for f in _FLOW_ORDER
+        for f in FLOW_ORDER
         for i in range(len(bits_list) - 1)
         if (f, bits_list[i]) in by and (f, bits_list[i + 1]) in by)
     checks.append(("coverage is (near-)monotone in bit width", monotone))
     if ("ours", 16) in by:
         best16 = by[("ours", 16)]["coverage_pct"] >= max(
-            by[(f, 16)]["coverage_pct"] for f in _FLOW_ORDER
+            by[(f, 16)]["coverage_pct"] for f in FLOW_ORDER
             if (f, 16) in by) - 1e-9
         checks.append(("ours has the best 16-bit coverage", best16))
         smallest = by[("ours", 16)]["area_mm2"] <= min(
-            by[(f, 16)]["area_mm2"] for f in _FLOW_ORDER if (f, 16) in by)
+            by[(f, 16)]["area_mm2"] for f in FLOW_ORDER if (f, 16) in by)
         checks.append(("ours has the smallest 16-bit area", smallest))
     return checks
 
@@ -113,7 +141,7 @@ def render_report(rows: list[dict]) -> str:
         parts.append("| Benchmark | Flow | Coverage | Cycles | Area |")
         parts.append("|-----------|------|---------:|-------:|-----:|")
         for row in sorted(extras, key=lambda r: (r["benchmark"],
-                                                 _FLOW_ORDER.index(r["flow"]))):
+                                                 FLOW_ORDER.index(r["flow"]))):
             parts.append(f"| {row['benchmark']} | {row['flow']} "
                          f"| {row['coverage_pct']} % | {row['test_cycles']} "
                          f"| {row['area_mm2']} |")

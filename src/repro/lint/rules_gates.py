@@ -3,7 +3,7 @@
 The netlist construction API (:class:`repro.gates.netlist.GateNetlist`)
 enforces most of these at build time; the rules re-check the final data
 structure so that netlists assembled or transformed by other means
-(pruning, scan insertion, external readers) get the same audit.
+(pruning, external readers) get the same audit.
 :meth:`GateNetlist.check_complete` delegates to
 :func:`floating_dffs` so the raise-style API and rule GAT001 share one
 implementation.

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional
 
+from ..errors import ReproError
 from .atomic import atomic_write_text
 from .budget import Budget, check_wall_seconds
 from .chaos import ChaosInjector, Injection, active_injector, chaos_point
@@ -131,23 +132,28 @@ class Journal:
 
         A torn *final* line (an append cut down by a crash) is dropped
         silently — losing at most the newest record is the journal's
-        documented crash contract.  Corruption anywhere else still
-        raises: that is damage, not an interrupted append.
+        documented crash contract.  Any other line that is not a JSON
+        object is damage, not an interrupted append: it raises
+        :class:`~repro.errors.ReproError` naming the file and line.
         """
         if not self.path.exists():
             return []
         records = []
         lines = self.path.read_text().splitlines()
-        for index, line in enumerate(lines):
+        for number, line in enumerate(lines, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
+                record = json.loads(line)
             except ValueError:
-                if index == len(lines) - 1:
+                if number == len(lines):
                     break  # torn tail from a crashed append
-                raise
+                record = None
+            if not isinstance(record, dict):
+                raise ReproError(f"{self.path}: line {number} is not a "
+                                 f"JSON object; the journal is damaged")
+            records.append(record)
         return records
 
     def completed_cells(self) -> dict[CellKey, dict]:
@@ -349,6 +355,8 @@ def run_journaled_grid(benchmark: str,
     Raises:
         ValueError: ``cell_wall_seconds`` is NaN, infinite or negative
             (before any cell runs).
+        ReproError: ``resume`` is set and a line of ``journal`` before
+            its last is not a JSON object (before any cell runs).
     """
     check_wall_seconds(cell_wall_seconds, "cell_wall_seconds")
     say = progress or (lambda message: None)

@@ -5,7 +5,6 @@ from .balance import BalanceScore, balance_score, merged_testability, rank_pairs
 from .depth import (RegisterDepth, max_sequential_depth, register_depths,
                     sequential_depth_metric)
 from .metrics import LineTestability, NodeTestability, UNREACHABLE_DEPTH
-from .report import depth_report, testability_report
 
 __all__ = [
     "CTF",
@@ -18,11 +17,9 @@ __all__ = [
     "UNREACHABLE_DEPTH",
     "analyze",
     "balance_score",
-    "depth_report",
     "max_sequential_depth",
     "merged_testability",
     "rank_pairs",
     "register_depths",
     "sequential_depth_metric",
-    "testability_report",
 ]

@@ -33,7 +33,6 @@ from repro.gates import (CompiledCircuit, GateNetlist, GateType,
                          expand_with_controller)
 from repro.gates.netlist import Gate
 from repro.rtl import build_control_table, generate_rtl
-from repro.scan import unroll_full_scan
 from repro.synth import run_ours
 
 from .test_atpg_oracle import netlists
@@ -207,10 +206,9 @@ def _out_of_order_net() -> GateNetlist:
 
 @pytest.mark.parametrize("build", [
     lambda net: unroll(net, 2),
-    unroll_full_scan,
     CompiledCircuit,
     run_atpg,
-], ids=["unroll", "unroll_full_scan", "CompiledCircuit", "run_atpg"])
+], ids=["unroll", "CompiledCircuit", "run_atpg"])
 def test_out_of_order_netlist_is_rejected(build):
     net = _out_of_order_net()
     net.check_complete()  # acyclic: only the gid order is wrong

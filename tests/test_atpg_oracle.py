@@ -29,7 +29,7 @@ faulty).  A self-contained reference engine, on separate good and
 faulty lists, recomputes the whole circuit per fault and rescans every
 line for the D-frontier; it returns equal :class:`PodemResult` objects
 on every fault of the random nets and on fixed fault samples of the
-4-bit Ex netlists and of the 4-bit Ex full-scan model.
+4-bit Ex netlists.
 """
 
 from __future__ import annotations
@@ -54,11 +54,10 @@ from repro.atpg.unroll import (OP_AND, OP_BUF, OP_CONST0, OP_CONST1,
                                OP_XNOR, OP_XOR, UnrolledCircuit)
 from repro.errors import ATPGError
 from repro.gates import (CompiledCircuit, GateNetlist, GateType,
-                         expand_to_gates, expand_with_controller)
+                         expand_with_controller)
 from repro.harness import ExperimentConfig, run_cell
 from repro.harness.experiment import FLOW_ORDER, synthesize_flow_result
 from repro.rtl import build_control_table, generate_rtl
-from repro.scan import insert_scan_chain, select_full, unroll_full_scan
 
 MAX_FRAMES = 3
 
@@ -556,18 +555,6 @@ def test_decisions_match_the_reference_engine_on_ex(ex_netlists, flow):
         reference = ReferencePodem(model, max_backtracks=64)
         for fault in sample:
             assert engine.generate(fault) == reference.generate(fault)
-
-
-def test_decisions_match_the_reference_engine_on_full_scan():
-    # The one-frame model scan.evaluate_scan runs PODEM on.
-    design = synthesize_flow_result("ex", "ours", 4).design
-    net = expand_to_gates(generate_rtl(design, 4))
-    insert_scan_chain(net, select_full(design.datapath))
-    model = unroll_full_scan(net)
-    engine = PodemEngine(model, max_backtracks=64)
-    reference = ReferencePodem(model, max_backtracks=64)
-    for fault in full_fault_list(net)[::4]:
-        assert engine.generate(fault) == reference.generate(fault), fault
 
 
 @pytest.mark.parametrize("flow", FLOW_ORDER)

@@ -1,5 +1,6 @@
 """Tests for the command-line interface (fast subcommands only)."""
 
+import json
 import os
 import subprocess
 import sys
@@ -72,6 +73,43 @@ class TestCliExtensions:
         rows.write_text("")
         assert main(["report", "--rows", str(rows)]) == 0
         assert "no rows recorded" in capsys.readouterr().out
+
+
+#: A ``table1`` row with every column the report reads.
+_TABLE_ROW = {"kind": "table1", "flow": "ours", "bits": 4,
+              "coverage_pct": 90.0, "test_cycles": 100, "area_mm2": 1.0}
+
+#: Damaged second lines of a rows file, with the error each one gives.
+DAMAGED_ROWS = {
+    "unterminated": ('{"kind": "table1"', "line 2 is not a JSON object"),
+    "no-bits": (json.dumps({k: v for k, v in _TABLE_ROW.items()
+                            if k != "bits"}),
+                "line 2: table1 row lacks bits"),
+    "unknown-flow": (json.dumps(dict(_TABLE_ROW, flow="nope")),
+                     "line 2: unknown flow 'nope'"),
+    "not-an-object": ("[1,2]", "line 2 is not a JSON object"),
+}
+
+
+@pytest.mark.parametrize("line,message", DAMAGED_ROWS.values(),
+                         ids=DAMAGED_ROWS.keys())
+def test_damaged_rows_file_is_a_one_line_error(line, message, tmp_path,
+                                               capsys):
+    rows = tmp_path / "rows.jsonl"
+    rows.write_text(json.dumps(_TABLE_ROW) + "\n" + line + "\n")
+    assert main(["report", "--rows", str(rows)]) == 3
+    assert capsys.readouterr().err == f"error: {rows}: {message}\n"
+
+
+def test_damaged_journal_is_a_one_line_error(tmp_path, capsys):
+    # Damage before the last line is not a torn append: resuming stops.
+    journal = tmp_path / "j.jsonl"
+    journal.write_text('{"kind": "note"}\n{"torn": tr\n{"kind": "note"}\n')
+    assert main(["bench", "ex", "--flow", "ours", "--bits", "4",
+                 "--journal", str(journal), "--resume"]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {journal}: line 2 is not a JSON object; the journal is "
+        f"damaged\n")
 
 
 #: Every subcommand that takes a bit width, with the flag that sets it.

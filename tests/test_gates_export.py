@@ -1,4 +1,4 @@
-"""Unit tests for Verilog and VCD export."""
+"""Unit tests for Verilog export."""
 
 import re
 
@@ -6,8 +6,7 @@ import pytest
 
 from repro.bench import load
 from repro.etpn import default_design
-from repro.gates import CompiledCircuit, expand_to_gates, GateNetlist, GateType
-from repro.gates.vcd import dump_vcd
+from repro.gates import expand_to_gates, GateNetlist, GateType
 from repro.gates.verilog import netlist_to_verilog
 from repro.rtl import generate_rtl
 from repro.synth import run_ours
@@ -65,43 +64,3 @@ class TestVerilog:
         # Every gate is either a wire or a reg exactly once.
         assert text.count("wire n") + text.count("reg n") == len(net)
 
-
-class TestVcd:
-    def test_header_and_changes(self, small_netlist, tmp_path):
-        circuit = CompiledCircuit(small_netlist)
-        path = tmp_path / "wave.vcd"
-        dump_vcd(circuit, [{"a": 1, "b": 1}, {"a": 0, "b": 1},
-                           {"a": 1, "b": 1}], path)
-        text = path.read_text()
-        assert "$timescale 1ns $end" in text
-        assert "$enddefinitions $end" in text
-        assert "$var wire 1" in text
-        assert "#0" in text and "#10" in text
-
-    def test_state_toggles_recorded(self, small_netlist, tmp_path):
-        circuit = CompiledCircuit(small_netlist)
-        path = tmp_path / "wave.vcd"
-        # a&b=1 every cycle: q toggles 0,1,0,...
-        dump_vcd(circuit, [{"a": 1, "b": 1}] * 4, path)
-        text = path.read_text()
-        state_id = None
-        for line in text.splitlines():
-            if "state.q[0]" in line:
-                state_id = line.split()[3]
-        assert state_id is not None
-        changes = [l for l in text.splitlines()
-                   if l.endswith(state_id) and not l.startswith("$")]
-        # Initial 0 plus at least three toggles.
-        assert len(changes) >= 4
-
-    def test_signal_count_matches(self, tmp_path):
-        design = default_design(load("tseng"))
-        net = expand_to_gates(generate_rtl(design, 4))
-        circuit = CompiledCircuit(net)
-        path = tmp_path / "t.vcd"
-        dump_vcd(circuit, [{}], path)
-        text = path.read_text()
-        vars_declared = text.count("$var wire 1")
-        expected = (1 + len(circuit.input_names)
-                    + len(circuit.output_names) + circuit.state_size)
-        assert vars_declared == expected

@@ -10,6 +10,7 @@ import pytest
 
 from repro.atpg import RandomPhaseConfig
 from repro.bench import load
+from repro.errors import ReproError
 from repro.harness import ExperimentConfig, render_table, run_cell
 from repro.io import load_design, save_design
 from repro.runtime import (Journal, JournaledCell, atomic_write_text,
@@ -148,7 +149,8 @@ class TestAppendFastPath:
         path = tmp_path / "j.jsonl"
         path.write_text('{"torn": tr\n' + json.dumps(_formatted("ours"))
                         + "\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ReproError,
+                           match=r"j\.jsonl: line 1 is not a JSON object"):
             Journal(path).records()
 
 

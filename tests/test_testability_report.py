@@ -1,54 +1,7 @@
-"""Unit tests for the testability report renderers and HDL optimise flag."""
+"""Unit tests for the HDL front end's optimise flag."""
 
 
-from repro.bench import load
-from repro.etpn import default_design
 from repro.hdl import compile_source
-from repro.synth import run_ours
-from repro.testability import analyze, depth_report
-from repro.testability import testability_report as node_report
-
-
-class TestTestabilityReport:
-    def test_every_node_listed(self, chain_dfg):
-        design = default_design(chain_dfg)
-        report = node_report(design.datapath)
-        for node_id in design.datapath.nodes:
-            assert node_id in report
-
-    def test_verdicts_present(self):
-        design = run_ours(load("ex")).design
-        report = node_report(design.datapath)
-        assert "C-dominant" in report or "O-dominant" in report \
-            or "balanced" in report
-        assert "design quality" in report
-
-    def test_accepts_precomputed_analysis(self, chain_dfg):
-        design = default_design(chain_dfg)
-        analysis = analyze(design.datapath)
-        a = node_report(design.datapath, analysis)
-        b = node_report(design.datapath)
-        assert a == b
-
-    def test_input_nodes_c_dominant(self, chain_dfg):
-        design = default_design(chain_dfg)
-        report = node_report(design.datapath)
-        line = next(l for l in report.splitlines()
-                    if l.startswith("PI_a "))
-        assert "C-dominant" in line or "balanced" in line
-
-
-class TestDepthReport:
-    def test_sum_row(self, chain_dfg):
-        design = default_design(chain_dfg)
-        report = depth_report(design.datapath)
-        assert report.splitlines()[-1].startswith("SUM")
-
-    def test_all_registers_listed(self, chain_dfg):
-        design = default_design(chain_dfg)
-        report = depth_report(design.datapath)
-        for register in design.binding.registers():
-            assert register in report
 
 
 class TestHdlOptimizeFlag:
