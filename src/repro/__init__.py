@@ -18,7 +18,6 @@ Typical use::
 """
 
 from .bench import load as load_benchmark
-from .bench import names as benchmark_names
 from .cost import CostModel, ModuleLibrary
 from .dfg import DFG, DFGBuilder, OpKind
 from .etpn import Design, default_design
@@ -43,7 +42,6 @@ __all__ = [
     "SynthesisResult",
     "TestabilityAnalysis",
     "analyze",
-    "benchmark_names",
     "default_design",
     "lint_design",
     "lint_pipeline",

@@ -94,10 +94,6 @@ class Binding:
         """Sorted op_ids sharing ``module``."""
         return list(self.module_groups().get(module, ()))
 
-    def vars_in(self, register: str) -> list[str]:
-        """Sorted variables sharing ``register``."""
-        return list(self.register_groups().get(register, ()))
-
     def copy(self) -> "Binding":
         """Deep-enough copy (the maps are replaced, keys are immutable)."""
         result = Binding(dict(self.module_of), dict(self.register_of))

@@ -187,12 +187,8 @@ def _chaos_command(args) -> int:
 TargetResult = tuple[bool, dict[str, Any], list[str]]
 
 
-def _resolve(target: str, bits: int, optimize: bool = False):
+def _resolve(target: str):
     """The DFG of a benchmark name or an HDL source file.
-
-    ``bits`` is the width constant folding evaluates at when
-    ``optimize`` is requested — the *command's* datapath width, so an
-    HDL file is folded at the same width it is later analysed at.
 
     Raises:
         _CommandError: ``target`` is neither (exit 2).
@@ -205,7 +201,7 @@ def _resolve(target: str, bits: int, optimize: bool = False):
                             f"({', '.join(names())}) nor an HDL file", 2)
     from .hdl import compile_source
     with open(target) as handle:
-        return compile_source(handle.read(), optimize=optimize, bits=bits)
+        return compile_source(handle.read())
 
 
 def _design(dfg, flow: str, bits: int):
@@ -222,7 +218,7 @@ def _designs(args, verb: str) -> Iterator[tuple[str, Any]]:
     at ``--flow`` and ``--bits``; a file that does not compile exits 2."""
     for target in args.targets or names():
         try:
-            dfg = _resolve(target, args.bits)
+            dfg = _resolve(target)
         except ReproError as exc:
             raise _CommandError(f"{target}: cannot compile: {exc}",
                                 2) from exc
@@ -264,7 +260,7 @@ def _lint_command(args) -> int:
     results: list[TargetResult] = []
     for target in args.targets or names():
         try:
-            dfg = _resolve(target, args.bits, args.optimize)
+            dfg = _resolve(target)
         except ReproError as exc:
             # A source file that does not even compile is itself a
             # finding, not a crash: report it and keep linting the rest.
@@ -438,9 +434,6 @@ def _commands() -> list[Command]:
          "design-rule check (DFG -> ETPN -> schedule -> binding -> gates)",
          _lint_command,
          [targets, strict, fmt, bits,
-          _arg("--optimize", action="store_true",
-               help="fold/CSE/DCE HDL-file targets at --bits before "
-                    "linting (benchmarks are linted as registered)"),
           _arg("--no-gates", action="store_true",
                help="skip the gate-level expansion rules (faster)"),
           _arg("--depth-limit", type=_depth, default=8.0,

@@ -21,7 +21,7 @@ cost so far.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from ..etpn.datapath import DataPath
 
@@ -53,12 +53,6 @@ class Floorplan:
         # Adjacent slots still need a minimal route of one pitch.
         return max(abs(sx - dx) + abs(sy - dy), 1) * self.slot_pitch_mm
 
-    def bounding_box(self) -> tuple[int, int]:
-        """(width, height) of the occupied grid region, in slots."""
-        xs = [s.x for s in self.positions.values()]
-        ys = [s.y for s in self.positions.values()]
-        return (max(xs) - min(xs) + 1, max(ys) - min(ys) + 1)
-
 
 def _ring_slots(limit: int) -> list[_Spot]:
     """The first ``limit`` ``(x, y, ring)`` of a deterministic spiral
@@ -79,12 +73,6 @@ def _ring_slots(limit: int) -> list[_Spot]:
         ring += 1
     del slots[limit:]
     return slots
-
-
-def _spiral(limit: int) -> Iterator[Slot]:
-    """Yield grid slots in a deterministic spiral around the origin."""
-    for x, y, _ in _ring_slots(limit):
-        yield Slot(x, y)
 
 
 def _best_slot(free: list[_Spot], anchors: list[tuple[_Spot, int]]) -> int:

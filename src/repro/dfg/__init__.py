@@ -2,11 +2,8 @@
 
 from .builder import DFGBuilder
 from .graph import Const, DFG, DependenceEdge, Operation, Variable
-from .lifetime import Lifetime, conflict_graph, disjoint, variable_lifetimes
-from .optimize import (OptimizeStats, eliminate_common_subexpressions,
-                       eliminate_dead_code, fold_constants, optimize)
-from .ops import (OpKind, UnitClass, compatible, is_commutative,
-                  is_comparison, unit_class)
+from .lifetime import Lifetime, variable_lifetimes
+from .ops import OpKind, UnitClass, is_comparison, unit_class
 from .validate import validate_dfg
 
 __all__ = [
@@ -16,20 +13,11 @@ __all__ = [
     "DependenceEdge",
     "Lifetime",
     "OpKind",
-    "OptimizeStats",
     "Operation",
     "UnitClass",
     "Variable",
-    "compatible",
-    "conflict_graph",
-    "disjoint",
-    "is_commutative",
     "is_comparison",
     "unit_class",
-    "eliminate_common_subexpressions",
-    "eliminate_dead_code",
-    "fold_constants",
-    "optimize",
     "validate_dfg",
     "variable_lifetimes",
 ]

@@ -1,7 +1,7 @@
 """Structural analyses of a data-flow graph.
 
 These are schedule-independent: topological order, ASAP/ALAP bounds for
-an unconstrained schedule, mobility, and the DFG critical path.  They are
+an unconstrained schedule, and the DFG critical-path length.  They are
 used by every scheduler and by the synthesis algorithm's ΔE estimation.
 """
 
@@ -67,7 +67,7 @@ def alap_steps(dfg: DFG, horizon: int | None = None,
     """Latest legal control step of each operation within ``horizon`` steps.
 
     ``horizon`` defaults to the unconstrained critical-path length, which
-    makes ALAP the mirror of ASAP and mobility = alap - asap ≥ 0.
+    makes ALAP the mirror of ASAP, with alap - asap ≥ 0.
     """
     asap = asap_steps(dfg, delays)
     if horizon is None:
@@ -85,14 +85,6 @@ def alap_steps(dfg: DFG, horizon: int | None = None,
     return steps
 
 
-def mobility(dfg: DFG, horizon: int | None = None,
-             delays: dict[str, int] | None = None) -> dict[str, int]:
-    """Scheduling freedom (ALAP - ASAP) of each operation."""
-    asap = asap_steps(dfg, delays)
-    alap = alap_steps(dfg, horizon, delays)
-    return {op_id: alap[op_id] - asap[op_id] for op_id in dfg.operations}
-
-
 def critical_path_length(dfg: DFG,
                          delays: dict[str, int] | None = None) -> int:
     """Length, in control steps, of the DFG's unconstrained schedule."""
@@ -104,28 +96,3 @@ def critical_path_length(dfg: DFG,
         delay = 1 if delays is None else delays.get(op_id, 1)
         end = max(end, start + delay)
     return end
-
-
-def critical_path_ops(dfg: DFG,
-                      delays: dict[str, int] | None = None) -> list[str]:
-    """One longest dependence chain, as a list of op ids in order."""
-    asap = asap_steps(dfg, delays)
-    length = critical_path_length(dfg, delays)
-
-    def op_delay(op_id: str) -> int:
-        return 1 if delays is None else delays.get(op_id, 1)
-
-    tail = max((op for op in dfg.operations
-                if asap[op] + op_delay(op) == length),
-               key=lambda op: asap[op])
-    chain = [tail]
-    current = tail
-    while True:
-        preds = [e for e in dfg.predecessors(current)
-                 if asap[e.src] + edge_latency(dfg, e, delays) == asap[current]]
-        if not preds:
-            break
-        current = min(preds, key=lambda e: e.src).src
-        chain.append(current)
-    chain.reverse()
-    return chain

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from ..errors import DFGError
-from .ops import OpKind, arity, is_comparison, unit_class, UnitClass
+from .ops import OpKind, arity, is_comparison
 
 
 @dataclass(frozen=True)
@@ -190,10 +190,6 @@ class DFG:
         """All dependence edges."""
         return list(self._edges)
 
-    def flow_edges(self) -> list[DependenceEdge]:
-        """Only flow (true-dependence) edges."""
-        return [e for e in self._edges if e.kind == "flow"]
-
     def successors(self, op_id: str) -> list[DependenceEdge]:
         """Edges leaving ``op_id``."""
         return list(self._succ[op_id])
@@ -245,17 +241,6 @@ class DFG:
                 last_def[op.dst] = op_id
                 last_uses[op.dst] = []
         return sorted(edges, key=lambda e: (e.src, e.dst, e.kind, e.variable))
-
-    # ------------------------------------------------------------------
-    # Statistics used throughout the harness
-    # ------------------------------------------------------------------
-    def op_count_by_class(self) -> dict[UnitClass, int]:
-        """Number of operations per functional-unit class."""
-        counts: dict[UnitClass, int] = {}
-        for op in self._operations.values():
-            cls = unit_class(op.kind)
-            counts[cls] = counts.get(cls, 0) + 1
-        return counts
 
     def condition_variables(self) -> list[str]:
         """Names of condition variables (1-bit controller inputs)."""

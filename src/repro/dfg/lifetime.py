@@ -121,28 +121,6 @@ def variable_lifetimes(dfg: DFG, steps: dict[str, int]) -> dict[str, Lifetime]:
     return DefUse(dfg).lifetimes(steps)
 
 
-def conflict_graph(lifetimes: dict[str, Lifetime]) -> dict[str, set[str]]:
-    """Adjacency sets of the register-sharing conflict graph."""
-    names = sorted(lifetimes)
-    graph: dict[str, set[str]] = {n: set() for n in names}
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            if lifetimes[a].overlaps(lifetimes[b]):
-                graph[a].add(b)
-                graph[b].add(a)
-    return graph
-
-
-def disjoint(lifetimes: dict[str, Lifetime], group: list[str]) -> bool:
-    """True when all variables in ``group`` can share one register."""
-    present = [lifetimes[v] for v in group if v in lifetimes]
-    for i, a in enumerate(present):
-        for b in present[i + 1:]:
-            if a.overlaps(b):
-                return False
-    return True
-
-
 def max_overlap(lifetimes: dict[str, Lifetime]) -> int:
     """Maximum number of simultaneously live variables.
 

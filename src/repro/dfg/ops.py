@@ -77,17 +77,6 @@ def is_comparison(kind: OpKind) -> bool:
     return kind in _COMPARISONS
 
 
-def is_commutative(kind: OpKind) -> bool:
-    """Return True when operand order does not affect the result."""
-    return kind in {OpKind.ADD, OpKind.MUL, OpKind.AND, OpKind.OR,
-                    OpKind.XOR, OpKind.EQ, OpKind.NE}
-
-
-def compatible(kind_a: OpKind, kind_b: OpKind) -> bool:
-    """Return True when two operations may share one functional module."""
-    return unit_class(kind_a) == unit_class(kind_b)
-
-
 def arity(kind: OpKind) -> int:
     """Return the number of data inputs an operation of ``kind`` reads."""
     if kind in (OpKind.NOT, OpKind.MOVE):

@@ -234,11 +234,6 @@ class DataPath:
         return sum(len(sources) > 1 for ports in self._port_sources.values()
                    for sources in ports.values())
 
-    def mux_inputs_total(self) -> int:
-        """Total mux data inputs (a proxy for interconnect area)."""
-        return sum(len(sources) for ports in self._port_sources.values()
-                   for sources in ports.values() if len(sources) > 1)
-
     def modules(self) -> list[DataPathNode]:
         """All MODULE nodes, sorted by id."""
         return self._of_kind(NodeKind.MODULE)

@@ -169,16 +169,6 @@ class GateNetlist:
                    if not (g.gtype is _INPUT or g.gtype is _CONST0
                            or g.gtype is _CONST1 or g.gtype is _DFF))
 
-    def fanout_counts(self) -> list[int]:
-        """Fanout count per gate id."""
-        counts = [0] * len(self.gates)
-        for gate in self.gates:
-            for fin in gate.fanins:
-                counts[fin] += 1
-        for gid in self.outputs.values():
-            counts[gid] += 1
-        return counts
-
     def stats(self) -> dict[str, int]:
         """Headline sizes used by reports and tests."""
         return {

@@ -2,8 +2,11 @@
 
 Word-level constructions sometimes leave unobservable gates behind
 (e.g. the final carry of a truncating adder).  Faults on such gates are
-untestable by definition and would depress every coverage number, so
-fault-universe consumers prune first.
+untestable by definition.  The ATPG flow does not prune them: they stay
+in the fault universe, and PODEM searches each one the random phase
+leaves until it proves the fault untestable or aborts.  GAT004's hint
+names :func:`prune_unobservable` as the fix for a netlist with such
+gates.
 
 The observable set is computed to a fixpoint: primary outputs are
 observable; a gate feeding an observable gate is observable; a DFF's D

@@ -79,8 +79,8 @@ def cell_key(dfg: "DFG", flow: str, bits: int, config: Any) -> str:
     """Cache key of one full experiment cell (synthesis + ATPG + cost).
 
     Covers the canonical DFG, the flow, the bit width and the complete
-    :class:`~repro.harness.experiment.ExperimentConfig` (budgets, fault
-    sampling, ATPG seed), hashed field by field through ``asdict``,
+    :class:`~repro.harness.experiment.ExperimentConfig` (budgets and
+    fault sampling), hashed field by field through ``asdict``,
     plus the per-width paper parameters ``ours`` derives from the bit
     width — everything that can change a row.
     """
@@ -109,14 +109,6 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     stores: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    def hit_rate(self) -> float:
-        """Fraction of lookups that were hits (0.0 when idle)."""
-        return self.hits / self.lookups if self.lookups else 0.0
 
 
 # ----------------------------------------------------------------------

@@ -27,6 +27,10 @@ from ..testability import analyze, sequential_depth_metric
 #: The flow order the paper's tables use.
 FLOW_ORDER = ("camad", "approach1", "approach2", "ours")
 
+#: Each flow's name in the paper's tables.
+FLOW_TITLES = {"camad": "CAMAD", "approach1": "Approach 1",
+               "approach2": "Approach 2", "ours": "Ours"}
+
 #: The (k, α, β) the paper reports per bit width (§5).
 PAPER_PARAMS = {4: (3, 2.0, 1.0), 8: (3, 10.0, 1.0), 16: (3, 1.0, 10.0)}
 
@@ -46,7 +50,6 @@ class ExperimentConfig:
                                       RandomPhaseConfig(max_sequences=24,
                                                         saturation=5))
     max_backtracks: int = 64
-    seed: int = 2026
 
     @staticmethod
     def quick(bits: int) -> "ExperimentConfig":
@@ -143,7 +146,6 @@ def run_cell(benchmark: str, flow: str,
     max_frames = 2 * table.phase_count + 1
     sequence_length = 4 * (design.num_steps + 1)
     atpg_config = ATPGConfig(
-        seed=config.seed,
         random=replace(config.random, sequence_length=sequence_length),
         max_frames=max_frames,
         max_backtracks=config.max_backtracks,

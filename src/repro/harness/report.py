@@ -14,16 +14,22 @@ from pathlib import Path
 
 from ..errors import ReproError
 from ..runtime.atomic import atomic_write_text
-from .experiment import FLOW_ORDER
+from .experiment import FLOW_ORDER, FLOW_TITLES
 
 _TABLE_TITLES = {"table1": "Table 1 — Ex", "table2": "Table 2 — Dct",
                  "table3": "Table 3 — Diffeq"}
-_FLOW_TITLES = {"camad": "CAMAD", "approach1": "Approach 1",
-                "approach2": "Approach 2", "ours": "Ours"}
 _CELL_COLUMNS = ("flow", "coverage_pct", "test_cycles", "area_mm2")
 #: The columns the report reads from each row kind it renders.
 _COLUMNS = {**{kind: ("bits", *_CELL_COLUMNS) for kind in _TABLE_TITLES},
             "extra": ("benchmark", *_CELL_COLUMNS)}
+#: The type each of those columns must have, since the report sorts and
+#: formats them, and how an error message names it.
+_COLUMN_TYPES = {"bits": (int, "an integer"),
+                 "test_cycles": (int, "an integer"),
+                 "coverage_pct": ((int, float), "a number"),
+                 "area_mm2": ((int, float), "a number"),
+                 "benchmark": (str, "a string"),
+                 "flow": (str, "a string")}
 
 
 def load_rows(path: str | Path) -> list[dict]:
@@ -31,9 +37,9 @@ def load_rows(path: str | Path) -> list[dict]:
 
     Raises:
         ReproError: the file is missing, a line is not a JSON object,
-            or a row the report renders lacks a column it reads or
-            names a flow outside ``FLOW_ORDER``.  The message names the
-            file and the line.
+            or a row the report renders lacks a column it reads, has
+            a column of the wrong type or names a flow outside
+            ``FLOW_ORDER``.  The message names the file and the line.
     """
     if not Path(path).is_file():
         raise ReproError(f"no recorded rows at {path}: run "
@@ -57,6 +63,14 @@ def load_rows(path: str | Path) -> list[dict]:
                 if missing:
                     raise ReproError(f"{path}: line {number}: {kind} row "
                                      f"lacks {', '.join(missing)}")
+                for column in _COLUMNS[kind]:
+                    expected, noun = _COLUMN_TYPES[column]
+                    value = row[column]
+                    if (not isinstance(value, expected)
+                            or isinstance(value, bool)):
+                        raise ReproError(f"{path}: line {number}: {kind} "
+                                         f"row's {column} is {value!r}, "
+                                         f"not {noun}")
                 if row["flow"] not in FLOW_ORDER:
                     raise ReproError(f"{path}: line {number}: unknown "
                                      f"flow {row['flow']!r}")
@@ -84,7 +98,7 @@ def table_markdown(rows: list[dict], kind: str) -> str:
         paper_cov = cell.get("paper_coverage_pct", "—")
         paper_cyc = cell.get("paper_test_cycles", "—")
         lines.append(
-            f"| {_FLOW_TITLES[cell['flow']]} | {cell['bits']} "
+            f"| {FLOW_TITLES[cell['flow']]} | {cell['bits']} "
             f"| {paper_cov} → {cell['coverage_pct']} % "
             f"| {paper_cyc} → {cell['test_cycles']} "
             f"| {cell['area_mm2']} |")

@@ -8,10 +8,7 @@ time (effort units and seconds), test-application cycles and area.
 
 from __future__ import annotations
 
-from .experiment import CellResult, FLOW_ORDER, module_symbol
-
-_FLOW_TITLE = {"camad": "CAMAD", "approach1": "Approach 1",
-               "approach2": "Approach 2", "ours": "Ours"}
+from .experiment import CellResult, FLOW_ORDER, FLOW_TITLES, module_symbol
 
 
 def format_allocation(cell: CellResult) -> list[str]:
@@ -55,7 +52,7 @@ def render_table(benchmark: str, cells: list[CellResult],
             lines.append(f"    {alloc_line}")
         for cell in flow_cells:
             row = cell.row()
-            line = (f"{_FLOW_TITLE[flow]:<11} {row['muxes']:>4} "
+            line = (f"{FLOW_TITLES[flow]:<11} {row['muxes']:>4} "
                     f"{row['bits']:>4} {row['coverage_pct']:>8.2f}% "
                     f"{row['tg_effort_k']:>13.1f} {row['tg_seconds']:>7.2f} "
                     f"{row['test_cycles']:>7}")

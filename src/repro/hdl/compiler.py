@@ -122,18 +122,6 @@ class _Compiler:
         return condition
 
 
-def compile_source(source: str, optimize: bool = False,
-                   bits: int = 16) -> DFG:
-    """Compile HDL source text into a validated DFG.
-
-    Args:
-        source: the behavioural HDL text.
-        optimize: run constant folding, common-subexpression
-            elimination and dead-code elimination on the result.
-        bits: the word width constant folding evaluates at.
-    """
-    dfg = _Compiler(parse(source)).run()
-    if optimize:
-        from ..dfg.optimize import optimize as run_passes
-        dfg, _ = run_passes(dfg, bits=bits)
-    return dfg
+def compile_source(source: str) -> DFG:
+    """Compile HDL source text into a validated DFG."""
+    return _Compiler(parse(source)).run()

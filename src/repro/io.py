@@ -1,8 +1,8 @@
 """JSON serialisation of DFGs and design points.
 
-Lets users persist a synthesised design (schedule + binding) and reload
-it later without re-running the algorithm — e.g. to regenerate RTL at a
-different bit width, or to archive the design a bench produced.
+``export --what json`` prints a design (schedule + binding) in this
+form, and the result cache keys synthesis on a DFG's form and stores
+the synthesised design in it.
 
 The format is deliberately plain: a dict with a ``format`` tag, fully
 reconstructable through the public builder APIs, so files survive
@@ -11,15 +11,11 @@ internal refactorings.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 from .alloc.binding import Binding
 from .dfg import DFG, DFGBuilder
 from .dfg.graph import Const
 from .errors import ReproError
 from .etpn.design import Design
-from .runtime.atomic import atomic_write_text
 
 FORMAT_DFG = "repro-dfg-v1"
 FORMAT_DESIGN = "repro-design-v1"
@@ -89,14 +85,3 @@ def design_from_dict(data: dict) -> Design:
                     binding, label=data.get("label", ""))
     design.validate()
     return design
-
-
-def save_design(design: Design, path: str | Path) -> None:
-    """Write a design to a JSON file (atomically: temp, fsync, rename)."""
-    atomic_write_text(path, json.dumps(design_to_dict(design), indent=2)
-                      + "\n")
-
-
-def load_design(path: str | Path) -> Design:
-    """Read and validate a design from a JSON file."""
-    return design_from_dict(json.loads(Path(path).read_text()))

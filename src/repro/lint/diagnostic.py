@@ -130,10 +130,6 @@ class LintReport:
                 d.severity is Severity.INFO for d in self.diagnostics)
         return not self.has_errors
 
-    def codes(self) -> list[str]:
-        """Sorted distinct rule codes present in the report."""
-        return sorted({d.code for d in self.diagnostics})
-
     def sorted(self) -> list[Diagnostic]:
         """Findings under a total order: severity, layer, code, location.
 
@@ -155,12 +151,6 @@ class LintReport:
                 plural = "s" if len(found) != 1 else ""
                 parts.append(f"{len(found)} {label}{plural}")
         return ", ".join(parts) if parts else "no problems"
-
-    def format_text(self) -> str:
-        """Multi-line text rendering of every finding plus the summary."""
-        lines = [d.format() for d in self.sorted()]
-        lines.append(self.summary())
-        return "\n".join(lines)
 
     def to_dict(self) -> dict:
         """JSON-serialisable form of the whole report."""

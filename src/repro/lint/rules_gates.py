@@ -28,7 +28,7 @@ def floating_dffs(netlist) -> list:
 
 def _fanout_counts(netlist) -> list[int]:
     """Fanout per gate, tolerant of dangling references (GAT003 reports
-    those; :meth:`GateNetlist.fanout_counts` would raise on them)."""
+    those)."""
     n = len(netlist.gates)
     counts = [0] * n
     for gate in netlist.gates:

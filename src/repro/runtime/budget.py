@@ -81,11 +81,6 @@ class Budget:
         self._reason: Optional[str] = None
         self._next_clock_check = 0
 
-    @classmethod
-    def unlimited(cls) -> "Budget":
-        """A budget that never exhausts (cancellation still works)."""
-        return cls()
-
     # ------------------------------------------------------------------
     def charge(self, steps: int = 1) -> bool:
         """Record ``steps`` units of work; True while within budget."""
@@ -127,18 +122,6 @@ class Budget:
     def reason(self) -> Optional[str]:
         """Why the budget exhausted (None while still within budget)."""
         return self._reason
-
-    def remaining_seconds(self) -> float | None:
-        """Wall-clock time left, or None when untimed."""
-        if self._deadline is None:
-            return None
-        return max(0.0, self._deadline - self._clock())
-
-    def provenance(self) -> dict[str, object]:
-        """Tags a partial result carries to explain its incompleteness."""
-        return {"budget_exhausted": self._reason is not None,
-                "budget_reason": self._reason,
-                "budget_steps": self.steps}
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         state = self._reason or "ok"

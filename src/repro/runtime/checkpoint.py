@@ -136,6 +136,10 @@ class Journal:
         object is damage, not an interrupted append: it raises
         :class:`~repro.errors.ReproError` naming the file and line.
         """
+        return [record for _, record in self._numbered_records()]
+
+    def _numbered_records(self) -> list[tuple[int, dict]]:
+        """:meth:`records`, each with its 1-based line number."""
         if not self.path.exists():
             return []
         records = []
@@ -153,13 +157,34 @@ class Journal:
             if not isinstance(record, dict):
                 raise ReproError(f"{self.path}: line {number} is not a "
                                  f"JSON object; the journal is damaged")
-            records.append(record)
+            records.append((number, record))
         return records
 
     def completed_cells(self) -> dict[CellKey, dict]:
-        """Finished cells by grid key (later records win)."""
-        return {record_key(r): r for r in self.records()
-                if r.get("kind") == "cell"}
+        """Finished cells by grid key (later records win).
+
+        Raises:
+            ReproError: as :meth:`records`, and when a cell record lacks
+                ``benchmark``, ``flow`` or ``bits`` or its ``bits`` is
+                not an integer; the message names the file and line.
+        """
+        cells = {}
+        for number, record in self._numbered_records():
+            if record.get("kind") != "cell":
+                continue
+            missing = [f for f in ("benchmark", "flow", "bits")
+                       if f not in record]
+            if missing:
+                raise ReproError(f"{self.path}: line {number}: cell record "
+                                 f"lacks {', '.join(missing)}; the journal "
+                                 f"is damaged")
+            bits = record["bits"]
+            if not isinstance(bits, int) or isinstance(bits, bool):
+                raise ReproError(f"{self.path}: line {number}: cell "
+                                 f"record's bits is {bits!r}, not an "
+                                 f"integer; the journal is damaged")
+            cells[record_key(record)] = record
+        return cells
 
     def _appendable(self) -> bool:
         """Can :meth:`append` take the O(1) fast path?

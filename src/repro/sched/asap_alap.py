@@ -1,21 +1,15 @@
-"""The ASAP scheduler and time-frame computation with fixed ops.
+"""Time-frame computation with fixed ops, and the minimum horizon.
 
-A thin, schedule-producing wrapper over :mod:`repro.dfg.analysis`,
-plus the frame computation force-directed scheduling needs:
-earliest/latest steps when some operations are already fixed.
+The frame computation force-directed scheduling needs: earliest/latest
+steps when some operations are already fixed.
 """
 
 from __future__ import annotations
 
 from ..dfg import DFG
-from ..dfg.analysis import (asap_steps, critical_path_length, edge_latency,
+from ..dfg.analysis import (critical_path_length, edge_latency,
                             topological_order)
 from ..errors import ScheduleError
-
-
-def asap_schedule(dfg: DFG, delays: dict[str, int] | None = None) -> dict[str, int]:
-    """The as-soon-as-possible schedule (the default schedule)."""
-    return asap_steps(dfg, delays)
 
 
 def frames(dfg: DFG, horizon: int,

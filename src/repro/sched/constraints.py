@@ -60,18 +60,3 @@ def check_precedence(dfg: DFG, steps: dict[str, int],
         detail = "; ".join(str(v) for v in violations[:5])
         raise ScheduleError(f"{dfg.name}: {len(violations)} precedence "
                             f"violations: {detail}")
-
-
-def module_conflicts(steps: dict[str, int],
-                     module_groups: dict[str, list[str]]) -> list[tuple[str, str, str]]:
-    """(module, op_a, op_b) triples of same-step operations sharing a module."""
-    conflicts = []
-    for module, ops in module_groups.items():
-        by_step: dict[int, str] = {}
-        for op_id in ops:
-            step = steps[op_id]
-            if step in by_step:
-                conflicts.append((module, by_step[step], op_id))
-            else:
-                by_step[step] = op_id
-    return conflicts

@@ -20,16 +20,27 @@ The reconstruction is documented in DESIGN.md §3.
 
 from __future__ import annotations
 
-from ..dfg import DFG
+from ..dfg import DFG, UnitClass, unit_class
 from ..dfg.analysis import edge_latency
 from ..dfg.lifetime import variable_lifetimes
 from .asap_alap import frames, minimum_horizon
 from .fds import fds_schedule
 
 
+def peak_usage(dfg: DFG, steps: dict[str, int]) -> dict[UnitClass, int]:
+    """Maximum number of same-class ops sharing any control step."""
+    usage: dict[tuple[UnitClass, int], int] = {}
+    for op in dfg:
+        key = (unit_class(op.kind), steps[op.op_id])
+        usage[key] = usage.get(key, 0) + 1
+    peaks: dict[UnitClass, int] = {}
+    for (cls, _), count in usage.items():
+        peaks[cls] = max(peaks.get(cls, 0), count)
+    return peaks
+
+
 def _objective(dfg: DFG, steps: dict[str, int]) -> tuple[int, float, int]:
     from ..alloc.left_edge import left_edge  # local import: avoid cycle
-    from .list_sched import peak_usage
 
     # Unit concurrency first: Approach 2 keeps Approach 1's module
     # allocation, so moves must not demand extra functional units.

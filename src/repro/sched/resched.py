@@ -27,7 +27,7 @@ from typing import Iterable
 from ..alloc.binding import Binding
 from ..dfg import DFG
 from ..dfg.analysis import edge_latency
-from ..dfg.lifetime import DefUse, Lifetime, variable_lifetimes
+from ..dfg.lifetime import DefUse, Lifetime
 from ..errors import ScheduleError
 
 #: Constraint edges as ``((src, dst), gap)``.
@@ -226,12 +226,6 @@ def current_module_orders(dfg: DFG, binding: Binding,
         if len(ops) >= 2:
             orders[module] = sorted(ops, key=lambda o: (steps[o], o))
     return orders
-
-
-def current_register_orders(dfg: DFG, binding: Binding,
-                            steps: dict[str, int]) -> dict[str, list[str]]:
-    """Lifetime order of each shared register under the current schedule."""
-    return lifetime_orders(binding, variable_lifetimes(dfg, steps))
 
 
 def lifetime_orders(binding: Binding, lifetimes: dict[str, Lifetime]

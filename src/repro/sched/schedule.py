@@ -46,18 +46,6 @@ def compact(steps: dict[str, int]) -> dict[str, int]:
     return {op_id: renumber[s] for op_id, s in steps.items()}
 
 
-def shift_from(steps: dict[str, int], first_affected: int,
-               amount: int = 1) -> dict[str, int]:
-    """Open ``amount`` empty (dummy) steps before step ``first_affected``.
-
-    Every operation scheduled at or after ``first_affected`` moves later
-    by ``amount``; this realises the paper's "introducing dummy control
-    steps (places)" rescheduling primitive.
-    """
-    return {op_id: s + amount if s >= first_affected else s
-            for op_id, s in steps.items()}
-
-
 def assert_complete(dfg: DFG, steps: dict[str, int]) -> None:
     """Raise ScheduleError unless every operation is scheduled."""
     from ..errors import ScheduleError

@@ -5,7 +5,7 @@ from .baselines import (FLOWS, run_approach1, run_approach2, run_camad,
                         run_flow, run_ours)
 from .explore import DesignPoint, explore, pareto_front, render_front
 from .candidates import (CandidatePair, compatible_pairs, rank_candidates,
-                         rank_candidates_connectivity, top_k)
+                         rank_candidates_connectivity)
 from .merger import (MergeOutcome, try_merge, try_merge_modules,
                      try_merge_registers)
 from .result import MergeRecord, SkippedCandidate, SynthesisResult
@@ -31,7 +31,6 @@ __all__ = [
     "run_flow",
     "run_ours",
     "synthesize",
-    "top_k",
     "try_merge",
     "try_merge_modules",
     "try_merge_registers",

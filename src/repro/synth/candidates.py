@@ -81,12 +81,6 @@ def rank_candidates(design: Design, analysis: TestabilityAnalysis,
     return sorted(pairs, key=key)
 
 
-def top_k(design: Design, analysis: TestabilityAnalysis,
-          k: int) -> list[CandidatePair]:
-    """The k best-balanced merger candidates (Algorithm 1, step 6)."""
-    return rank_candidates(design, analysis)[:max(k, 1)]
-
-
 def rank_candidates_connectivity(design: Design,
                                  pairs: list[CandidatePair] | None = None
                                  ) -> list[CandidatePair]:

@@ -1,9 +1,8 @@
 """Testability analysis and the C/O balance allocation principle."""
 
 from .analysis import CTF, OTF, TestabilityAnalysis, analyze
-from .balance import BalanceScore, balance_score, merged_testability, rank_pairs
-from .depth import (RegisterDepth, max_sequential_depth, register_depths,
-                    sequential_depth_metric)
+from .balance import BalanceScore, balance_score, merged_testability
+from .depth import RegisterDepth, register_depths, sequential_depth_metric
 from .metrics import LineTestability, NodeTestability, UNREACHABLE_DEPTH
 
 __all__ = [
@@ -17,9 +16,7 @@ __all__ = [
     "UNREACHABLE_DEPTH",
     "analyze",
     "balance_score",
-    "max_sequential_depth",
     "merged_testability",
-    "rank_pairs",
     "register_depths",
     "sequential_depth_metric",
 ]

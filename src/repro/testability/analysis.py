@@ -257,11 +257,6 @@ class TestabilityAnalysis:
         """Did the observability relaxation reach its fixed point?"""
         return self.fixpoint.backward_converged
 
-    @property
-    def converged(self) -> bool:
-        """True when both fixed-point iterations actually converged."""
-        return self.forward_converged and self.backward_converged
-
     # ------------------------------------------------------------------
     # Public accessors
     # ------------------------------------------------------------------

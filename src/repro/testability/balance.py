@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import TestabilityAnalysis
 from .metrics import NodeTestability
 
 
@@ -57,26 +56,3 @@ def balance_score(a: NodeTestability, b: NodeTestability) -> BalanceScore:
         merged_quality=min(merged_c, merged_o),
         complementarity=-(a.imbalance * b.imbalance),
     )
-
-
-def rank_pairs(analysis: TestabilityAnalysis,
-               pairs: list[tuple[str, str]]) -> list[tuple[str, str]]:
-    """Order candidate node pairs, best balance first.
-
-    Args:
-        analysis: the current design's testability analysis.
-        pairs: candidate (node_id, node_id) pairs (already filtered for
-            structural compatibility by the caller).
-
-    Returns:
-        The same pairs sorted by descending :class:`BalanceScore`, with
-        a deterministic name-based tie-break.
-    """
-    nodes = analysis.all_nodes()
-
-    def sort_key(pair: tuple[str, str]):
-        score = balance_score(nodes[pair[0]], nodes[pair[1]])
-        quality, complement = score.key()
-        return (-quality, -complement, pair)
-
-    return sorted(pairs, key=sort_key)

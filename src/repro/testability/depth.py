@@ -92,11 +92,3 @@ def sequential_depth_metric(datapath: DataPath) -> float:
     if not depths:
         return 0.0
     return sum(d.total for d in depths.values())
-
-
-def max_sequential_depth(datapath: DataPath) -> float:
-    """The deepest register's controllable→observable depth."""
-    depths = register_depths(datapath)
-    if not depths:
-        return 0.0
-    return max(d.total for d in depths.values())

@@ -53,7 +53,7 @@ class TestMerging:
         binding = default_binding(chain_dfg).merge_modules("M_N2", "M_N3")
         assert binding.modules()["M_N2"] == ["N2", "N3"]
         assert binding.ops_on("M_N2") == ["N2", "N3"]
-        assert binding.vars_in("R_a") == ["a"]
+        assert binding.registers()["R_a"] == ["a"]
 
 
 class TestValidation:

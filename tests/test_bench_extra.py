@@ -1,6 +1,7 @@
 """Tests for the extension benchmarks (FIR/IIR/AR) across the stack."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -18,8 +19,8 @@ class TestExtensionBenchmarks:
         default_design(load(name)).validate()
 
     def test_fir8_structure(self):
-        from repro.dfg import UnitClass
-        counts = load("fir8").op_count_by_class()
+        from repro.dfg import UnitClass, unit_class
+        counts = Counter(unit_class(op.kind) for op in load("fir8"))
         assert counts[UnitClass.MULTIPLIER] == 8
         assert counts[UnitClass.ALU] == 7
 

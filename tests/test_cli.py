@@ -87,6 +87,11 @@ DAMAGED_ROWS = {
                 "line 2: table1 row lacks bits"),
     "unknown-flow": (json.dumps(dict(_TABLE_ROW, flow="nope")),
                      "line 2: unknown flow 'nope'"),
+    "string-bits": (json.dumps(dict(_TABLE_ROW, bits="8")),
+                    "line 2: table1 row's bits is '8', not an integer"),
+    "string-coverage": (json.dumps(dict(_TABLE_ROW, coverage_pct="90")),
+                        "line 2: table1 row's coverage_pct is '90', not a "
+                        "number"),
     "not-an-object": ("[1,2]", "line 2 is not a JSON object"),
 }
 
@@ -110,6 +115,28 @@ def test_damaged_journal_is_a_one_line_error(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: {journal}: line 2 is not a JSON object; the journal is "
         f"damaged\n")
+
+
+#: Damaged cell records, with the error resuming from each one gives.
+DAMAGED_CELLS = {
+    "no-benchmark": ({"kind": "cell", "flow": "ours"},
+                     "line 2: cell record lacks benchmark, bits"),
+    "string-bits": ({"kind": "cell", "benchmark": "ex", "flow": "ours",
+                     "bits": "4"},
+                    "line 2: cell record's bits is '4', not an integer"),
+}
+
+
+@pytest.mark.parametrize("record,message", DAMAGED_CELLS.values(),
+                         ids=DAMAGED_CELLS.keys())
+def test_damaged_cell_record_is_a_one_line_error(record, message, tmp_path,
+                                                 capsys):
+    journal = tmp_path / "j.jsonl"
+    journal.write_text('{"kind": "note"}\n' + json.dumps(record) + "\n")
+    assert main(["bench", "ex", "--flow", "ours", "--bits", "4",
+                 "--journal", str(journal), "--resume"]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {journal}: {message}; the journal is damaged\n")
 
 
 #: Every subcommand that takes a bit width, with the flag that sets it.

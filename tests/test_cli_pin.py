@@ -52,14 +52,14 @@ CASES = [
       "list_scenarios": True, "scenarios": ["a", "b"], "traceback": False,
       "workdir": None}),
     (["--traceback", "lint", "ex", "x.hdl", "--strict", "--format", "json",
-      "--bits", "4", "--optimize", "--no-gates", "--depth-limit", "6"],
+      "--bits", "4", "--no-gates", "--depth-limit", "6"],
      {"bits": 4, "command": "lint", "depth_limit": 6.0, "fmt": "json",
-      "list_rules": False, "no_gates": True, "optimize": True,
-      "strict": True, "targets": ["ex", "x.hdl"], "traceback": True}),
+      "list_rules": False, "no_gates": True, "strict": True,
+      "targets": ["ex", "x.hdl"], "traceback": True}),
     (["lint", "--list-rules"],
      {"bits": 8, "command": "lint", "depth_limit": 8.0, "fmt": "text",
-      "list_rules": True, "no_gates": False, "optimize": False,
-      "strict": False, "targets": [], "traceback": False}),
+      "list_rules": True, "no_gates": False, "strict": False,
+      "targets": [], "traceback": False}),
     (["analyze"],
      {"bits": 8, "command": "analyze", "flow": "ours", "fmt": "text",
       "strict": False, "targets": [], "traceback": False,

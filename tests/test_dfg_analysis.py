@@ -2,9 +2,7 @@
 
 import pytest
 
-from repro.dfg import DFGBuilder
 from repro.dfg.analysis import (alap_steps, asap_steps, critical_path_length,
-                                critical_path_ops, mobility,
                                 topological_order)
 from repro.errors import DFGError
 
@@ -33,21 +31,6 @@ class TestAsapAlap:
     def test_chain_alap_equals_asap(self, chain_dfg):
         assert alap_steps(chain_dfg) == asap_steps(chain_dfg)
 
-    def test_diamond_mobility(self, diamond_dfg):
-        mob = mobility(diamond_dfg)
-        assert mob == {"N1": 0, "N2": 0, "N3": 0}
-
-    def test_mobility_with_slack(self):
-        b = DFGBuilder("slack")
-        b.inputs("a", "b", "c", "d", "e")
-        b.op("N1", "*", "x", "a", "b")
-        b.op("N2", "*", "y", "x", "c")
-        b.op("N3", "+", "z", "d", "e")  # independent, mobile
-        dfg = b.build()
-        mob = mobility(dfg)
-        assert mob["N1"] == 0 and mob["N2"] == 0
-        assert mob["N3"] == 1
-
     def test_alap_with_extended_horizon(self, chain_dfg):
         alap = alap_steps(chain_dfg, horizon=5)
         assert alap == {"N1": 2, "N2": 3, "N3": 4}
@@ -67,9 +50,6 @@ class TestCriticalPath:
 
     def test_diamond_length(self, diamond_dfg):
         assert critical_path_length(diamond_dfg) == 2
-
-    def test_chain_ops(self, chain_dfg):
-        assert critical_path_ops(chain_dfg) == ["N1", "N2", "N3"]
 
     def test_custom_delays(self, chain_dfg):
         delays = {"N1": 2, "N2": 1, "N3": 1}

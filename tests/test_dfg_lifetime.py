@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dfg import variable_lifetimes, conflict_graph, disjoint
+from repro.dfg import variable_lifetimes
 from repro.dfg.lifetime import Lifetime, max_overlap
 from repro.errors import ScheduleError
 
@@ -56,17 +56,16 @@ class TestConflictGraph:
     def test_chain_conflicts(self, chain_dfg):
         steps = {"N1": 0, "N2": 1, "N3": 2}
         lts = variable_lifetimes(chain_dfg, steps)
-        graph = conflict_graph(lts)
         # a and b both live into step 0: conflict.
-        assert "b" in graph["a"]
+        assert lts["a"].overlaps(lts["b"])
         # a dies at step 0; z born at step 2: no conflict.
-        assert "z" not in graph["a"]
+        assert not lts["a"].overlaps(lts["z"])
 
     def test_disjoint_group(self, chain_dfg):
         steps = {"N1": 0, "N2": 1, "N3": 2}
         lts = variable_lifetimes(chain_dfg, steps)
-        assert disjoint(lts, ["a", "y"])     # a:( -1,0], y:(1,2]
-        assert not disjoint(lts, ["a", "b"])
+        assert not lts["a"].overlaps(lts["y"])     # a:( -1,0], y:(1,2]
+        assert lts["a"].overlaps(lts["b"])
 
     def test_max_overlap(self, diamond_dfg):
         steps = {"N1": 0, "N2": 0, "N3": 1}

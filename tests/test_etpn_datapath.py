@@ -68,7 +68,6 @@ class TestMuxCounting:
         binding = default_binding(chain_dfg).merge_registers("R_x", "R_z")
         dp = DataPath(chain_dfg, binding)
         assert dp.mux_count() == 1
-        assert dp.mux_inputs_total() == 2
 
 
 class TestLoops:

@@ -14,10 +14,6 @@ from repro.synth import SynthesisResult, run_ours
 
 
 class TestBindingCorners:
-    def test_vars_in_unknown_register_empty(self, chain_dfg):
-        binding = default_binding(chain_dfg)
-        assert binding.vars_in("R_nothere") == []
-
     def test_merge_registers_unknown(self, chain_dfg):
         binding = default_binding(chain_dfg)
         with pytest.raises(BindingError):

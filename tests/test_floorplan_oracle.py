@@ -26,7 +26,7 @@ from hypothesis import given, settings
 import repro.cost.estimate as estimate
 from repro.alloc import Binding, module_unit_class, validate_binding
 from repro.cost import CostModel
-from repro.cost.floorplan import Floorplan, Slot, _ring_slots, _spiral, floorplan
+from repro.cost.floorplan import Floorplan, Slot, _ring_slots, floorplan
 from repro.dfg import DFGBuilder, OpKind, unit_class, variable_lifetimes
 from repro.dfg.analysis import asap_steps
 from repro.etpn import DataPath, default_design
@@ -147,7 +147,8 @@ def bound_cuts_scan(datapath) -> bool:
 
 def test_spiral_matches_reference():
     for limit in range(1, 120):
-        assert list(_spiral(limit)) == list(reference_spiral(limit))
+        assert ([Slot(x, y) for x, y, _ in _ring_slots(limit)]
+                == list(reference_spiral(limit)))
 
 
 def test_rings_never_decrease():

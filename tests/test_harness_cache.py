@@ -125,7 +125,6 @@ class TestCellTier:
         writer.put("ee" + "0" * 62, {"kind": "synthesis"})
         assert reader.get_cell("ee" + "0" * 62) is None
         assert reader.stats.hits == 0 and reader.stats.misses == 3
-        assert reader.stats.hit_rate() == 0.0
 
     def test_wrong_key_disk_entry_is_a_miss(self, tmp_path):
         writer = ResultCache(cache_dir=tmp_path)

@@ -137,6 +137,21 @@ class TestCompiler:
             compile_source("design b; input a; output a;"
                            "begin a := a + 1; end")
 
+    def test_keeps_constant_common_and_dead_statements(self):
+        dfg = compile_source("""
+        design opt;
+        input a, b;
+        output o;
+        begin
+          c := 2 + 3;
+          t1 := a * b;
+          t2 := a * b;
+          o := t1 + t2;
+          junk := a - b;
+        end
+        """)
+        assert len(dfg) == 5
+
     def test_compiled_design_synthesises(self):
         from repro import synthesize
         dfg = compile_source(DIFFEQ_SOURCE)

@@ -12,6 +12,7 @@ import pytest
 from repro.alloc.binding import Binding, default_binding, validate_binding
 from repro.bench import load
 from repro.dfg import DFGBuilder
+from repro.dfg.analysis import asap_steps
 from repro.dfg.graph import DFG, DependenceEdge, Operation, Variable
 from repro.dfg.ops import OpKind
 from repro.dfg.validate import validate_dfg
@@ -21,13 +22,17 @@ from repro.gates.netlist import Gate, GateNetlist, GateType
 from repro.lint import (Diagnostic, LintReport, Severity, all_rules,
                         lint_binding, lint_datapath, lint_design, lint_dfg,
                         lint_netlist, lint_pipeline, lint_schedule)
-from repro.sched.asap_alap import asap_schedule
 
 PAPER_BENCHMARKS = ("ex", "dct", "diffeq", "ewf", "paulin", "tseng")
 
 
 def codes(report: LintReport) -> set[str]:
     return {d.code for d in report}
+
+
+def rendered(report: LintReport) -> list[str]:
+    """Each finding in the report's total order, then its summary."""
+    return [d.format() for d in report.sorted()] + [report.summary()]
 
 
 # ----------------------------------------------------------------------
@@ -111,17 +116,17 @@ class TestDfgRules:
 
 class TestSchedRules:
     def test_unscheduled_operation(self, chain_dfg):
-        steps = asap_schedule(chain_dfg)
+        steps = asap_steps(chain_dfg)
         del steps["N3"]
         assert "SCH001" in codes(lint_schedule(chain_dfg, steps))
 
     def test_unknown_scheduled_operation(self, chain_dfg):
-        steps = asap_schedule(chain_dfg)
+        steps = asap_steps(chain_dfg)
         steps["N9"] = 2
         assert "SCH002" in codes(lint_schedule(chain_dfg, steps))
 
     def test_negative_step(self, chain_dfg):
-        steps = asap_schedule(chain_dfg)
+        steps = asap_steps(chain_dfg)
         steps["N1"] = -1
         assert "SCH003" in codes(lint_schedule(chain_dfg, steps))
 
@@ -131,7 +136,7 @@ class TestSchedRules:
         assert "SCH004" in codes(report)
 
     def test_empty_control_step_is_info(self, chain_dfg):
-        steps = asap_schedule(chain_dfg)
+        steps = asap_steps(chain_dfg)
         gapped = {op: step + 2 if step > 0 else step
                   for op, step in steps.items()}
         report = lint_schedule(chain_dfg, gapped)
@@ -139,37 +144,37 @@ class TestSchedRules:
         assert empty and all(d.severity is Severity.INFO for d in empty)
 
     def test_asap_schedule_is_clean(self, diamond_dfg):
-        report = lint_schedule(diamond_dfg, asap_schedule(diamond_dfg))
+        report = lint_schedule(diamond_dfg, asap_steps(diamond_dfg))
         assert not report.has_errors
 
 
 class TestBindingRules:
     def test_unbound_everything(self, chain_dfg):
-        steps = asap_schedule(chain_dfg)
+        steps = asap_steps(chain_dfg)
         report = lint_binding(chain_dfg, steps, Binding())
         assert {"BND001", "BND002"} <= codes(report)
         assert len([d for d in report if d.code == "BND001"]) == 3
 
     def test_module_mixes_unit_classes(self, chain_dfg):
-        steps = asap_schedule(chain_dfg)
+        steps = asap_steps(chain_dfg)
         binding = default_binding(chain_dfg)
         binding.module_of["N2"] = "M_N1"  # ADD onto the multiplier
         assert "BND003" in codes(lint_binding(chain_dfg, steps, binding))
 
     def test_module_step_conflict(self, diamond_dfg):
-        steps = asap_schedule(diamond_dfg)
+        steps = asap_steps(diamond_dfg)
         binding = default_binding(diamond_dfg)
         binding.module_of["N2"] = "M_N1"  # both MULs run in step 0
         assert "BND004" in codes(lint_binding(diamond_dfg, steps, binding))
 
     def test_register_lifetime_overlap(self, diamond_dfg):
-        steps = asap_schedule(diamond_dfg)
+        steps = asap_steps(diamond_dfg)
         binding = default_binding(diamond_dfg)
         binding.register_of["y"] = binding.register_of["x"]
         assert "BND005" in codes(lint_binding(diamond_dfg, steps, binding))
 
     def test_register_for_condition_variable(self, loop_dfg):
-        steps = asap_schedule(loop_dfg)
+        steps = asap_steps(loop_dfg)
         binding = default_binding(loop_dfg)
         binding.register_of["c"] = "R_c"
         report = lint_binding(loop_dfg, steps, binding)
@@ -177,7 +182,7 @@ class TestBindingRules:
         assert not report.has_errors
 
     def test_stale_binding_entries(self, chain_dfg):
-        steps = asap_schedule(chain_dfg)
+        steps = asap_steps(chain_dfg)
         binding = default_binding(chain_dfg)
         binding.module_of["N99"] = "M_gone"
         binding.register_of["ghost"] = "R_gone"
@@ -186,7 +191,7 @@ class TestBindingRules:
         assert len(stale) == 2
 
     def test_default_binding_is_clean(self, diamond_dfg):
-        steps = asap_schedule(diamond_dfg)
+        steps = asap_steps(diamond_dfg)
         report = lint_binding(diamond_dfg, steps,
                               default_binding(diamond_dfg))
         assert not report.has_errors
@@ -303,7 +308,7 @@ class TestAggregates:
         seen: set[str] = set()
         seen |= codes(lint_dfg(broken_dfg()))
         seen |= codes(lint_schedule(chain_dfg, {"N1": -1, "N3": 0, "N9": 5}))
-        seen |= codes(lint_binding(chain_dfg, asap_schedule(chain_dfg),
+        seen |= codes(lint_binding(chain_dfg, asap_steps(chain_dfg),
                                    Binding()))
         seen |= codes(lint_netlist(seeded_gate_netlist()))
         seen |= codes(lint_datapath(default_design(multidef_dfg).datapath))
@@ -323,7 +328,7 @@ class TestValidatorDelegation:
         assert "unknown loop condition 'missing'" in message
 
     def test_validate_binding_lists_every_violation(self, chain_dfg):
-        steps = asap_schedule(chain_dfg)
+        steps = asap_steps(chain_dfg)
         with pytest.raises(BindingError) as excinfo:
             validate_binding(chain_dfg, steps, Binding())
         message = str(excinfo.value)
@@ -425,7 +430,7 @@ class TestValidatorsRunErrorRulesOnly:
     @pytest.mark.parametrize("case", sorted(BINDING_CASES))
     def test_validate_binding_matches_full_layer(self, case, request):
         dfg, binding = BINDING_CASES[case](request)
-        steps = asap_schedule(dfg)
+        steps = asap_steps(dfg)
         assert _raised(lambda: validate_binding(dfg, steps, binding),
                        BindingError) \
             == _full_run_errors(lint_binding(dfg, steps, binding))
@@ -457,7 +462,7 @@ class TestDiagnosticFormatting:
 @pytest.mark.parametrize("name", PAPER_BENCHMARKS)
 def test_benchmark_pipeline_has_no_errors(name):
     report = lint_pipeline(load(name), bits=4)
-    assert not report.has_errors, report.format_text()
+    assert not report.has_errors, rendered(report)
 
 
 class TestReportDeterminism:
@@ -491,11 +496,11 @@ class TestReportDeterminism:
         backward.add(b)
         backward.add(a)
         assert forward.sorted() == backward.sorted()
-        assert forward.format_text() == backward.format_text()
+        assert rendered(forward) == rendered(backward)
 
     def test_repeated_runs_render_identically(self, diamond_dfg):
-        first = lint_pipeline(diamond_dfg, gates=False).format_text()
-        second = lint_pipeline(diamond_dfg, gates=False).format_text()
+        first = rendered(lint_pipeline(diamond_dfg, gates=False))
+        second = rendered(lint_pipeline(diamond_dfg, gates=False))
         assert first == second
 
 

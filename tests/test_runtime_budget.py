@@ -22,11 +22,10 @@ class FakeClock:
 
 class TestBudget:
     def test_unlimited_never_exhausts(self):
-        budget = Budget.unlimited()
+        budget = Budget()
         assert budget.charge(10_000)
         assert not budget.exhausted()
         assert budget.reason is None
-        assert budget.remaining_seconds() is None
 
     def test_step_ceiling(self):
         budget = Budget(max_steps=3)
@@ -70,29 +69,12 @@ class TestBudget:
         assert budget.exhausted()  # no amortisation at stage boundaries
 
     def test_cancel(self):
-        budget = Budget.unlimited()
+        budget = Budget()
         budget.cancel()
         assert budget.exhausted()
         assert budget.reason == REASON_CANCELLED
         budget.cancel("other")  # first reason wins
         assert budget.reason == REASON_CANCELLED
-
-    def test_remaining_seconds(self):
-        clock = FakeClock()
-        budget = Budget(wall_seconds=10.0, clock=clock)
-        clock.now = 4.0
-        assert budget.remaining_seconds() == pytest.approx(6.0)
-        clock.now = 15.0
-        assert budget.remaining_seconds() == 0.0
-
-    def test_provenance(self):
-        budget = Budget(max_steps=1)
-        assert budget.provenance()["budget_exhausted"] is False
-        budget.charge(2)
-        tags = budget.provenance()
-        assert tags == {"budget_exhausted": True,
-                        "budget_reason": REASON_STEPS,
-                        "budget_steps": 2}
 
     @pytest.mark.parametrize("wall_seconds",
                              [float("nan"), float("inf"), -1.0])
@@ -144,7 +126,7 @@ class TestKernelIntegration:
         result.design.validate()
 
     def test_synthesize_unlimited_budget_not_degraded(self):
-        result = run_ours(load("ex"), budget=Budget.unlimited())
+        result = run_ours(load("ex"), budget=Budget())
         assert not result.degraded
         assert result.degradation_reasons == []
 

@@ -99,7 +99,7 @@ class TestChaosPoint:
 
     def test_cancel_budget_action(self, chaos):
         chaos(Injection("atpg.podem_step", ACTION_CANCEL_BUDGET))
-        budget = Budget.unlimited()
+        budget = Budget()
         chaos_point("atpg.podem_step", budget)
         assert budget.exhausted()
         assert budget.reason == "chaos"
@@ -195,7 +195,6 @@ class TestConvergenceSurfacing:
         analysis = analyze(default_design(load("ex")).datapath)
         assert analysis.forward_converged
         assert analysis.backward_converged
-        assert analysis.converged
 
     def test_tst004_fires_when_iteration_ceiling_hit(self, monkeypatch):
         import repro.testability.analysis as ta

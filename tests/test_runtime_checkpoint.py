@@ -9,15 +9,12 @@ from pathlib import Path
 import pytest
 
 from repro.atpg import RandomPhaseConfig
-from repro.bench import load
 from repro.errors import ReproError
 from repro.harness import ExperimentConfig, render_table, run_cell
-from repro.io import load_design, save_design
 from repro.runtime import (Journal, JournaledCell, atomic_write_text,
                            cell_record, record_key, restore_cell,
                            run_journaled_grid, scrubbed_records)
 from repro.runtime.checkpoint import JOURNAL_FORMAT
-from repro.synth import run_ours
 
 
 def _tiny_config(bits: int) -> ExperimentConfig:
@@ -62,13 +59,6 @@ class TestAtomicWrite:
             atomic_write_text(path, Boom())  # type: ignore[arg-type]
         assert path.read_text() == "original"
         assert os.listdir(tmp_path) == ["out.txt"]
-
-    def test_save_design_is_loadable(self, tmp_path):
-        design = run_ours(load("ex")).design
-        path = tmp_path / "design.json"
-        save_design(design, path)
-        reloaded = load_design(path)
-        assert reloaded.steps == design.steps
 
 
 class TestJournal:

@@ -5,9 +5,9 @@ import pytest
 from repro.alloc import default_binding
 from repro.dfg import DFGBuilder, variable_lifetimes
 from repro.errors import ScheduleError
+from repro.etpn.design import Design
 from repro.sched.resched import (ConstraintGraph, build_constraints,
                                  current_module_orders,
-                                 current_register_orders,
                                  merge_order_candidates, reschedule)
 
 
@@ -145,7 +145,7 @@ class TestOrderHelpers:
     def test_current_register_orders(self, chain_dfg):
         binding = default_binding(chain_dfg).merge_registers("R_a", "R_y")
         steps = {"N1": 0, "N2": 1, "N3": 2}
-        orders = current_register_orders(chain_dfg, binding, steps)
+        orders = Design(chain_dfg, steps, binding).register_orders
         assert orders == {"R_a": ["a", "y"]}
 
     def test_merge_candidates_distinct_ranks(self):

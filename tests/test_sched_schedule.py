@@ -3,9 +3,8 @@
 import pytest
 
 from repro.errors import ScheduleError
-from repro.sched import (check_precedence, compact, module_conflicts,
-                         ops_by_step, precedence_violations, schedule_length,
-                         shift_from)
+from repro.sched import (check_precedence, compact, ops_by_step,
+                         precedence_violations, schedule_length)
 
 
 class TestHelpers:
@@ -27,14 +26,6 @@ class TestHelpers:
         compacted = compact({"a": 2, "b": 2, "c": 5})
         assert compacted["a"] == compacted["b"] == 0
         assert compacted["c"] == 1
-
-    def test_shift_opens_dummy_step(self):
-        shifted = shift_from({"a": 0, "b": 1, "c": 2}, first_affected=1)
-        assert shifted == {"a": 0, "b": 2, "c": 3}
-
-    def test_shift_amount(self):
-        shifted = shift_from({"a": 0, "b": 1}, 1, amount=3)
-        assert shifted == {"a": 0, "b": 4}
 
 
 class TestPrecedence:
@@ -73,13 +64,3 @@ class TestPrecedence:
     def test_multidef_output_dependence(self, multidef_dfg):
         with pytest.raises(ScheduleError):
             check_precedence(multidef_dfg, {"N1": 0, "N2": 0})
-
-
-class TestModuleConflicts:
-    def test_conflict_detected(self):
-        conflicts = module_conflicts({"a": 0, "b": 0},
-                                     {"M1": ["a", "b"]})
-        assert conflicts == [("M1", "a", "b")]
-
-    def test_no_conflict(self):
-        assert module_conflicts({"a": 0, "b": 1}, {"M1": ["a", "b"]}) == []

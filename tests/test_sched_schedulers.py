@@ -1,11 +1,10 @@
-"""Unit tests for FDS, list scheduling and mobility-path scheduling."""
+"""Unit tests for FDS and mobility-path scheduling."""
 
 import pytest
 
 from repro.dfg import DFGBuilder, UnitClass
 from repro.errors import ScheduleError
 from repro.sched import (check_precedence, fds_schedule, frames,
-                         list_schedule, minimum_horizon,
                          mobility_path_schedule, peak_usage, schedule_length)
 
 
@@ -62,26 +61,6 @@ class TestFDS:
 
     def test_deterministic(self, wide_dfg):
         assert fds_schedule(wide_dfg, 4) == fds_schedule(wide_dfg, 4)
-
-
-class TestListScheduling:
-    def test_valid_schedule(self, wide_dfg):
-        steps = list_schedule(wide_dfg, {UnitClass.MULTIPLIER: 1})
-        check_precedence(wide_dfg, steps)
-
-    def test_resource_limit_enforced(self, wide_dfg):
-        steps = list_schedule(wide_dfg, {UnitClass.MULTIPLIER: 1})
-        assert peak_usage(wide_dfg, steps)[UnitClass.MULTIPLIER] == 1
-        # Four mults serialised on one unit: at least 4 steps.
-        assert schedule_length(steps) >= 4
-
-    def test_unconstrained_matches_asap_length(self, wide_dfg):
-        steps = list_schedule(wide_dfg, {})
-        assert schedule_length(steps) == minimum_horizon(wide_dfg)
-
-    def test_bad_limit_rejected(self, wide_dfg):
-        with pytest.raises(ScheduleError):
-            list_schedule(wide_dfg, {UnitClass.MULTIPLIER: 0})
 
 
 class TestMobilityPath:

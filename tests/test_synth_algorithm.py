@@ -7,7 +7,7 @@ from repro.dfg import DFGBuilder
 from repro.etpn import default_design
 from repro.synth import (SynthesisParams, compatible_pairs, rank_candidates,
                          run_approach1, run_approach2, run_camad, run_flow,
-                         run_ours, synthesize, top_k)
+                         run_ours, synthesize)
 from repro.testability import analyze
 
 
@@ -41,11 +41,6 @@ class TestCandidates:
         register_pairs = [p for p in compatible_pairs(design)
                           if p.kind == "register"]
         assert len(register_pairs) == 7 * 6 // 2
-
-    def test_top_k_limits(self, bigger_dfg):
-        design = default_design(bigger_dfg)
-        analysis = analyze(design.datapath)
-        assert len(top_k(design, analysis, 3)) == 3
 
     def test_ranking_deterministic(self, bigger_dfg):
         design = default_design(bigger_dfg)
@@ -140,7 +135,7 @@ class TestVerifyMergers:
         from repro.analysis import analyze_design
         result = synthesize(bigger_dfg)
         analysis = analyze_design(result.design)
-        assert analysis.verified, analysis.report.format_text()
+        assert analysis.verified, analysis.report.summary()
 
     def test_every_candidate_design_is_certified_and_lint_clean(
             self, monkeypatch):
@@ -167,6 +162,7 @@ class TestVerifyMergers:
             assert result.history and len(evaluated) > result.iterations
             for design in evaluated:
                 analysis = analyze_design(design)
-                assert analysis.verified, analysis.report.format_text()
+                assert analysis.verified, analysis.report.summary()
                 report = lint_design(design)
-                assert not report.has_errors, report.format_text()
+                assert not report.has_errors, [
+                    d.format() for d in report.errors()]

@@ -119,11 +119,6 @@ class ReferenceTestabilityAnalysis:
         self._run_forward()
         self._run_backward()
 
-    @property
-    def converged(self) -> bool:
-        """True when both fixed-point iterations actually converged."""
-        return self.forward_converged and self.backward_converged
-
     # ------------------------------------------------------------------
     # Forward: controllability
     # ------------------------------------------------------------------
@@ -270,7 +265,6 @@ def same_analysis(analysis, datapath) -> bool:
             == [expected.line(a) for a in datapath.arcs]
             and analysis.forward_converged == expected.forward_converged
             and analysis.backward_converged == expected.backward_converged
-            and analysis.converged == expected.converged
             and analysis.design_quality() == expected.design_quality())
 
 
