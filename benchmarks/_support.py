@@ -1,7 +1,7 @@
 """Shared helpers for the benchmark harness.
 
 Every table bench produces the same row structure as the paper and
-appends it to ``benchmarks/out/rows.jsonl`` so EXPERIMENTS.md can be
+records it in ``benchmarks/out/rows.jsonl`` so EXPERIMENTS.md can be
 regenerated from a single ``pytest benchmarks/ --benchmark-only`` run.
 
 Environment knobs:
@@ -19,8 +19,12 @@ import os
 from pathlib import Path
 
 from repro.harness import CellResult, ExperimentConfig, run_cell
+from repro.runtime import atomic_write_text
 
 OUT_DIR = Path(__file__).parent / "out"
+
+#: The row kinds this process has recorded so far.
+_recorded_kinds: set[str] = set()
 
 #: The paper's reported numbers, for paper-vs-measured rows in
 #: EXPERIMENTS.md.  (coverage %, TG time s, TG cycles, area mm² or None).
@@ -78,9 +82,21 @@ def cell_config(bits: int) -> ExperimentConfig:
 
 
 def record_row(kind: str, payload: dict) -> None:
-    """Append one result row to the shared JSONL output."""
+    """Append one result row to the shared JSONL output.
+
+    The first row of a kind a process records replaces the rows of that
+    kind an earlier run left, so running one bench refreshes its own
+    rows and keeps every other bench's.
+    """
     OUT_DIR.mkdir(exist_ok=True)
-    with open(OUT_DIR / "rows.jsonl", "a") as handle:
+    rows = OUT_DIR / "rows.jsonl"
+    if kind not in _recorded_kinds:
+        _recorded_kinds.add(kind)
+        if rows.exists():
+            kept = [line for line in rows.read_text().splitlines()
+                    if line.strip() and json.loads(line).get("kind") != kind]
+            atomic_write_text(rows, "".join(line + "\n" for line in kept))
+    with open(rows, "a") as handle:
         handle.write(json.dumps({"kind": kind, **payload}) + "\n")
 
 

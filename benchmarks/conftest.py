@@ -1,16 +1,8 @@
-"""Benchmark-suite configuration: clear the shared output once per run."""
+"""Benchmark-suite fixtures."""
 
 from __future__ import annotations
 
 import pytest
-
-from _support import OUT_DIR
-
-
-def pytest_configure(config):
-    rows = OUT_DIR / "rows.jsonl"
-    if rows.exists():
-        rows.unlink()
 
 
 @pytest.fixture

@@ -15,8 +15,7 @@ from ..dfg import DFG
 from ..dfg.lifetime import Lifetime
 
 
-def left_edge(lifetimes: dict[str, Lifetime],
-              register_prefix: str = "R") -> dict[str, str]:
+def left_edge(lifetimes: dict[str, Lifetime]) -> dict[str, str]:
     """Pack lifetimes into registers with the classic left-edge scan.
 
     Returns:
@@ -32,11 +31,11 @@ def left_edge(lifetimes: dict[str, Lifetime],
         for index, end in enumerate(register_ends):
             if end <= lt.birth:
                 register_ends[index] = lt.death
-                assignment[lt.variable] = f"{register_prefix}{index}"
+                assignment[lt.variable] = f"R{index}"
                 placed = True
                 break
         if not placed:
-            assignment[lt.variable] = f"{register_prefix}{len(register_ends)}"
+            assignment[lt.variable] = f"R{len(register_ends)}"
             register_ends.append(lt.death)
     return assignment
 
@@ -51,8 +50,8 @@ def _variable_side(dfg: DFG, name: str) -> int:
     return 0
 
 
-def testability_left_edge(dfg: DFG, lifetimes: dict[str, Lifetime],
-                          register_prefix: str = "R") -> dict[str, str]:
+def testability_left_edge(dfg: DFG, lifetimes: dict[str, Lifetime]
+                          ) -> dict[str, str]:
     """Modified left-edge allocation (Lee et al., Approach 2 / ours).
 
     Performs the same greedy interval packing but, when several existing
@@ -79,9 +78,9 @@ def testability_left_edge(dfg: DFG, lifetimes: dict[str, Lifetime],
                                         lt.birth - register_ends[i], i))
             register_ends[chosen] = lt.death
             register_sides[chosen] += side
-            assignment[lt.variable] = f"{register_prefix}{chosen}"
+            assignment[lt.variable] = f"R{chosen}"
         else:
-            assignment[lt.variable] = f"{register_prefix}{len(register_ends)}"
+            assignment[lt.variable] = f"R{len(register_ends)}"
             register_ends.append(lt.death)
             register_sides.append(side)
     return assignment

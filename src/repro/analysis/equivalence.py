@@ -77,10 +77,12 @@ class ValueNumbering:
             args = tuple(sorted(args))
         return self._intern(("op", kind.value, args))
 
-    def render(self, number: int, limit: int = MAX_RENDER) -> str:
-        """Readable infix form of a value number, length-capped."""
+    def render(self, number: int) -> str:
+        """Readable infix form of a value number, capped at
+        :data:`MAX_RENDER` characters."""
         text = self._render(number)
-        return text if len(text) <= limit else text[:limit - 1] + "…"
+        return (text if len(text) <= MAX_RENDER
+                else text[:MAX_RENDER - 1] + "…")
 
     def _render(self, number: int) -> str:
         term = self._terms[number]

@@ -11,25 +11,21 @@ constraints are discharged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..etpn.datapath import DataPath
 from ..etpn.design import Design
 from .floorplan import Floorplan, floorplan
-from .library import DEFAULT_LIBRARY, ModuleLibrary
+from .library import DEFAULT_LIBRARY
 
 
-def placement(datapath: DataPath, slot_pitch_mm: float) -> Floorplan:
-    """The floorplan of ``datapath``, placed once and kept on it.
-
-    Placement does not depend on the pitch, so a data path is placed at
-    most once whatever pitch it is priced at.
-    """
+def placement(datapath: DataPath) -> Floorplan:
+    """The floorplan of ``datapath`` at the library's slot pitch, placed
+    once and kept on it."""
     plan = datapath.placement
     if plan is None:
-        plan = datapath.placement = floorplan(datapath, slot_pitch_mm)
-    if plan.slot_pitch_mm != slot_pitch_mm:
-        return Floorplan(plan.positions, slot_pitch_mm)
+        plan = datapath.placement = floorplan(datapath,
+                                              DEFAULT_LIBRARY.slot_pitch_mm)
     return plan
 
 
@@ -51,14 +47,13 @@ class HardwareCost:
 
 @dataclass
 class CostModel:
-    """Bundles the module library and data-path bit width.
+    """Prices data paths at one bit width with the module library.
 
     One CostModel instance is shared by a whole synthesis run, so every
     ΔH the algorithm compares uses identical parameters.
     """
 
     bits: int = 8
-    library: ModuleLibrary = field(default_factory=lambda: DEFAULT_LIBRARY)
 
     # ------------------------------------------------------------------
     def hardware(self, datapath: DataPath) -> HardwareCost:
@@ -69,8 +64,8 @@ class CostModel:
         wire its floorplanned length times its width (conditions are
         1 bit); ports and constants are free.
         """
-        library = self.library
-        plan = placement(datapath, library.slot_pitch_mm)
+        library = DEFAULT_LIBRARY
+        plan = placement(datapath)
         bits = self.bits
         units = sum(library.unit_area(datapath.module_class(m.node_id), bits)
                     for m in datapath.modules())
@@ -91,16 +86,15 @@ class CostModel:
     def hardware_total(self, datapath: DataPath) -> float:
         """``hardware(datapath).total_mm2``, kept on the data path.
 
-        The kept total is reused while ``bits`` and ``library`` are the
-        ones it was priced at; at others the data path is priced again
-        and keeps the new total.
+        The kept total is reused while ``bits`` is the width it was
+        priced at; at another the data path is priced again and keeps
+        the new total.
         """
         kept = datapath.area
-        if kept is not None and kept[0] == self.bits \
-                and kept[1] is self.library:
-            return kept[2]
+        if kept is not None and kept[0] == self.bits:
+            return kept[1]
         total = self.hardware(datapath).total_mm2
-        datapath.area = (self.bits, self.library, total)
+        datapath.area = (self.bits, total)
         return total
 
     # ------------------------------------------------------------------

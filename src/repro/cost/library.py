@@ -68,5 +68,5 @@ class ModuleLibrary:
         return self.wire_pitch_mm * bits
 
 
-#: The library used by all experiments unless a caller overrides it.
+#: The one library: every pricing reads it.
 DEFAULT_LIBRARY = ModuleLibrary()

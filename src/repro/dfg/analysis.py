@@ -1,7 +1,7 @@
 """Structural analyses of a data-flow graph.
 
-These are schedule-independent: topological order, ASAP/ALAP bounds for
-an unconstrained schedule, and the DFG critical-path length.  They are
+These are schedule-independent: the dependence-edge latency, topological
+order, the ASAP schedule and the DFG critical-path length.  They are
 used by every scheduler and by the synthesis algorithm's ΔE estimation.
 """
 
@@ -11,19 +11,17 @@ from ..errors import DFGError
 from .graph import DFG, DependenceEdge
 
 
-def edge_latency(dfg: DFG, edge: DependenceEdge,
-                 delays: dict[str, int] | None = None) -> int:
+def edge_latency(dfg: DFG, edge: DependenceEdge) -> int:
     """Minimum control-step distance implied by a dependence edge.
 
-    Flow and output dependences require the consumer/redefiner to start
-    at least ``delay(src)`` steps after the producer; anti dependences
-    allow the redefinition in the same step (the old value is read during
-    the step, the new one is clocked in at its end).
+    Every operation takes one control step: its result is clocked in at
+    the end of the step it runs in.  So flow and output dependences
+    require the consumer/redefiner to start at least one step after the
+    producer, and anti dependences allow the redefinition in the same
+    step (the old value is read during the step, the new one is clocked
+    in at its end).
     """
-    if edge.kind == "anti":
-        return 0
-    delay = 1 if delays is None else delays.get(edge.src, 1)
-    return delay
+    return 0 if edge.kind == "anti" else 1
 
 
 def topological_order(dfg: DFG) -> list[str]:
@@ -51,48 +49,19 @@ def topological_order(dfg: DFG) -> list[str]:
     return order
 
 
-def asap_steps(dfg: DFG, delays: dict[str, int] | None = None) -> dict[str, int]:
+def asap_steps(dfg: DFG) -> dict[str, int]:
     """Earliest legal control step of each operation (steps count from 0)."""
     steps: dict[str, int] = {}
     for op_id in topological_order(dfg):
         earliest = 0
         for edge in dfg.predecessors(op_id):
-            earliest = max(earliest, steps[edge.src] + edge_latency(dfg, edge, delays))
+            earliest = max(earliest, steps[edge.src] + edge_latency(dfg, edge))
         steps[op_id] = earliest
     return steps
 
 
-def alap_steps(dfg: DFG, horizon: int | None = None,
-               delays: dict[str, int] | None = None) -> dict[str, int]:
-    """Latest legal control step of each operation within ``horizon`` steps.
-
-    ``horizon`` defaults to the unconstrained critical-path length, which
-    makes ALAP the mirror of ASAP, with alap - asap ≥ 0.
-    """
-    asap = asap_steps(dfg, delays)
-    if horizon is None:
-        horizon = critical_path_length(dfg, delays)
-    last_step = horizon - 1
-    steps: dict[str, int] = {}
-    for op_id in reversed(topological_order(dfg)):
-        latest = last_step
-        for edge in dfg.successors(op_id):
-            latest = min(latest, steps[edge.dst] - edge_latency(dfg, edge, delays))
-        if latest < asap[op_id]:
-            raise DFGError(
-                f"{dfg.name}: horizon {horizon} infeasible for {op_id}")
-        steps[op_id] = latest
-    return steps
-
-
-def critical_path_length(dfg: DFG,
-                         delays: dict[str, int] | None = None) -> int:
-    """Length, in control steps, of the DFG's unconstrained schedule."""
-    asap = asap_steps(dfg, delays)
-    if not asap:
-        return 0
-    end = 0
-    for op_id, start in asap.items():
-        delay = 1 if delays is None else delays.get(op_id, 1)
-        end = max(end, start + delay)
-    return end
+def critical_path_length(dfg: DFG) -> int:
+    """Length, in control steps, of the DFG's unconstrained schedule:
+    its last ASAP step plus one."""
+    asap = asap_steps(dfg)
+    return max(asap.values()) + 1 if asap else 0

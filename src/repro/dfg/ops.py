@@ -84,11 +84,6 @@ def arity(kind: OpKind) -> int:
     return 2
 
 
-#: Default execution delay, in control steps, of each operation kind.  The
-#: benchmarks in the paper use single-cycle operations; a module library may
-#: override these (see :mod:`repro.cost.library`).
-DEFAULT_DELAY = {kind: 1 for kind in OpKind}
-
 #: Symbols used by the paper's tables for module kinds, e.g. ``(*)`` for a
 #: multiplier row and ``(+)`` / ``(-)`` / ``(<)`` for ALU rows.
 TABLE_SYMBOL = {

@@ -37,10 +37,6 @@ class BindingError(ReproError):
     """A module/register binding is illegal for the given schedule."""
 
 
-class SynthesisError(ReproError):
-    """The synthesis algorithm reached an inconsistent state."""
-
-
 class NetlistError(ReproError):
     """An RTL or gate-level netlist is malformed."""
 

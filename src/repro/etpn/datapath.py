@@ -30,7 +30,6 @@ from ..errors import NetlistError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cost.floorplan import Floorplan
-    from ..cost.library import ModuleLibrary
     from ..testability.analysis import Fixpoint
 
 
@@ -99,9 +98,9 @@ class DataPath:
         #: This data path's floorplan, placed on first use by
         #: :func:`repro.cost.estimate.placement` and kept while it lives.
         self.placement: Floorplan | None = None
-        #: ``(bits, library, H)`` of the last
+        #: ``(bits, H)`` of the last
         #: :meth:`repro.cost.estimate.CostModel.hardware_total` pricing.
-        self.area: tuple[int, ModuleLibrary, float] | None = None
+        self.area: tuple[int, float] | None = None
         #: The testability fixpoint, computed on first use by
         #: :func:`repro.testability.analyze` and kept while it lives.
         self.testability: Fixpoint | None = None

@@ -13,7 +13,6 @@ new ones via :meth:`Design.replaced`.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 from ..alloc.binding import Binding, validate_binding
 from ..dfg import DFG
@@ -22,10 +21,6 @@ from ..sched.constraints import check_precedence
 from ..sched.resched import current_module_orders, lifetime_orders
 from ..sched.schedule import schedule_length
 from .datapath import DataPath
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..cost.library import ModuleLibrary
-
 
 #: A design point's schedule and binding as one hashable value.
 Signature = tuple[tuple[tuple[str, int], ...], tuple[tuple[str, str], ...],
@@ -42,7 +37,7 @@ class Design:
 
     def __init__(self, dfg: DFG, steps: dict[str, int], binding: Binding,
                  label: str = "", *,
-                 area: tuple[int, ModuleLibrary, float] | None = None) -> None:
+                 area: tuple[int, float] | None = None) -> None:
         self.dfg = dfg
         self.steps = dict(steps)
         self.binding = binding

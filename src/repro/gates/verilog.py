@@ -27,16 +27,16 @@ def _escape(name: str) -> str:
     return "\\" + name + " "   # escaped identifier (note trailing space)
 
 
-def netlist_to_verilog(netlist: GateNetlist,
-                       module_name: str | None = None) -> str:
-    """Render the netlist as one structural Verilog module.
+def netlist_to_verilog(netlist: GateNetlist) -> str:
+    """Render the netlist as one structural Verilog module, named after
+    the netlist (non-word characters become ``_``).
 
     Flip-flops become a single positive-edge always block with an
     asynchronous active-high ``rst`` (reset to 0 — matching the
     simulator's and ATPG's all-zero initial state).
     """
     netlist.check_complete()
-    module_name = module_name or re.sub(r"\W", "_", netlist.name)
+    module_name = re.sub(r"\W", "_", netlist.name)
     inputs = sorted(netlist.inputs)
     outputs = sorted(netlist.outputs)
     dffs = netlist.dffs()

@@ -117,10 +117,9 @@ def synthesize_flow_result(benchmark: str, flow: str, bits: int,
                     params=params, budget=budget)
 
 
-def synthesize_flow(benchmark: str, flow: str, bits: int,
-                    budget: Budget | None = None) -> Design:
+def synthesize_flow(benchmark: str, flow: str, bits: int) -> Design:
     """Run one of the four flows on a named benchmark."""
-    return synthesize_flow_result(benchmark, flow, bits, budget).design
+    return synthesize_flow_result(benchmark, flow, bits).design
 
 
 def run_cell(benchmark: str, flow: str,

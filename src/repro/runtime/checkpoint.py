@@ -222,22 +222,20 @@ class Journal:
         atomic_write_text(self.path, "\n".join(lines) + "\n")
 
 
-def scrubbed_records(records: list[dict],
-                     mask: tuple[str, ...] = ("tg_seconds",)) -> str:
+def scrubbed_records(records: list[dict]) -> str:
     """Journal records as canonical bytes for equivalence checks.
 
     Sorts cell records by grid key (a parallel run journals completions
-    in finish order, not grid order) and masks the wall-clock columns —
-    the one nondeterministic field of a row — so two runs of the same
-    grid compare byte-identical exactly when their deterministic
-    content matches.
+    in finish order, not grid order) and masks ``tg_seconds`` — the one
+    nondeterministic field of a row — so two runs of the same grid
+    compare byte-identical exactly when their deterministic content
+    matches.
     """
     scrubbed = []
     for record in records:
         record = json.loads(json.dumps(record))  # deep copy
         if isinstance(record.get("row"), dict):
-            for column in mask:
-                record["row"].pop(column, None)
+            record["row"].pop("tg_seconds", None)
         record.pop("provenance", None)
         scrubbed.append(record)
     scrubbed.sort(key=lambda r: (str(r.get("kind")), str(r.get("benchmark")),

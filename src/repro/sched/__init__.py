@@ -1,6 +1,6 @@
 """Scheduling: schedule helpers, legality, schedulers and rescheduling."""
 
-from .asap_alap import frames, minimum_horizon
+from .asap_alap import frames
 from .constraints import check_precedence, precedence_violations
 from .fds import fds_schedule
 from .mobility_path import mobility_path_schedule, peak_usage
@@ -19,7 +19,6 @@ __all__ = [
     "fds_schedule",
     "frames",
     "merge_order_candidates",
-    "minimum_horizon",
     "mobility_path_schedule",
     "ops_by_step",
     "peak_usage",

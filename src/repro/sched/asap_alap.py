@@ -1,4 +1,4 @@
-"""Time-frame computation with fixed ops, and the minimum horizon.
+"""Time-frame computation with fixed ops.
 
 The frame computation force-directed scheduling needs: earliest/latest
 steps when some operations are already fixed.
@@ -7,14 +7,12 @@ steps when some operations are already fixed.
 from __future__ import annotations
 
 from ..dfg import DFG
-from ..dfg.analysis import (critical_path_length, edge_latency,
-                            topological_order)
+from ..dfg.analysis import edge_latency, topological_order
 from ..errors import ScheduleError
 
 
 def frames(dfg: DFG, horizon: int,
-           fixed: dict[str, int] | None = None,
-           delays: dict[str, int] | None = None
+           fixed: dict[str, int] | None = None
            ) -> dict[str, tuple[int, int]]:
     """[earliest, latest] step of each op given some fixed assignments.
 
@@ -28,8 +26,7 @@ def frames(dfg: DFG, horizon: int,
     for op_id in order:
         bound = 0
         for edge in dfg.predecessors(op_id):
-            bound = max(bound, earliest[edge.src]
-                        + edge_latency(dfg, edge, delays))
+            bound = max(bound, earliest[edge.src] + edge_latency(dfg, edge))
         if op_id in fixed:
             if fixed[op_id] < bound:
                 raise ScheduleError(f"{dfg.name}: {op_id} fixed at "
@@ -41,8 +38,7 @@ def frames(dfg: DFG, horizon: int,
     for op_id in reversed(order):
         bound = horizon - 1
         for edge in dfg.successors(op_id):
-            bound = min(bound, latest[edge.dst]
-                        - edge_latency(dfg, edge, delays))
+            bound = min(bound, latest[edge.dst] - edge_latency(dfg, edge))
         if op_id in fixed:
             if fixed[op_id] > bound:
                 raise ScheduleError(f"{dfg.name}: {op_id} fixed at "
@@ -54,8 +50,3 @@ def frames(dfg: DFG, horizon: int,
             raise ScheduleError(f"{dfg.name}: empty frame for {op_id} at "
                                 f"horizon {horizon}")
     return {op_id: (earliest[op_id], latest[op_id]) for op_id in order}
-
-
-def minimum_horizon(dfg: DFG, delays: dict[str, int] | None = None) -> int:
-    """The smallest feasible latency (critical-path length)."""
-    return critical_path_length(dfg, delays)

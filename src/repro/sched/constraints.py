@@ -3,8 +3,8 @@
 Two families of constraints govern a schedule:
 
 * *precedence*: every dependence edge of the DFG must be respected
-  (flow/output edges need at least the producer's delay between the two
-  operations, anti edges allow sharing a step);
+  (flow/output edges need the consumer at least one step after the
+  producer, anti edges allow sharing a step);
 * *binding*: operations sharing a module occupy distinct steps, and
   variables sharing a register have disjoint lifetimes (checked by
   :func:`repro.alloc.binding.validate_binding`).
@@ -38,24 +38,22 @@ class Violation:
                 f">= {self.required_gap}")
 
 
-def precedence_violations(dfg: DFG, steps: dict[str, int],
-                          delays: dict[str, int] | None = None
+def precedence_violations(dfg: DFG, steps: dict[str, int]
                           ) -> list[Violation]:
     """All dependence edges violated by ``steps``."""
     violations = []
     for edge in dfg.edges():
-        gap = edge_latency(dfg, edge, delays)
+        gap = edge_latency(dfg, edge)
         if steps[edge.dst] - steps[edge.src] < gap:
             violations.append(Violation(edge, steps[edge.src],
                                         steps[edge.dst], gap))
     return violations
 
 
-def check_precedence(dfg: DFG, steps: dict[str, int],
-                     delays: dict[str, int] | None = None) -> None:
+def check_precedence(dfg: DFG, steps: dict[str, int]) -> None:
     """Raise :class:`ScheduleError` when any dependence is violated."""
     assert_complete(dfg, steps)
-    violations = precedence_violations(dfg, steps, delays)
+    violations = precedence_violations(dfg, steps)
     if violations:
         detail = "; ".join(str(v) for v in violations[:5])
         raise ScheduleError(f"{dfg.name}: {len(violations)} precedence "

@@ -12,8 +12,9 @@ fixed at each iteration.
 from __future__ import annotations
 
 from ..dfg import DFG, unit_class, UnitClass
+from ..dfg.analysis import critical_path_length
 from ..errors import ScheduleError
-from .asap_alap import frames, minimum_horizon
+from .asap_alap import frames
 
 
 def _distribution_graphs(dfg: DFG, horizon: int,
@@ -41,8 +42,7 @@ def _self_force(graph: list[float], lo: int, hi: int, target: int) -> float:
     return force
 
 
-def fds_schedule(dfg: DFG, horizon: int | None = None,
-                 delays: dict[str, int] | None = None) -> dict[str, int]:
+def fds_schedule(dfg: DFG, horizon: int | None = None) -> dict[str, int]:
     """Schedule ``dfg`` with force-directed scheduling.
 
     Args:
@@ -50,17 +50,16 @@ def fds_schedule(dfg: DFG, horizon: int | None = None,
         horizon: latency constraint; defaults to the critical-path
             length (the latency-optimal setting used by the paper's
             area-optimised experiments).
-        delays: per-op delays (default 1).
 
     Returns:
         A complete schedule minimising peak unit concurrency.
     """
     if horizon is None:
-        horizon = minimum_horizon(dfg, delays)
+        horizon = critical_path_length(dfg)
     fixed: dict[str, int] = {}
     remaining = set(dfg.operations)
     while remaining:
-        frame = frames(dfg, horizon, fixed, delays)
+        frame = frames(dfg, horizon, fixed)
         graphs = _distribution_graphs(dfg, horizon, frame)
         # Operations whose frame is a single step are implicitly fixed.
         for op_id in sorted(remaining):
@@ -77,7 +76,7 @@ def fds_schedule(dfg: DFG, horizon: int | None = None,
             for target in range(lo, hi + 1):
                 force = _self_force(graphs[cls], lo, hi, target)
                 force += _implied_forces(dfg, graphs, frame, op_id, target,
-                                         horizon, fixed, delays)
+                                         horizon, fixed)
                 key = (force, op_id, target)
                 if best is None or key < best:
                     best = key
@@ -88,8 +87,7 @@ def fds_schedule(dfg: DFG, horizon: int | None = None,
 
 
 def _implied_forces(dfg: DFG, graphs, frame, op_id: str, target: int,
-                    horizon: int, fixed: dict[str, int],
-                    delays: dict[str, int] | None) -> float:
+                    horizon: int, fixed: dict[str, int]) -> float:
     """Predecessor/successor forces of fixing ``op_id`` at ``target``.
 
     Fixing an operation narrows the frames of its neighbours; the
@@ -97,7 +95,7 @@ def _implied_forces(dfg: DFG, graphs, frame, op_id: str, target: int,
     frames (Paulin & Knight §IV-C).
     """
     try:
-        narrowed = frames(dfg, horizon, {**fixed, op_id: target}, delays)
+        narrowed = frames(dfg, horizon, {**fixed, op_id: target})
     except ScheduleError:
         return float("inf")
     force = 0.0

@@ -21,9 +21,9 @@ The reconstruction is documented in DESIGN.md §3.
 from __future__ import annotations
 
 from ..dfg import DFG, UnitClass, unit_class
-from ..dfg.analysis import edge_latency
+from ..dfg.analysis import critical_path_length, edge_latency
 from ..dfg.lifetime import variable_lifetimes
-from .asap_alap import frames, minimum_horizon
+from .asap_alap import frames
 from .fds import fds_schedule
 
 
@@ -52,28 +52,27 @@ def _objective(dfg: DFG, steps: dict[str, int]) -> tuple[int, float, int]:
 
 
 def _legal_move(dfg: DFG, steps: dict[str, int], op_id: str,
-                target: int, delays: dict[str, int] | None) -> bool:
+                target: int) -> bool:
     for edge in dfg.predecessors(op_id):
-        if steps[edge.src] + edge_latency(dfg, edge, delays) > target:
+        if steps[edge.src] + edge_latency(dfg, edge) > target:
             return False
     for edge in dfg.successors(op_id):
-        if target + edge_latency(dfg, edge, delays) > steps[edge.dst]:
+        if target + edge_latency(dfg, edge) > steps[edge.dst]:
             return False
     return True
 
 
-def mobility_path_schedule(dfg: DFG, horizon: int | None = None,
-                           delays: dict[str, int] | None = None
+def mobility_path_schedule(dfg: DFG, horizon: int | None = None
                            ) -> dict[str, int]:
     """Schedule ``dfg`` with the testability-aware mobility heuristic."""
     if horizon is None:
-        horizon = minimum_horizon(dfg, delays)
-    steps = dict(fds_schedule(dfg, horizon, delays))
+        horizon = critical_path_length(dfg)
+    steps = dict(fds_schedule(dfg, horizon))
     best = _objective(dfg, steps)
     improved = True
     while improved:
         improved = False
-        frame = frames(dfg, horizon, fixed=None, delays=delays)
+        frame = frames(dfg, horizon)
         for op_id in sorted(steps):
             lo, hi = frame[op_id]
             if lo == hi:
@@ -82,7 +81,7 @@ def mobility_path_schedule(dfg: DFG, horizon: int | None = None,
             for target in range(lo, hi + 1):
                 if target == current:
                     continue
-                if not _legal_move(dfg, steps, op_id, target, delays):
+                if not _legal_move(dfg, steps, op_id, target):
                     continue
                 steps[op_id] = target
                 candidate = _objective(dfg, steps)

@@ -103,12 +103,11 @@ class ConstraintSkeleton:
     run or sweep derives each fact once instead of once per reschedule.
     """
 
-    def __init__(self, dfg: DFG, delays: dict[str, int] | None = None) -> None:
+    def __init__(self, dfg: DFG) -> None:
         self.dfg = dfg
-        self.delays = delays
         graph = ConstraintGraph(ops=dfg.op_order)
         for edge in dfg.edges():
-            graph.add(edge.src, edge.dst, edge_latency(dfg, edge, delays))
+            graph.add(edge.src, edge.dst, edge_latency(dfg, edge))
         self._precedence = graph
         self.def_use = DefUse(dfg)
         self._defs = {name: defs for name, _, _, defs, _ in self.def_use.rows}
@@ -163,7 +162,6 @@ class ConstraintSkeleton:
 def build_constraints(dfg: DFG, binding: Binding,
                       module_orders: dict[str, list[str]],
                       register_orders: dict[str, list[str]],
-                      delays: dict[str, int] | None = None,
                       skeleton: ConstraintSkeleton | None = None
                       ) -> ConstraintGraph:
     """Build the full constraint graph for a bound design.
@@ -174,15 +172,14 @@ def build_constraints(dfg: DFG, binding: Binding,
         module_orders: execution order of the ops on each shared module.
         register_orders: lifetime order of the variables in each shared
             register.
-        delays: per-op delays (default 1).
-        skeleton: the :class:`ConstraintSkeleton` of ``dfg`` and
-            ``delays``, when the caller keeps one.
+        skeleton: the :class:`ConstraintSkeleton` of ``dfg``, when the
+            caller keeps one.
 
     Raises:
         ScheduleError: when an order list disagrees with the binding.
     """
     if skeleton is None:
-        skeleton = ConstraintSkeleton(dfg, delays)
+        skeleton = ConstraintSkeleton(dfg)
     graph = skeleton.graph()
     for module, ops in binding.module_groups().items():
         if len(ops) < 2:
@@ -192,8 +189,7 @@ def build_constraints(dfg: DFG, binding: Binding,
             raise ScheduleError(f"module {module!r}: order {order} does not "
                                 f"cover ops {list(ops)}")
         for first, second in zip(order, order[1:]):
-            delay = 1 if delays is None else delays.get(first, 1)
-            graph.add(first, second, delay)
+            graph.add(first, second, 1)
     for register, variables in binding.register_groups().items():
         if len(variables) < 2:
             continue
@@ -209,12 +205,11 @@ def build_constraints(dfg: DFG, binding: Binding,
 def reschedule(dfg: DFG, binding: Binding,
                module_orders: dict[str, list[str]],
                register_orders: dict[str, list[str]],
-               delays: dict[str, int] | None = None,
                skeleton: ConstraintSkeleton | None = None
                ) -> dict[str, int] | None:
     """Minimum-latency schedule honouring binding constraints, or None."""
     graph = build_constraints(dfg, binding, module_orders, register_orders,
-                              delays, skeleton)
+                              skeleton)
     return graph.longest_path_schedule()
 
 

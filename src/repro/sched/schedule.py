@@ -11,16 +11,10 @@ from __future__ import annotations
 from ..dfg import DFG
 
 
-def schedule_length(steps: dict[str, int],
-                    delays: dict[str, int] | None = None) -> int:
-    """Number of control steps the schedule occupies."""
-    if not steps:
-        return 0
-    end = 0
-    for op_id, start in steps.items():
-        delay = 1 if delays is None else delays.get(op_id, 1)
-        end = max(end, start + delay)
-    return end
+def schedule_length(steps: dict[str, int]) -> int:
+    """Number of control steps the schedule occupies: its last step
+    plus one."""
+    return max(steps.values()) + 1 if steps else 0
 
 
 def ops_by_step(steps: dict[str, int]) -> dict[int, list[str]]:

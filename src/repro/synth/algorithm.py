@@ -14,7 +14,6 @@ from itertools import count
 
 from ..alloc.binding import Binding
 from ..cost import CostModel
-from ..cost.library import ModuleLibrary
 from ..dfg import DFG
 from ..etpn.design import Design, Signature
 from ..etpn.from_dfg import default_design
@@ -64,7 +63,7 @@ class KeptOutcome:
     Enough for a later point to rank it in its window, record it and,
     when it applies it, rebuild its design without a reschedule: the
     merger, its ΔE and ΔH, the schedule and binding, and the design's
-    priced ``(bits, library, H)``.  The design, its lifetimes and its
+    priced ``(bits, H)``.  The design, its lifetimes and its
     data path are not kept.
     """
 
@@ -77,7 +76,7 @@ class KeptOutcome:
     steps: _Packed
     module_of: _Packed
     register_of: _Packed
-    area: tuple[int, ModuleLibrary, float] | None
+    area: tuple[int, float] | None
 
     def delta_c(self, alpha: float, beta: float) -> float:
         """ΔC = α·ΔE + β·ΔH, the paper's selection objective."""
@@ -178,8 +177,7 @@ def synthesize(dfg: DFG, params: SynthesisParams | None = None,
         dfg: the behavioural data-flow graph.
         params: (k, α, β) and the ranking and merge-order strategies;
             defaults to (3, 2, 1).
-        cost_model: bit width and module library for ΔH; defaults to
-            8-bit with the standard library.
+        cost_model: bit width for ΔH; defaults to 8 bits.
         label: label recorded on the produced design.
         budget: optional wall-clock/step budget, charged and checked at
             the start of every merger iteration; on exhaustion the best
@@ -193,11 +191,14 @@ def synthesize(dfg: DFG, params: SynthesisParams | None = None,
         The final design and the full merger history.  A candidate whose
         rescheduling or cost evaluation raises is recorded in
         ``result.skipped`` and the loop continues — one misbehaving
-        candidate never aborts the run.  Only an invalid *final* design
-        raises :class:`~repro.errors.SynthesisError`.
+        candidate never aborts the run.
 
     Raises:
         ValueError: ``memo`` was made for another DFG or cost model.
+        ScheduleError: the final design's schedule violates a
+            dependence.
+        BindingError: the final design's binding is illegal for its
+            schedule.
     """
     params = params or SynthesisParams()
     cost_model = cost_model or CostModel()

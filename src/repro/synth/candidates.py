@@ -57,8 +57,7 @@ def compatible_pairs(design: Design) -> list[CandidatePair]:
     return pairs
 
 
-def rank_candidates(design: Design, analysis: TestabilityAnalysis,
-                    pairs: list[CandidatePair] | None = None
+def rank_candidates(design: Design, analysis: TestabilityAnalysis
                     ) -> list[CandidatePair]:
     """Rank merger pairs by the C/O balance principle.
 
@@ -67,8 +66,6 @@ def rank_candidates(design: Design, analysis: TestabilityAnalysis,
     parents, then folds that create no self-loop, then by kind and the
     two node ids, so the order is total and deterministic.
     """
-    if pairs is None:
-        pairs = compatible_pairs(design)
     nodes = analysis.all_nodes()
 
     def key(pair: CandidatePair):
@@ -78,20 +75,16 @@ def rank_candidates(design: Design, analysis: TestabilityAnalysis,
         return (-quality, -complement, loop, pair.kind, pair.node_a,
                 pair.node_b)
 
-    return sorted(pairs, key=key)
+    return sorted(compatible_pairs(design), key=key)
 
 
-def rank_candidates_connectivity(design: Design,
-                                 pairs: list[CandidatePair] | None = None
-                                 ) -> list[CandidatePair]:
+def rank_candidates_connectivity(design: Design) -> list[CandidatePair]:
     """Ablation ranking: conventional connectivity/closeness order.
 
     The §3 strawman — prefer merging the nodes that share the most
     neighbours (minimising muxes), ignoring testability.  Used by the
     A1 ablation bench to quantify what the balance principle buys.
     """
-    if pairs is None:
-        pairs = compatible_pairs(design)
     dp = design.datapath
 
     def closeness(pair: CandidatePair) -> int:
@@ -99,5 +92,5 @@ def rank_candidates_connectivity(design: Design,
             return dp.fanin(node) | dp.fanout(node)
         return len(neighbours(pair.node_a) & neighbours(pair.node_b))
 
-    return sorted(pairs, key=lambda p: (-closeness(p), p.kind, p.node_a,
-                                        p.node_b))
+    return sorted(compatible_pairs(design),
+                  key=lambda p: (-closeness(p), p.kind, p.node_a, p.node_b))

@@ -113,18 +113,13 @@ class TestCostModel:
         assert delta_e == 0.0           # schedule unchanged
         assert delta_h < 0.0            # one register saved
 
-    def test_hardware_total_is_kept_per_width_and_library(self, chain_dfg):
-        from dataclasses import replace
+    def test_hardware_total_is_kept_per_width(self, chain_dfg):
         dp = default_design(chain_dfg).datapath
         fresh = {bits: CostModel(bits=bits).hardware(
             DataPath(chain_dfg, dp.binding)).total_mm2 for bits in (4, 8)}
         assert CostModel(bits=4).hardware_total(dp) == fresh[4]
         assert CostModel(bits=8).hardware_total(dp) == fresh[8]
         assert CostModel(bits=4).hardware_total(dp) == fresh[4]
-        costly = replace(DEFAULT_LIBRARY, wire_pitch_mm=1.0)
-        assert (CostModel(bits=4, library=costly).hardware_total(dp)
-                == CostModel(bits=4, library=costly).hardware(dp).total_mm2
-                > fresh[4])
 
     def test_execution_cost(self, chain_dfg):
         assert default_design(chain_dfg).execution_time == 3

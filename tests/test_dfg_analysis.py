@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.dfg.analysis import (alap_steps, asap_steps, critical_path_length,
+from repro.dfg.analysis import (asap_steps, critical_path_length,
                                 topological_order)
-from repro.errors import DFGError
+from repro.errors import ScheduleError
+from repro.sched import frames
 
 
 class TestTopologicalOrder:
@@ -28,16 +29,19 @@ class TestAsapAlap:
         asap = asap_steps(diamond_dfg)
         assert asap["N1"] == 0 and asap["N2"] == 0 and asap["N3"] == 1
 
+    # The ALAP bound is the latest step of each op's frame.
     def test_chain_alap_equals_asap(self, chain_dfg):
-        assert alap_steps(chain_dfg) == asap_steps(chain_dfg)
+        frame = frames(chain_dfg, critical_path_length(chain_dfg))
+        assert {o: hi for o, (_, hi) in frame.items()} == asap_steps(chain_dfg)
 
     def test_alap_with_extended_horizon(self, chain_dfg):
-        alap = alap_steps(chain_dfg, horizon=5)
-        assert alap == {"N1": 2, "N2": 3, "N3": 4}
+        frame = frames(chain_dfg, 5)
+        assert {o: hi for o, (_, hi) in frame.items()} == \
+            {"N1": 2, "N2": 3, "N3": 4}
 
     def test_alap_infeasible_horizon(self, chain_dfg):
-        with pytest.raises(DFGError):
-            alap_steps(chain_dfg, horizon=2)
+        with pytest.raises(ScheduleError):
+            frames(chain_dfg, 2)
 
     def test_multidef_serialised(self, multidef_dfg):
         asap = asap_steps(multidef_dfg)
@@ -50,7 +54,3 @@ class TestCriticalPath:
 
     def test_diamond_length(self, diamond_dfg):
         assert critical_path_length(diamond_dfg) == 2
-
-    def test_custom_delays(self, chain_dfg):
-        delays = {"N1": 2, "N2": 1, "N3": 1}
-        assert critical_path_length(chain_dfg, delays) == 4

@@ -17,7 +17,7 @@ lower bound; it must return equal ``positions`` on:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import hypothesis.strategies as st
 import pytest
@@ -285,11 +285,6 @@ def test_placement_is_kept_and_shared(chain_dfg, monkeypatch):
     model.delta(design, merged)
     model.delta(design, merged)
     assert calls == [design.datapath, merged.datapath]
-    # A different pitch reuses the placement too.
-    wide = CostModel(bits=8, library=replace(model.library,
-                                             slot_pitch_mm=1.0))
-    assert wide.hardware(design.datapath).wiring_mm2 > 0
-    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("name", ["ex", "dct", "diffeq"])

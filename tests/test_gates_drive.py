@@ -43,9 +43,9 @@ class TestHelpers:
 class TestErrorsModule:
     def test_hierarchy(self):
         from repro import errors
-        for name in ("DFGError", "ScheduleError",
-                     "BindingError", "SynthesisError", "NetlistError",
-                     "ATPGError", "HDLSyntaxError", "HDLSemanticError"):
+        for name in ("DFGError", "ScheduleError", "BindingError",
+                     "NetlistError", "ATPGError", "HDLSyntaxError",
+                     "HDLSemanticError"):
             assert issubclass(getattr(errors, name), errors.ReproError)
 
     def test_hdl_syntax_error_location(self):

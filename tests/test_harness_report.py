@@ -1,10 +1,14 @@
 """Unit tests for the markdown report generator."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.harness import load_rows, render_report, shape_checks, write_report
+
+BENCH_SUPPORT = Path(__file__).resolve().parents[1] / "benchmarks" / "_support.py"
 
 
 @pytest.fixture
@@ -66,3 +70,29 @@ class TestRendering:
         text = write_report(rows_file, output)
         assert output.read_text().strip() == text.strip()
         assert load_rows(rows_file) == sample_rows
+
+
+def bench_session(out_dir):
+    """A fresh load of the bench suite's ``_support`` module, as one
+    bench process sees it, recording under ``out_dir``."""
+    spec = importlib.util.spec_from_file_location("_support", BENCH_SUPPORT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.OUT_DIR = out_dir
+    return module
+
+
+class TestBenchRows:
+    def test_a_session_replaces_only_the_kinds_it_records(self, tmp_path):
+        first = bench_session(tmp_path)
+        first.record_row("table1", {"cell": 1})
+        first.record_row("extra", {"cell": 2})
+        first.record_row("table1", {"cell": 3})
+        second = bench_session(tmp_path)
+        second.record_row("table1", {"cell": 4})
+        second.record_row("table1", {"cell": 5})
+        rows = [json.loads(line) for line in
+                (tmp_path / "rows.jsonl").read_text().splitlines()]
+        assert rows == [{"kind": "extra", "cell": 2},
+                        {"kind": "table1", "cell": 4},
+                        {"kind": "table1", "cell": 5}]

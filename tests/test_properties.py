@@ -16,12 +16,12 @@ from hypothesis import given, settings
 from repro.alloc import left_edge
 from repro.bench import names
 from repro.dfg import DFGBuilder, OpKind, variable_lifetimes
-from repro.dfg.analysis import (alap_steps, asap_steps, critical_path_length)
+from repro.dfg.analysis import asap_steps, critical_path_length
 from repro.dfg.lifetime import max_overlap
 from repro.etpn import default_design
 from repro.harness.experiment import FLOW_ORDER, synthesize_flow
 from repro.rtl import apply_op, build_control_table, generate_rtl
-from repro.sched import check_precedence, compact, schedule_length
+from repro.sched import check_precedence, compact, frames, schedule_length
 from repro.sched.resched import merge_order_candidates
 from repro.testability import analyze
 
@@ -73,8 +73,8 @@ def test_asap_is_legal_and_minimal(dfg):
 @given(dfgs())
 def test_asap_never_after_alap(dfg):
     asap = asap_steps(dfg)
-    alap = alap_steps(dfg)
-    assert all(asap[o] <= alap[o] for o in dfg.operations)
+    frame = frames(dfg, critical_path_length(dfg))
+    assert all(asap[o] == frame[o][0] <= frame[o][1] for o in dfg.operations)
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,8 +11,7 @@ cycle, and raise where it raises, on:
 
 * random DFGs (multiply-defined variables, loops) under random legal
   bindings, merged by a random module or register pair in either
-  merge-sorted order or in a random order, with and without per-op
-  delays;
+  merge-sorted order or in a random order;
 * every reschedule the merger loop makes on Ex, Dct and Diffeq at
   4 bits.
 """
@@ -167,7 +166,7 @@ def reference_build_constraints(dfg: DFG, binding,
     """
     graph = ReferenceConstraintGraph(ops=list(dfg.op_order))
     for edge in dfg.edges():
-        graph.add(edge.src, edge.dst, edge_latency(dfg, edge, delays))
+        graph.add(edge.src, edge.dst, edge_latency(dfg, edge))
     for module, ops in reference_modules(binding).items():
         if len(ops) < 2:
             continue
@@ -201,21 +200,19 @@ def reference_reschedule(dfg, binding, module_orders, register_orders,
     return graph.longest_path_schedule()
 
 
-def production_reschedule(dfg, binding, module_orders, register_orders,
-                          delays=None):
+def production_reschedule(dfg, binding, module_orders, register_orders):
     try:
-        return reschedule(dfg, binding, module_orders, register_orders,
-                          delays)
+        return reschedule(dfg, binding, module_orders, register_orders)
     except ScheduleError as exc:
         return exc
 
 
-def assert_same_schedule(dfg, binding, module_orders, register_orders,
-                         delays=None) -> None:
+def assert_same_schedule(dfg, binding, module_orders,
+                         register_orders) -> None:
     expected = reference_reschedule(dfg, binding, module_orders,
-                                    register_orders, delays)
+                                    register_orders)
     actual = production_reschedule(dfg, binding, module_orders,
-                                   register_orders, delays)
+                                   register_orders)
     if isinstance(expected, ScheduleError):
         assert isinstance(actual, ScheduleError), actual
     else:
@@ -257,7 +254,6 @@ class MergeCase:
     binding: Binding
     module_orders: dict[str, list[str]]
     register_orders: dict[str, list[str]]
-    delays: dict[str, int] | None
 
 
 @st.composite
@@ -300,18 +296,14 @@ def merge_cases(draw):
         shuffled = seq_keep + seq_absorb
         rng.shuffle(shuffled)
         orders[keep] = draw(st.sampled_from(candidates + [shuffled]))
-    delays = None
-    if draw(st.booleans()):
-        delays = {o: rng.randint(1, 3) for o in dfg.op_order
-                  if rng.random() < 0.5}
-    return MergeCase(dfg, merged, module_orders, register_orders, delays)
+    return MergeCase(dfg, merged, module_orders, register_orders)
 
 
 @settings(max_examples=300, deadline=None)
 @given(merge_cases())
 def test_random_mergers(case):
     assert_same_schedule(case.dfg, case.binding, case.module_orders,
-                         case.register_orders, case.delays)
+                         case.register_orders)
 
 
 @settings(max_examples=100, deadline=None)
@@ -319,7 +311,7 @@ def test_random_mergers(case):
 def test_orders_that_do_not_cover_the_binding_raise(case):
     orders = {m: list(ops[:-1]) for m, ops in case.module_orders.items()}
     assert_same_schedule(case.dfg, case.binding, orders,
-                         case.register_orders, case.delays)
+                         case.register_orders)
 
 
 @pytest.mark.parametrize("name", ["ex", "dct", "diffeq"])

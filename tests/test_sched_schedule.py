@@ -12,9 +12,6 @@ class TestHelpers:
         assert schedule_length({"a": 0, "b": 2}) == 3
         assert schedule_length({}) == 0
 
-    def test_length_with_delays(self):
-        assert schedule_length({"a": 0, "b": 1}, {"b": 3}) == 4
-
     def test_ops_by_step(self):
         grouped = ops_by_step({"b": 1, "a": 0, "c": 1})
         assert grouped == {0: ["a"], 1: ["b", "c"]}
