@@ -22,6 +22,9 @@ is its good half X, is either half X, is it blocked) is a 9-entry
 tuple or one comparison.  One implication is still one gate
 evaluation, now of both machines at once, so the effort counts are
 those of an engine that evaluates the two machines one at a time.
+While a fault is targeted, its sites are evaluated through pinned
+rows, whose ``post`` table is composed with the pin, so propagation
+never asks whether a line is a site.
 
 The engine keeps per-fault work proportional to what the fault
 touches: the fault-free state (constants propagated, every input X) is
@@ -120,6 +123,31 @@ _GATE: dict[int, _Row] = {
 #: stuck.
 _PIN = tuple(tuple(3 * (v // 3) + stuck for v in range(9))
              for stuck in (ZERO, ONE))
+
+#: Per stuck value and op code, a fault site's row: the op's row with
+#: its ``post`` table composed with the pin.
+_PINNED = tuple(
+    tuple((table, start, tuple(pin[v] for v in post))
+          for table, start, post in (_GATE[op] for op in range(len(_GATE))))
+    for pin in _PIN)
+
+
+def _backtrace_entry(op: int) -> tuple[int, tuple[bool, bool]] | None:
+    """What the backtrace reads of ``op``: its inversion (0 or 1) and,
+    per desired output value, whether to follow the shallowest X fanin
+    rather than the deepest; None for a PI, where it ends."""
+    if op == OP_PI:
+        return None
+    control, inverts = _CONTROL.get(op, (None, False))
+    if op in (OP_XOR, OP_XNOR):
+        shallow = (True, True)
+    else:
+        shallow = (control == ZERO, control == ONE)
+    return int(inverts), shallow
+
+
+#: :func:`_backtrace_entry` per op code.
+_BACKTRACE = tuple(_backtrace_entry(op) for op in range(len(_GATE)))
 
 #: Per packed value: a D (both halves binary and different) ...
 _IS_D = tuple(v in (1, 3) for v in range(9))
@@ -221,13 +249,29 @@ class PodemEngine:
 
     # ------------------------------------------------------------------
     def generate(self, fault: Fault) -> PodemResult:
-        """Attempt to generate a test for ``fault``."""
-        model = self.model
-        self.sites = set(model.site_uids.get(fault.gid, []))
+        """Attempt to generate a test for ``fault``.
+
+        While it runs, the fault's sites carry pinned rows in
+        ``_rows``; the originals are restored on every exit, since the
+        engine's prefix twins share the list.
+        """
+        self.sites = set(self.model.site_uids.get(fault.gid, []))
         if not self.sites:
             raise ATPGError(f"fault {fault} has no site in the model")
         self.stuck = fault.stuck
         self._pin = _PIN[fault.stuck]
+        rows, ops, pinned = self._rows, self.model.ops, _PINNED[fault.stuck]
+        saved = [(uid, rows[uid]) for uid in self.sites]
+        for uid in self.sites:
+            rows[uid] = pinned[ops[uid]]
+        try:
+            return self._search()
+        finally:
+            for uid, row in saved:
+                rows[uid] = row
+
+    def _search(self) -> PodemResult:
+        model = self.model
         self.stats = PodemStats()
         #: (uid, packed value before the change), oldest first.
         self._trail: list[tuple[int, int]] = []
@@ -291,20 +335,17 @@ class PodemEngine:
         self._dlines: set[int] = set()
         dlines = self._dlines
         self.stats.implications += charge
-        sites, pin = self.sites, self._pin
         rows, fanins, fanouts = (self._rows, self.model.fanins,
                                  self.model.fanouts)
-        heap = sorted(sites)
-        queued = set(sites)
+        heap = sorted(self.sites)
+        queued = set(heap)
         while heap:
             uid = heapq.heappop(heap)
-            if uid in sites:
-                new = pin[vals[uid]]
-            else:
-                table, acc, post = rows[uid]
-                for f in fanins[uid]:
-                    acc = table[acc + vals[f]]
-                new = post[acc]
+            # A site's pinned row keeps the good half it had fault-free.
+            table, acc, post = rows[uid]
+            for f in fanins[uid]:
+                acc = table[acc + vals[f]]
+            new = post[acc]
             if new == vals[uid]:
                 continue
             vals[uid] = new
@@ -317,14 +358,14 @@ class PodemEngine:
 
     def _assign(self, uid: int, value: int) -> None:
         """Set a PI and propagate (event-driven, trail-recorded): one
-        implication per gate popped, each evaluating both machines."""
-        vals, trail, dlines = self.vals, self._trail, self._dlines
-        sites, pin, is_d = self.sites, self._pin, _IS_D
+        implication per line queued, each popped once and evaluated for
+        both machines."""
+        vals, trail, dlines, is_d = self.vals, self._trail, self._dlines, _IS_D
         rows, fanins, fanouts = (self._rows, self.model.fanins,
                                  self.model.fanouts)
         new = 4 * value
-        if uid in sites:
-            new = pin[new]
+        if uid in self.sites:
+            new = self._pin[new]
         old = vals[uid]
         trail.append((uid, old))
         vals[uid] = new
@@ -333,16 +374,13 @@ class PodemEngine:
         elif is_d[old]:
             dlines.discard(uid)
         queue = list(fanouts[uid])
-        evaluated = 0
+        queued = len(queue)
         while queue:
             current = queue.pop()
             table, acc, post = rows[current]
             for f in fanins[current]:
                 acc = table[acc + vals[f]]
             new = post[acc]
-            if current in sites:
-                new = pin[new]
-            evaluated += 1
             old = vals[current]
             if new != old:
                 trail.append((current, old))
@@ -351,8 +389,10 @@ class PodemEngine:
                     dlines.add(current)
                 elif is_d[old]:
                     dlines.discard(current)
-                queue.extend(fanouts[current])
-        self.stats.implications += evaluated
+                outs = fanouts[current]
+                queue.extend(outs)
+                queued += len(outs)
+        self.stats.implications += queued
 
     def _undo_to(self, mark: int) -> None:
         trail, vals, dlines, is_d = self._trail, self.vals, self._dlines, _IS_D
@@ -416,33 +456,39 @@ class PodemEngine:
 
     # ------------------------------------------------------------------
     def _backtrace(self, uid: int, value: int) -> tuple[int, int] | None:
-        """Walk an objective back to an unassigned primary input."""
+        """Walk an objective back to an unassigned primary input.
+
+        Each step follows an X fanin (good half X).  Where one input
+        can set the output (the desired value is the op's controlling
+        value after its inversion, or the op is XOR or XNOR, whose other
+        inputs decide the parity) it takes the shallowest, the easiest
+        to justify; else every input must be non-controlling, and it
+        takes the deepest, so that failures surface early.  Of equals it
+        takes the first, as ``min`` and ``max`` do.  The desired value
+        flips only at inverting gates.
+        """
+        model, vals, entries = self.model, self.vals, _BACKTRACE
+        ops, fanins, depth = model.ops, model.fanins, model.depth
+        size = model.size
         current, desired = uid, value
-        for _ in range(self.model.size + 1):
-            op = self.model.ops[current]
-            if op == OP_PI:
+        for _ in range(size + 1):
+            entry = entries[ops[current]]
+            if entry is None:
                 return (current, desired)
-            control, inverts = _CONTROL.get(op, (None, False))
-            if inverts:
-                desired = 1 - desired
-            x_inputs = [f for f in self.model.fanins[current]
-                        if self.vals[f] >= _X_GOOD]
-            if not x_inputs:
-                return None
-            depth = self.model.depth
-            if op in (OP_XOR, OP_XNOR):
-                # Fix the shallowest X input; others decide the parity.
-                current = min(x_inputs, key=lambda f: depth[f])
-                continue
-            if control is not None and desired == control:
-                # One controlling input suffices: take the easiest
-                # (shallowest) justification path.
-                current = min(x_inputs, key=lambda f: depth[f])
-                desired = control
+            inverts, shallow = entry
+            desired ^= inverts
+            best = -1
+            if shallow[desired]:
+                best_depth = size
+                for f in fanins[current]:
+                    if vals[f] >= _X_GOOD and depth[f] < best_depth:
+                        best, best_depth = f, depth[f]
             else:
-                # Every input must be non-controlling: attack the
-                # hardest (deepest) one first so failures surface early.
-                current = max(x_inputs, key=lambda f: depth[f])
-                if control is not None:
-                    desired = 1 - control
+                best_depth = -1
+                for f in fanins[current]:
+                    if vals[f] >= _X_GOOD and depth[f] > best_depth:
+                        best, best_depth = f, depth[f]
+            if best < 0:
+                return None
+            current = best
         return None

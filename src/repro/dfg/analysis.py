@@ -11,7 +11,7 @@ from ..errors import DFGError
 from .graph import DFG, DependenceEdge
 
 
-def edge_latency(dfg: DFG, edge: DependenceEdge) -> int:
+def edge_latency(edge: DependenceEdge) -> int:
     """Minimum control-step distance implied by a dependence edge.
 
     Every operation takes one control step: its result is clocked in at
@@ -55,7 +55,7 @@ def asap_steps(dfg: DFG) -> dict[str, int]:
     for op_id in topological_order(dfg):
         earliest = 0
         for edge in dfg.predecessors(op_id):
-            earliest = max(earliest, steps[edge.src] + edge_latency(dfg, edge))
+            earliest = max(earliest, steps[edge.src] + edge_latency(edge))
         steps[op_id] = earliest
     return steps
 

@@ -2,13 +2,14 @@
 
 The netlist is translated into straight-line Python over plain
 integers, one function per set of fault-injection sites (cached by the
-site tuple); every signal carries 64 independent one-bit *lanes*.  A
-lane is a pattern (pattern-parallel good simulation) or a fault machine
-(parallel-fault simulation: the fault simulator packs the good machine
-in lane 0 and up to 63 faulty machines in the rest, injecting each
-fault only in its own lane through per-site masks).  A fault simulator
-asks for one function hooked at every site of its fault list and
-reuses it for every group.
+site tuple); every signal carries independent one-bit *lanes*, as many
+as the all-lanes mask ``full`` the caller passes has bits (64 with
+:data:`FULL`).  A lane is a pattern (pattern-parallel good simulation)
+or a fault machine (parallel-fault simulation: the fault simulator
+packs the good machine in lane 0 and up to 4,095 faulty machines in
+the rest, injecting each fault only in its own lane through per-site
+masks).  A fault simulator asks for one function hooked at every site
+of its fault list and reuses it for every group, whatever its width.
 
 Gates are created in topological order (DFF feedback is closed through
 the state vector), so evaluation in gate-id order is always correct —
@@ -23,7 +24,7 @@ from typing import Callable
 from ..errors import NetlistError
 from .netlist import GateNetlist, GateType, check_topological_order
 
-#: All 64 lanes set.
+#: All 64 lanes set: the lane width of pattern-parallel simulation.
 FULL = (1 << 64) - 1
 
 #: (python expression template, n-ary reduce operator) per gate type.
@@ -33,8 +34,9 @@ _BINOPS = {
     GateType.XOR: "^",
 }
 
-#: cycle function signature: (pi, state, nmask, fval) -> (outs, next_state)
-CycleFn = Callable[[list[int], list[int], list[int], list[int]],
+#: cycle function signature:
+#: (pi, state, nmask, fval, full) -> (outs, next_state)
+CycleFn = Callable[[list[int], list[int], list[int], list[int], int],
                    tuple[list[int], list[int]]]
 
 
@@ -74,9 +76,11 @@ class CompiledCircuit:
         ``v = (v & nmask[k]) | fval[k]`` right after computing site k's
         value, so a caller activates a stuck-at fault in lane ``l`` by
         clearing lane ``l`` of ``nmask[k]`` and setting lane ``l`` of
-        ``fval[k]`` to the stuck value; ``nmask[k] = FULL`` and
-        ``fval[k] = 0`` leave the site as computed.  Each distinct site
-        set is compiled once and cached.
+        ``fval[k]`` to the stuck value; ``nmask[k] = full`` and
+        ``fval[k] = 0`` leave the site as computed.  ``full`` has every
+        lane set: constants and inversions are computed against it, so
+        one function serves every lane width.  Each distinct site set is
+        compiled once and cached.
         """
         key = tuple(sorted(fault_sites))
         if key not in self._cache:
@@ -85,7 +89,7 @@ class CompiledCircuit:
 
     def _compile(self, fault_sites: tuple[int, ...]) -> CycleFn:
         site_index = {gid: k for k, gid in enumerate(fault_sites)}
-        lines = ["def _cycle(pi, state, nmask, fval):"]
+        lines = ["def _cycle(pi, state, nmask, fval, full):"]
         for gate in self.netlist.gates:
             gid, gtype, fanins = gate.gid, gate.gtype, gate.fanins
             if gtype == GateType.INPUT:
@@ -93,25 +97,25 @@ class CompiledCircuit:
             elif gtype == GateType.CONST0:
                 expr = "0"
             elif gtype == GateType.CONST1:
-                expr = str(FULL)
+                expr = "full"
             elif gtype == GateType.DFF:
                 expr = f"state[{self._dff_gid_to_index[gid]}]"
             elif gtype == GateType.BUF:
                 expr = f"v{fanins[0]}"
             elif gtype == GateType.NOT:
-                expr = f"v{fanins[0]} ^ {FULL}"
+                expr = f"v{fanins[0]} ^ full"
             elif gtype in _BINOPS:
                 op = _BINOPS[gtype]
                 expr = f" {op} ".join(f"v{f}" for f in fanins)
             elif gtype == GateType.NAND:
                 expr = ("(" + " & ".join(f"v{f}" for f in fanins)
-                        + f") ^ {FULL}")
+                        + ") ^ full")
             elif gtype == GateType.NOR:
                 expr = ("(" + " | ".join(f"v{f}" for f in fanins)
-                        + f") ^ {FULL}")
+                        + ") ^ full")
             elif gtype == GateType.XNOR:
                 expr = ("(" + " ^ ".join(f"v{f}" for f in fanins)
-                        + f") ^ {FULL}")
+                        + ") ^ full")
             else:  # pragma: no cover - enum is exhaustive
                 raise NetlistError(f"cannot compile {gtype}")
             lines.append(f"    v{gid} = {expr}")
@@ -151,6 +155,6 @@ class CompiledCircuit:
         outputs: list[dict[str, int]] = []
         for vectors in sequence:
             outs, state = fn(self.pack_inputs(vectors), state, nothing,
-                             nothing)
+                             nothing, FULL)
             outputs.append(dict(zip(self.output_names, outs)))
         return outputs, state

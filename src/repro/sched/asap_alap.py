@@ -26,7 +26,7 @@ def frames(dfg: DFG, horizon: int,
     for op_id in order:
         bound = 0
         for edge in dfg.predecessors(op_id):
-            bound = max(bound, earliest[edge.src] + edge_latency(dfg, edge))
+            bound = max(bound, earliest[edge.src] + edge_latency(edge))
         if op_id in fixed:
             if fixed[op_id] < bound:
                 raise ScheduleError(f"{dfg.name}: {op_id} fixed at "
@@ -38,7 +38,7 @@ def frames(dfg: DFG, horizon: int,
     for op_id in reversed(order):
         bound = horizon - 1
         for edge in dfg.successors(op_id):
-            bound = min(bound, latest[edge.dst] - edge_latency(dfg, edge))
+            bound = min(bound, latest[edge.dst] - edge_latency(edge))
         if op_id in fixed:
             if fixed[op_id] > bound:
                 raise ScheduleError(f"{dfg.name}: {op_id} fixed at "

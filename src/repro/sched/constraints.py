@@ -43,7 +43,7 @@ def precedence_violations(dfg: DFG, steps: dict[str, int]
     """All dependence edges violated by ``steps``."""
     violations = []
     for edge in dfg.edges():
-        gap = edge_latency(dfg, edge)
+        gap = edge_latency(edge)
         if steps[edge.dst] - steps[edge.src] < gap:
             violations.append(Violation(edge, steps[edge.src],
                                         steps[edge.dst], gap))

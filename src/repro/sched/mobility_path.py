@@ -54,10 +54,10 @@ def _objective(dfg: DFG, steps: dict[str, int]) -> tuple[int, float, int]:
 def _legal_move(dfg: DFG, steps: dict[str, int], op_id: str,
                 target: int) -> bool:
     for edge in dfg.predecessors(op_id):
-        if steps[edge.src] + edge_latency(dfg, edge) > target:
+        if steps[edge.src] + edge_latency(edge) > target:
             return False
     for edge in dfg.successors(op_id):
-        if target + edge_latency(dfg, edge) > steps[edge.dst]:
+        if target + edge_latency(edge) > steps[edge.dst]:
             return False
     return True
 

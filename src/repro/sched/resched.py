@@ -107,7 +107,7 @@ class ConstraintSkeleton:
         self.dfg = dfg
         graph = ConstraintGraph(ops=dfg.op_order)
         for edge in dfg.edges():
-            graph.add(edge.src, edge.dst, edge_latency(dfg, edge))
+            graph.add(edge.src, edge.dst, edge_latency(edge))
         self._precedence = graph
         self.def_use = DefUse(dfg)
         self._defs = {name: defs for name, _, _, defs, _ in self.def_use.rows}

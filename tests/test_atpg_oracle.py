@@ -4,7 +4,8 @@ Every engine whose answer reaches a table is checked here against an
 independent semantics on random small sequential netlists (at most 4
 primary inputs, 3 DFFs and 20 gates; 32 to 48 gates for the
 fault-simulator property, so its fault lists span several 63-lane
-groups).  The oracle is a brute-force simulator written below: it
+chunks, and 64 to 80 for its effort accounting, so they span at least
+three).  The oracle is a brute-force simulator written below: it
 simulates *every* input sequence of k <= 3 frames at once, one sequence
 per bit of a Python int, for the good machine and one faulty machine.
 Against it:
@@ -17,9 +18,12 @@ Against it:
 * analysis-based pruning never drops a fault some sequence of <= 3
   frames detects;
 * the parallel-fault simulator agrees with a one-fault-at-a-time
-  simulator, also for fault lists spanning several 63-lane groups and
+  simulator, also for fault lists spanning several 63-lane chunks and
   over successive calls on one simulator, whose compiled function
-  gains hooks as new fault sites arrive.
+  gains hooks as new fault sites arrive;
+* its groups, as wide as their faults, count the cycles, groups and
+  budget steps of simulating 63-lane groups one after another, and a
+  budget that runs out mid-group leaves a subset of the detections.
 
 More properties pin the PODEM engine to the reference algorithm it
 was optimised from.  The engine's packed twin-machine tables equal the
@@ -53,11 +57,12 @@ from repro.atpg.unroll import (OP_AND, OP_BUF, OP_CONST0, OP_CONST1,
                                OP_NAND, OP_NOR, OP_NOT, OP_OR, OP_PI,
                                OP_XNOR, OP_XOR, UnrolledCircuit)
 from repro.errors import ATPGError
-from repro.gates import (CompiledCircuit, GateNetlist, GateType,
+from repro.gates import (FULL, CompiledCircuit, GateNetlist, GateType,
                          expand_with_controller)
 from repro.harness import ExperimentConfig, run_cell
 from repro.harness.experiment import FLOW_ORDER, synthesize_flow_result
 from repro.rtl import build_control_table, generate_rtl
+from repro.runtime import Budget
 
 MAX_FRAMES = 3
 
@@ -189,6 +194,70 @@ def naive_detected(net: GateNetlist, sequence: list[dict[str, int]],
     good = simulate(net, sequence, 1)
     return {fault for fault in faults
             if simulate(net, sequence, 1, fault) != good}
+
+
+def first_detections(net: GateNetlist, sequence: list[dict[str, int]],
+                     faults: list[Fault]) -> dict[Fault, int]:
+    """The cycle each fault the sequence detects is first seen at."""
+    good = simulate(net, sequence, 1)
+    first = {}
+    for fault in faults:
+        outputs = simulate(net, sequence, 1, fault)
+        for cycle, (seen, expected) in enumerate(zip(outputs, good)):
+            if seen != expected:
+                first[fault] = cycle
+                break
+    return first
+
+
+class GroupOf63Simulator(FaultSimulator):
+    """The fault simulator with one 64-lane word per group: 63 faults,
+    simulated until all of them are detected, one group after another.
+    The reference for the effort counts of wider groups."""
+
+    def run_sequence(self, vectors, faults):
+        detected: set[Fault] = set()
+        if not faults:
+            return detected
+        fn = self._cycle_fn(faults)
+        for start in range(0, len(faults), 63):
+            if self.budget is not None and self.budget.exhausted():
+                break  # partial detection set; caller sees the budget
+            group = faults[start:start + 63]
+            detected |= self._run_group(fn, vectors, group)
+        return detected
+
+    def _run_group(self, fn, vectors, group):
+        nmask = [FULL] * len(self._site_index)
+        fval = [0] * len(self._site_index)
+        for offset, fault in enumerate(group):
+            lane_bit = 1 << (offset + 1)   # lane 0 = good machine
+            k = self._site_index[fault.gid]
+            nmask[k] &= ~lane_bit
+            if fault.stuck:
+                fval[k] |= lane_bit
+        state = self.circuit.zero_state()
+        detected_lanes = 0
+        all_lanes = sum(1 << (i + 1) for i in range(len(group)))
+        self.stats.groups_simulated += 1
+        budget = self.budget
+        for cycle in vectors:
+            if budget is not None and not budget.charge():
+                break
+            pi = [(FULL if cycle.get(name, 0) & 1 else 0)
+                  for name in self.circuit.input_names]
+            outs, state = fn(pi, state, nmask, fval, FULL)
+            for value in outs:
+                good = FULL if value & 1 else 0
+                detected_lanes |= value ^ good
+            self.stats.cycles_simulated += 1
+            if (detected_lanes & all_lanes) == all_lanes:
+                break
+        result: set[Fault] = set()
+        for lane_offset, fault in enumerate(group):
+            if detected_lanes & (1 << (lane_offset + 1)):
+                result.add(fault)
+        return result
 
 
 # ----------------------------------------------------------------------
@@ -483,6 +552,58 @@ def test_fault_simulator_matches_one_fault_at_a_time(net, data):
     for batch in ([f for f in faults if f.gid in kept], faults, again):
         assert (simulator.run_sequence(sequence, batch)
                 == naive_detected(net, sequence, batch))
+
+
+def _chunked_draw(net, data):
+    """A sequence and the uncollapsed faults in a drawn order, sorted
+    by the cycle each is first detected at (undetected last).  Every
+    line of ``net`` becomes an output too, so that most faults are
+    detected, and successive 63-fault chunks finish at successive
+    cycles."""
+    for gate in list(net.gates):
+        net.set_output(f"w{gate.gid}", gate.gid)
+    names = sorted(net.inputs)
+    frames = data.draw(st.integers(2, 6))
+    sequence = [{name: data.draw(st.integers(0, 1)) for name in names}
+                for _ in range(frames)]
+    faults = data.draw(st.permutations(full_fault_list(net,
+                                                       collapse=False)))
+    assert len(faults) > 2 * 63   # at least three chunks
+    first = first_detections(net, sequence, faults)
+    faults.sort(key=lambda fault: first.get(fault, frames))
+    return sequence, faults, first
+
+
+@settings(max_examples=30, deadline=None)
+@given(netlists(min_gates=64, max_gates=80), st.data())
+def test_wide_groups_count_the_effort_of_63_lane_groups(net, data):
+    sequence, faults, _ = _chunked_draw(net, data)
+    wide_budget, reference_budget = Budget(), Budget()
+    wide = FaultSimulator(CompiledCircuit(net), budget=wide_budget)
+    reference = GroupOf63Simulator(CompiledCircuit(net),
+                                   budget=reference_budget)
+    # Two calls, as the random phase makes them: the second on the
+    # faults the first left, under the sequence reversed.
+    for vectors in (sequence, sequence[::-1]):
+        detected = wide.run_sequence(vectors, faults)
+        assert detected == reference.run_sequence(vectors, faults)
+        faults = [fault for fault in faults if fault not in detected]
+    assert wide.stats == reference.stats
+    assert wide_budget.steps == reference_budget.steps
+    assert wide_budget.reason is None
+
+
+@settings(max_examples=30, deadline=None)
+@given(netlists(min_gates=64, max_gates=80), st.data())
+def test_wide_group_stopped_by_its_budget_detects_a_subset(net, data):
+    sequence, faults, first = _chunked_draw(net, data)
+    unlimited = Budget()
+    FaultSimulator(CompiledCircuit(net), budget=unlimited).run_sequence(
+        sequence, faults)
+    budget = Budget(max_steps=data.draw(st.integers(0, unlimited.steps - 1)))
+    simulator = FaultSimulator(CompiledCircuit(net), budget=budget)
+    assert simulator.run_sequence(sequence, faults) <= first.keys()
+    assert budget.exhausted()
 
 
 @pytest.mark.parametrize("op", sorted(op for op in _GATE if op != OP_PI))

@@ -25,7 +25,6 @@ KEPT_FOR_LINT_HINTS = {"compact", "prune_unobservable"}
 #: keyed by the name a call uses (a class for its ``__init__``).
 KEPT_PARAMETERS = {
     ("Budget", "clock"): "tests drive deadlines with a fake clock",
-    ("charge", "steps"): "tests exhaust a step budget in one charge",
     ("PodemEngine", "max_implications"):
         "tests abort PODEM on its implication limit",
     ("full_fault_list", "collapse"):

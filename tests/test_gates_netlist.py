@@ -147,7 +147,7 @@ class TestCompiledSimulator:
         fn = circuit.cycle_fn((g,))
         # Stuck-at-1 on the AND output in lane 1 only.
         lane1 = 1 << 1
-        outs, _ = fn([0, 0], [], [FULL ^ lane1], [lane1])
+        outs, _ = fn([0, 0], [], [FULL ^ lane1], [lane1], FULL)
         assert outs[0] == lane1  # good lanes 0, faulty lane forced to 1
 
     def test_cycle_fn_cached(self):

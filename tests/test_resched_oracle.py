@@ -166,7 +166,7 @@ def reference_build_constraints(dfg: DFG, binding,
     """
     graph = ReferenceConstraintGraph(ops=list(dfg.op_order))
     for edge in dfg.edges():
-        graph.add(edge.src, edge.dst, edge_latency(dfg, edge))
+        graph.add(edge.src, edge.dst, edge_latency(edge))
     for module, ops in reference_modules(binding).items():
         if len(ops) < 2:
             continue
