@@ -11,7 +11,7 @@ Examples::
     repro-hlts lint diffeq my.hdl --strict --format json
     repro-hlts analyze                # equivalence certificates
     repro-hlts analyze ewf --flow default --format json
-    repro-hlts table1 --workers 4 --cache-dir .repro-cache
+    repro-hlts table1 --workers 4 --journal t1.jsonl --resume
 
 Each subcommand is one row of :func:`_commands`.
 """
@@ -23,7 +23,6 @@ import json
 import math
 import os
 import sys
-from pathlib import Path
 from typing import Any, Callable, Iterator
 
 from .bench import load, names
@@ -59,13 +58,6 @@ def _print_design(design) -> None:
     print()
 
 
-def _make_cache(args):
-    """The ResultCache behind ``--cache-dir`` (None when not asked for)."""
-    from .harness.cache import ResultCache
-    return (ResultCache(cache_dir=Path(args.cache_dir)) if args.cache_dir
-            else None)
-
-
 def _run_grid(args, grid: list[tuple[str, int]], budget=None):
     """Run ``args.benchmark``'s cells through the journaled grid runner."""
     from .runtime import Journal, run_journaled_grid
@@ -74,7 +66,7 @@ def _run_grid(args, grid: list[tuple[str, int]], budget=None):
     return run_journaled_grid(
         args.benchmark, grid, ExperimentConfig.quick, journal=journal,
         resume=args.resume, progress=_progress, budget=budget,
-        workers=worker_count(args.workers), cache=_make_cache(args))
+        workers=worker_count(args.workers))
 
 
 def _report_skips(cells) -> int:
@@ -128,7 +120,7 @@ def _synth_command(args) -> int:
 def _explore_command(args) -> int:
     from .synth import explore, pareto_front, render_front
     points = explore(load(args.benchmark), CostModel(bits=args.bits),
-                     cache=_make_cache(args), progress=_progress)
+                     progress=_progress)
     print("all distinct designs:")
     print(render_front(points))
     print()
@@ -368,14 +360,9 @@ def _commands() -> list[Command]:
         _arg("--resume", action="store_true",
              help="replay cells already in --journal instead of "
                   "recomputing them")]
-    cache_dir = _arg("--cache-dir", metavar="PATH", default=None,
-                     help="content-hash result cache directory; repeated "
-                          "cells and sweep points become lookups")
-    parallel = [
-        _arg("--workers", type=_count, default=None, metavar="N",
-             help="worker processes for grid cells (default: one per CPU "
-                  "this process may use; 1 = inline)"),
-        cache_dir]
+    workers = _arg("--workers", type=_count, default=None, metavar="N",
+                   help="worker processes for grid cells (default: one per "
+                        "CPU this process may use; 1 = inline)")
     benchmark = _arg("benchmark", choices=names())
     targets = _arg("targets", nargs="*", metavar="TARGET",
                    help="benchmark names or HDL source files "
@@ -388,7 +375,7 @@ def _commands() -> list[Command]:
                   help="treat warnings as failures for the exit status")
 
     tables = [(f"table{n}", f"reproduce table{n} ({bench})", _table_command,
-               [bits_list, *journal, *parallel], {"benchmark": bench})
+               [bits_list, *journal, workers], {"benchmark": bench})
               for n, bench in ((1, "ex"), (2, "dct"), (3, "diffeq"))]
     figures = [(figure, f"reproduce {figure} schedule(s)", _figure_command,
                 [_arg("--figure-bits", type=_width, default=8)],
@@ -401,7 +388,7 @@ def _commands() -> list[Command]:
           _arg("-a", "--alpha", type=_weight, default=2.0),
           _arg("-b", "--beta", type=_weight, default=1.0), bits], {}),
         ("explore", "Pareto sweep over (k, alpha, beta)", _explore_command,
-         [benchmark, bits, cache_dir], {}),
+         [benchmark, bits], {}),
         ("export", "export a synthesised design", _export_command,
          [benchmark, _arg("--what", choices=["verilog", "dot", "json"],
                           default="verilog"), bits], {}),
@@ -413,7 +400,7 @@ def _commands() -> list[Command]:
           _arg("--wall-seconds", type=_seconds, default=None,
                help="wall-clock budget for the cell; on exhaustion the "
                     "cell completes with a degraded partial result"),
-          *journal, *parallel], {}),
+          *journal, workers], {}),
         ("chaos",
          "fault-injection scenario matrix (prove graceful degradation)",
          _chaos_command,

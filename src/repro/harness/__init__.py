@@ -2,12 +2,9 @@
 
 :func:`~repro.harness.experiment.run_cell` produces one table cell.
 Grids of cells run through :func:`~repro.runtime.run_journaled_grid`,
-whose one cell evaluator turns each cell into its journal record and
-serves repeats from the content-hash cache
-(:class:`~repro.harness.cache.ResultCache`).
+whose one cell evaluator turns each cell into its journal record.
 """
 
-from .cache import CacheStats, ResultCache, cell_key, synthesis_key
 from .experiment import (CellResult, ExperimentConfig, FLOW_ORDER,
                          PAPER_PARAMS, run_cell, synthesize_flow,
                          synthesize_flow_result)
@@ -18,11 +15,8 @@ from .tables import format_allocation, render_summary, render_table
 __all__ = [
     "FLOW_ORDER",
     "PAPER_PARAMS",
-    "CacheStats",
     "CellResult",
     "ExperimentConfig",
-    "ResultCache",
-    "cell_key",
     "format_allocation",
     "load_rows",
     "render_lifetimes",
@@ -33,7 +27,6 @@ __all__ = [
     "render_table",
     "run_cell",
     "shape_checks",
-    "synthesis_key",
     "synthesize_flow",
     "synthesize_flow_result",
     "write_report",

@@ -133,8 +133,7 @@ def run_cell(benchmark: str, flow: str,
     exhausted budget yields a valid, ``degraded``-flagged cell instead
     of a crash or a hang.  Grid cells reach this through
     :func:`repro.runtime.run_journaled_grid`'s one evaluator, which
-    turns the cell into its journal record and serves repeats from the
-    cell cache.
+    turns the cell into its journal record.
     """
     synthesis = synthesize_flow_result(benchmark, flow, config.bits,
                                        budget=budget)

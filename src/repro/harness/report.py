@@ -15,21 +15,15 @@ from pathlib import Path
 from ..errors import ReproError
 from ..runtime.atomic import atomic_write_text
 from .experiment import FLOW_ORDER, FLOW_TITLES
+from .tables import column_problem
 
 _TABLE_TITLES = {"table1": "Table 1 — Ex", "table2": "Table 2 — Dct",
                  "table3": "Table 3 — Diffeq"}
 _CELL_COLUMNS = ("flow", "coverage_pct", "test_cycles", "area_mm2")
-#: The columns the report reads from each row kind it renders.
+#: The columns the report reads from each row kind it renders; it sorts
+#: and formats them, so each must have its ``ROW_COLUMNS`` type.
 _COLUMNS = {**{kind: ("bits", *_CELL_COLUMNS) for kind in _TABLE_TITLES},
             "extra": ("benchmark", *_CELL_COLUMNS)}
-#: The type each of those columns must have, since the report sorts and
-#: formats them, and how an error message names it.
-_COLUMN_TYPES = {"bits": (int, "an integer"),
-                 "test_cycles": (int, "an integer"),
-                 "coverage_pct": ((int, float), "a number"),
-                 "area_mm2": ((int, float), "a number"),
-                 "benchmark": (str, "a string"),
-                 "flow": (str, "a string")}
 
 
 def load_rows(path: str | Path) -> list[dict]:
@@ -59,18 +53,9 @@ def load_rows(path: str | Path) -> list[dict]:
                                  f"object")
             kind = row.get("kind")
             if isinstance(kind, str) and kind in _COLUMNS:
-                missing = [c for c in _COLUMNS[kind] if c not in row]
-                if missing:
-                    raise ReproError(f"{path}: line {number}: {kind} row "
-                                     f"lacks {', '.join(missing)}")
-                for column in _COLUMNS[kind]:
-                    expected, noun = _COLUMN_TYPES[column]
-                    value = row[column]
-                    if (not isinstance(value, expected)
-                            or isinstance(value, bool)):
-                        raise ReproError(f"{path}: line {number}: {kind} "
-                                         f"row's {column} is {value!r}, "
-                                         f"not {noun}")
+                problem = column_problem(row, f"{kind} row", _COLUMNS[kind])
+                if problem:
+                    raise ReproError(f"{path}: line {number}: {problem}")
                 if row["flow"] not in FLOW_ORDER:
                     raise ReproError(f"{path}: line {number}: unknown "
                                      f"flow {row['flow']!r}")

@@ -8,7 +8,36 @@ time (effort units and seconds), test-application cycles and area.
 
 from __future__ import annotations
 
+from typing import Any, Collection
+
 from .experiment import CellResult, FLOW_ORDER, FLOW_TITLES, module_symbol
+
+_STRING, _INTEGER = (str, "a string"), (int, "an integer")
+_NUMBER = ((int, float), "a number")
+#: Every ``row()`` column :func:`render_table` or :func:`render_summary`
+#: reads, with the type it must hold (they format it) and how an error
+#: message names that type.
+ROW_COLUMNS: dict[str, tuple[type | tuple[type, ...], str]] = {
+    "benchmark": _STRING, "flow": _STRING, "bits": _INTEGER,
+    "steps": _INTEGER, "modules": _INTEGER, "registers": _INTEGER,
+    "muxes": _INTEGER, "coverage_pct": _NUMBER, "tg_effort_k": _NUMBER,
+    "tg_seconds": _NUMBER, "test_cycles": _INTEGER, "area_mm2": _NUMBER}
+
+
+def column_problem(data: dict[str, Any], what: str,
+                   columns: Collection[str] = ROW_COLUMNS) -> str | None:
+    """Why ``data`` cannot be rendered: it lacks one of ``columns`` (of
+    :data:`ROW_COLUMNS`) or holds one of the wrong type; None when it
+    can.  ``what`` names ``data`` in the message."""
+    missing = [column for column in columns if column not in data]
+    if missing:
+        return f"{what} lacks {', '.join(missing)}"
+    for column in columns:
+        expected, noun = ROW_COLUMNS[column]
+        value = data[column]
+        if not isinstance(value, expected) or isinstance(value, bool):
+            return f"{what}'s {column} is {value!r}, not {noun}"
+    return None
 
 
 def format_allocation(cell: CellResult) -> list[str]:

@@ -14,8 +14,8 @@ A finished cell is its record: the flat ``row()`` dict plus the
 pre-rendered allocation lines, everything a table needs.  The one cell
 evaluator turns a live :class:`~repro.harness.experiment.CellResult`
 into that record, and the record is what a worker sends back, what the
-journal and the cell cache store, and what a grid returns (restored as
-a :class:`JournaledCell`).  So restoring never re-runs synthesis, and
+journal stores, and what a grid returns (restored as a
+:class:`JournaledCell`).  So restoring never re-runs synthesis, and
 deterministic fields of a resumed table are byte-identical to an
 uninterrupted run (wall-clock seconds are the one nondeterministic
 column; the chaos harness masks them when comparing).
@@ -51,8 +51,8 @@ CellKey = tuple[str, str, int]
 class JournaledCell:
     """A completed cell, rebuilt from its record.
 
-    Every cell a grid returns is one, whether computed, served by the
-    cache or replayed from the journal.  It quacks like
+    Every cell a grid returns is one, whether computed or replayed from
+    the journal.  It quacks like
     :class:`~repro.harness.experiment.CellResult` for table rendering:
     ``row()`` and the allocation lines are served verbatim from the
     record.
@@ -74,9 +74,10 @@ class JournaledCell:
         return tuple(self.provenance.get("degradation", ()))
 
 
-def cell_record(cell: Any, provenance: dict[str, Any] | None = None) -> dict:
+def cell_record(cell: Any) -> dict:
     """Serialise one computed :class:`~repro.harness.experiment.
-    CellResult` to its journal record."""
+    CellResult` to its journal record, whose provenance keeps a degraded
+    cell's reasons (the why, not just the row's degraded bit)."""
     from ..harness.tables import format_allocation
     record = {
         "format": JOURNAL_FORMAT,
@@ -87,8 +88,8 @@ def cell_record(cell: Any, provenance: dict[str, Any] | None = None) -> dict:
         "row": cell.row(),
         "alloc": format_allocation(cell),
     }
-    if provenance:
-        record["provenance"] = provenance
+    if cell.degradation:
+        record["provenance"] = {"degradation": list(cell.degradation)}
     return record
 
 
@@ -96,9 +97,44 @@ def restore_cell(record: dict) -> JournaledCell:
     """Rebuild a render-ready cell from a journal record."""
     return JournaledCell(
         benchmark=record["benchmark"], flow=record["flow"],
-        bits=int(record["bits"]), alloc_lines=list(record.get("alloc", [])),
-        row_data=dict(record.get("row", {})),
+        bits=int(record["bits"]), alloc_lines=list(record["alloc"]),
+        row_data=dict(record["row"]),
         provenance=dict(record.get("provenance", {})))
+
+
+def _is_string_list(value: Any) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _cell_damage(record: dict) -> Optional[str]:
+    """Why a journaled cell record cannot be replayed, or None.
+
+    A replayable record has a string ``benchmark`` and ``flow``, an
+    integer ``bits``, a ``row`` holding every column the table renderers
+    read with its type (:data:`~repro.harness.tables.ROW_COLUMNS`), an
+    ``alloc`` list of strings and, if any, a ``provenance`` object whose
+    ``degradation`` is a list of strings.
+    """
+    from ..harness.tables import column_problem
+    problem = column_problem(record, "cell record",
+                             ("benchmark", "flow", "bits"))
+    missing = [f for f in ("row", "alloc") if f not in record]
+    if problem or missing:
+        return problem or f"cell record lacks {', '.join(missing)}"
+    row, alloc = record["row"], record["alloc"]
+    provenance = record.get("provenance", {})
+    if not isinstance(row, dict):
+        return f"cell record's row is {row!r}, not an object"
+    problem = column_problem(row, "cell row")
+    if problem:
+        return problem
+    if not _is_string_list(alloc):
+        return f"cell record's alloc is {alloc!r}, not a list of strings"
+    if not isinstance(provenance, dict):
+        return f"cell record's provenance is {provenance!r}, not an object"
+    reasons = provenance.get("degradation", [])
+    return (None if _is_string_list(reasons) else f"cell record's "
+            f"degradation is {reasons!r}, not a list of strings")
 
 
 def record_key(record: dict) -> CellKey:
@@ -164,25 +200,18 @@ class Journal:
         """Finished cells by grid key (later records win).
 
         Raises:
-            ReproError: as :meth:`records`, and when a cell record lacks
-                ``benchmark``, ``flow`` or ``bits`` or its ``bits`` is
-                not an integer; the message names the file and line.
+            ReproError: as :meth:`records`, and when a cell record
+                cannot be replayed (:func:`_cell_damage`); the message
+                names the file and line.
         """
         cells = {}
         for number, record in self._numbered_records():
             if record.get("kind") != "cell":
                 continue
-            missing = [f for f in ("benchmark", "flow", "bits")
-                       if f not in record]
-            if missing:
-                raise ReproError(f"{self.path}: line {number}: cell record "
-                                 f"lacks {', '.join(missing)}; the journal "
-                                 f"is damaged")
-            bits = record["bits"]
-            if not isinstance(bits, int) or isinstance(bits, bool):
-                raise ReproError(f"{self.path}: line {number}: cell "
-                                 f"record's bits is {bits!r}, not an "
-                                 f"integer; the journal is damaged")
+            damage = _cell_damage(record)
+            if damage:
+                raise ReproError(f"{self.path}: line {number}: {damage}; "
+                                 f"the journal is damaged")
             cells[record_key(record)] = record
         return cells
 
@@ -278,19 +307,15 @@ class GridCells(list[JournaledCell]):
         return not self.skipped
 
 
-def _grid_cell(key: CellKey, config: Any, cache: Any, budget: Any,
+def _grid_cell(key: CellKey, config: Any, budget: Any,
                cell_wall_seconds: Optional[float],
-               injections: tuple[Injection, ...]) -> tuple[dict, bool]:
-    """Evaluate one grid cell: ``(its journal record, cache hit?)``.
+               injections: tuple[Injection, ...]) -> dict:
+    """Evaluate one grid cell to its journal record.
 
     The cell runs under a fresh per-cell budget when the grid has no
     shared one, and under its own chaos plan unless an injector is
     already active.  It visits the ``harness.worker`` chaos seam, then
-    serves a cell-cache hit's stored record as it is; otherwise it runs
-    :func:`~repro.harness.experiment.run_cell` and stores the record
-    unless the cell is degraded.  The record's provenance keeps the
-    cache key and a degraded cell's reasons (the why, not just the
-    row's degraded bit).
+    runs :func:`~repro.harness.experiment.run_cell`.
     """
     from ..harness import experiment
 
@@ -302,24 +327,10 @@ def _grid_cell(key: CellKey, config: Any, cache: Any, budget: Any,
         if injections and active_injector() is None else nullcontext())
     with plan:
         chaos_point("harness.worker", (benchmark, flow, config.bits))
-        provenance: dict[str, Any] = {}
-        if cache is not None:
-            from ..bench import load
-            from ..harness.cache import cell_key
-            provenance["cache_key"] = cell_key(load(benchmark), flow,
-                                               config.bits, config)
-            stored = cache.get_cell(provenance["cache_key"])
-            if stored is not None:
-                return stored, True
         # Looked up at call time, so a wrapper installed on the module
         # sees every cell.
-        cell = experiment.run_cell(benchmark, flow, config, budget=budget)
-        if cell.degradation:
-            provenance["degradation"] = list(cell.degradation)
-        record = cell_record(cell, provenance)
-        if cache is not None:
-            cache.put_cell(provenance["cache_key"], record)
-        return record, False
+        return cell_record(experiment.run_cell(benchmark, flow, config,
+                                               budget=budget))
 
 
 def _label(key: CellKey) -> str:
@@ -335,7 +346,6 @@ def run_journaled_grid(benchmark: str,
                        budget: Any = None,
                        *,
                        workers: Optional[int] = None,
-                       cache: Any = None,
                        cell_wall_seconds: Optional[float] = None,
                        worker_chaos: Optional[
                            dict[CellKey, tuple[Injection, ...]]] = None
@@ -362,8 +372,6 @@ def run_journaled_grid(benchmark: str,
         budget: a :class:`~repro.runtime.budget.Budget` shared by every
             cell; it is process-local, so it forces ``workers`` to 1.
         workers: worker processes; None or 1 runs every cell inline.
-        cache: a :class:`~repro.harness.cache.ResultCache`; workers
-            share its directory.
         cell_wall_seconds: per-cell wall-clock budget when no ``budget``
             is given (an overrunning cell degrades to a partial row),
             and the reap deadline of a cell's worker.
@@ -373,13 +381,14 @@ def run_journaled_grid(benchmark: str,
 
     Returns:
         The :class:`GridCells` of the run: one :class:`JournaledCell`
-        per finished cell, computed, cache-served or replayed alike.
+        per finished cell, computed or replayed alike.
 
     Raises:
         ValueError: ``cell_wall_seconds`` is NaN, infinite or negative
             (before any cell runs).
         ReproError: ``resume`` is set and a line of ``journal`` before
-            its last is not a JSON object (before any cell runs).
+            its last is not a JSON object, or a cell record in it cannot
+            be replayed (before any cell runs).
     """
     check_wall_seconds(cell_wall_seconds, "cell_wall_seconds")
     say = progress or (lambda message: None)
@@ -406,7 +415,7 @@ def run_journaled_grid(benchmark: str,
         for key in pending:
             say(f"running {_label(key)} ...")
             yield (key, _grid_cell,
-                   (key, config_for(key[2]), cache, budget,
+                   (key, config_for(key[2]), budget,
                     cell_wall_seconds, chaos.get(key, ())),
                    cell_wall_seconds)
 
@@ -421,13 +430,12 @@ def run_journaled_grid(benchmark: str,
                 cells.skipped.append(SkippedCell(*key, finished.error))
                 say(f"skipped {_label(key)}: {finished.error}")
                 continue
-            record, hit = finished.value
+            record = finished.value
             if journal is not None:
                 journal.append(record)
             results[key] = restore_cell(record)
             cells.computed += 1
-            say(f"finished {_label(key)} "
-                f"({'cache hit' if hit else 'computed'})")
+            say(f"finished {_label(key)}")
     except KeyboardInterrupt:
         cells.interrupted = True
         cells.skipped.extend(SkippedCell(*key, "interrupted")

@@ -9,17 +9,13 @@ runs to pick (k, α, β) for a new behaviour instead of guessing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from ..cost import CostModel
 from ..dfg import DFG
 from ..etpn.design import Design, Signature
 from ..testability import analyze
 from .algorithm import MergerMemo, SynthesisParams, synthesize
-from .result import SynthesisResult
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..harness.cache import ResultCache
 
 #: The default sweep grid: the paper's settings plus the extremes that
 #: actually move the result (k and the α/β ratio).
@@ -51,8 +47,7 @@ class DesignPoint:
 
 
 def explore(dfg: DFG, cost_model: CostModel | None = None,
-            grid: list[tuple[int, float, float]] | None = None,
-            cache: ResultCache | None = None, *,
+            grid: list[tuple[int, float, float]] | None = None, *,
             progress: Callable[[str], None] | None = None
             ) -> list[DesignPoint]:
     """Sweep the grid and return every distinct design point.
@@ -62,11 +57,6 @@ def explore(dfg: DFG, cost_model: CostModel | None = None,
     points reach is ranked once and each of its candidate mergers is
     evaluated once; every point still takes the decisions it takes
     alone.  A design already found at an earlier point is not repeated.
-
-    ``cache`` is an optional :class:`~repro.harness.cache.ResultCache`:
-    each grid point's synthesis is keyed on the canonical DFG, the full
-    parameter set and the cost-model width, so re-running a sweep is
-    served from the cache.
     """
     cost_model = cost_model or CostModel()
     memo = MergerMemo(dfg, cost_model)
@@ -75,19 +65,10 @@ def explore(dfg: DFG, cost_model: CostModel | None = None,
     for point in grid or DEFAULT_GRID:
         k, alpha, beta = point
         params = SynthesisParams(k=k, alpha=alpha, beta=beta)
-        result: SynthesisResult | None = None
-        key = ""
-        if cache is not None:
-            from ..harness.cache import synthesis_key
-            key = synthesis_key(dfg, params, cost_model.bits)
-            result = cache.get_synthesis(key)
-        if result is None:
-            # All positional, so a stand-in taking ``*args`` fits;
-            # "ours" and None are synthesize's defaults.
-            result = synthesize(dfg, params, cost_model, "ours", None, memo)
-            if cache is not None:
-                cache.put_synthesis(key, result)
-        design = result.design
+        # All positional, so a stand-in taking ``*args`` fits; "ours"
+        # and None are synthesize's defaults.
+        design = synthesize(dfg, params, cost_model, "ours", None,
+                            memo).design
         if design.signature not in seen:
             seen.add(design.signature)
             points.append(DesignPoint(

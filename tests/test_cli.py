@@ -117,6 +117,19 @@ def test_damaged_journal_is_a_one_line_error(tmp_path, capsys):
         f"damaged\n")
 
 
+#: An ``ex``/``ours``/4-bit cell record with every field a resume reads.
+_CELL = {"kind": "cell", "benchmark": "ex", "flow": "ours", "bits": 4,
+         "row": {"benchmark": "ex", "flow": "ours", "bits": 4, "steps": 4,
+                 "modules": 3, "registers": 4, "muxes": 5,
+                 "coverage_pct": 90.0, "tg_effort_k": 1.0,
+                 "tg_seconds": 0.5, "test_cycles": 100, "area_mm2": 1.0},
+         "alloc": ["R: a, b"]}
+
+
+def _without(data: dict, key: str) -> dict:
+    return {k: v for k, v in data.items() if k != key}
+
+
 #: Damaged cell records, with the error resuming from each one gives.
 DAMAGED_CELLS = {
     "no-benchmark": ({"kind": "cell", "flow": "ours"},
@@ -124,6 +137,26 @@ DAMAGED_CELLS = {
     "string-bits": ({"kind": "cell", "benchmark": "ex", "flow": "ours",
                      "bits": "4"},
                     "line 2: cell record's bits is '4', not an integer"),
+    "list-flow": (dict(_CELL, flow=["ours"]),
+                  "line 2: cell record's flow is ['ours'], not a string"),
+    "no-row": (_without(_CELL, "row"), "line 2: cell record lacks row"),
+    "list-row": (dict(_CELL, row=[1, 2]),
+                 "line 2: cell record's row is [1, 2], not an object"),
+    "row-without-muxes": (dict(_CELL, row=_without(_CELL["row"], "muxes")),
+                          "line 2: cell row lacks muxes"),
+    "string-coverage": (dict(_CELL, row=dict(_CELL["row"],
+                                             coverage_pct="90")),
+                        "line 2: cell row's coverage_pct is '90', not a "
+                        "number"),
+    "string-alloc": (dict(_CELL, alloc="R: a, b"),
+                     "line 2: cell record's alloc is 'R: a, b', not a list "
+                     "of strings"),
+    "string-provenance": (dict(_CELL, provenance="x"),
+                          "line 2: cell record's provenance is 'x', not an "
+                          "object"),
+    "number-degradation": (dict(_CELL, provenance={"degradation": [1]}),
+                           "line 2: cell record's degradation is [1], not a "
+                           "list of strings"),
 }
 
 
@@ -133,10 +166,11 @@ def test_damaged_cell_record_is_a_one_line_error(record, message, tmp_path,
                                                  capsys):
     journal = tmp_path / "j.jsonl"
     journal.write_text('{"kind": "note"}\n' + json.dumps(record) + "\n")
-    assert main(["bench", "ex", "--flow", "ours", "--bits", "4",
-                 "--journal", str(journal), "--resume"]) == 3
-    assert capsys.readouterr().err == (
-        f"error: {journal}: {message}; the journal is damaged\n")
+    for command in (["bench", "ex", "--flow", "ours"], ["table1"]):
+        assert main([*command, "--bits", "4", "--journal", str(journal),
+                     "--resume"]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {journal}: {message}; the journal is damaged\n")
 
 
 #: Every subcommand that takes a bit width, with the flag that sets it.

@@ -14,18 +14,15 @@ from repro.cli import main
 
 CASES = [
     (["table1"],
-     {"bits": [4, 8, 16], "cache_dir": None, "command": "table1",
-      "journal": None, "resume": False, "traceback": False,
-      "workers": None}),
+     {"bits": [4, 8, 16], "command": "table1", "journal": None,
+      "resume": False, "traceback": False, "workers": None}),
     (["table2", "--bits", "4", "--journal", "j.jsonl", "--resume",
-      "--workers", "2", "--cache-dir", "c"],
-     {"bits": [4], "cache_dir": "c", "command": "table2",
-      "journal": "j.jsonl", "resume": True, "traceback": False,
-      "workers": 2}),
+      "--workers", "2"],
+     {"bits": [4], "command": "table2", "journal": "j.jsonl",
+      "resume": True, "traceback": False, "workers": 2}),
     (["table3", "--bits", "8", "16"],
-     {"bits": [8, 16], "cache_dir": None, "command": "table3",
-      "journal": None, "resume": False, "traceback": False,
-      "workers": None}),
+     {"bits": [8, 16], "command": "table3", "journal": None,
+      "resume": False, "traceback": False, "workers": None}),
     (["fig2"],
      {"command": "fig2", "figure_bits": 8, "traceback": False}),
     (["fig3", "--figure-bits", "4"],
@@ -34,8 +31,8 @@ CASES = [
      {"alpha": 1.5, "benchmark": "ex", "beta": 0.5, "bits": 4,
       "command": "synth", "k": 2, "traceback": False}),
     (["explore", "tseng"],
-     {"benchmark": "tseng", "bits": 8, "cache_dir": None,
-      "command": "explore", "traceback": False}),
+     {"benchmark": "tseng", "bits": 8, "command": "explore",
+      "traceback": False}),
     (["export", "tseng", "--what", "json"],
      {"benchmark": "tseng", "bits": 8, "command": "export",
       "traceback": False, "what": "json"}),
@@ -44,9 +41,9 @@ CASES = [
       "rows": "benchmarks/out/rows.jsonl", "traceback": False}),
     (["bench", "ex", "--flow", "camad", "--wall-seconds", "0.5",
       "--journal", "b.jsonl"],
-     {"benchmark": "ex", "bits": 8, "cache_dir": None, "command": "bench",
-      "flow": "camad", "journal": "b.jsonl", "resume": False,
-      "traceback": False, "wall_seconds": 0.5, "workers": None}),
+     {"benchmark": "ex", "bits": 8, "command": "bench", "flow": "camad",
+      "journal": "b.jsonl", "resume": False, "traceback": False,
+      "wall_seconds": 0.5, "workers": None}),
     (["chaos", "--list", "--scenario", "a", "--scenario", "b"],
      {"benchmark": "ex", "bits": 4, "command": "chaos",
       "list_scenarios": True, "scenarios": ["a", "b"], "traceback": False,

@@ -11,9 +11,10 @@ import pytest
 from repro.atpg import RandomPhaseConfig
 from repro.errors import ReproError
 from repro.harness import ExperimentConfig, render_table, run_cell
-from repro.runtime import (Journal, JournaledCell, atomic_write_text,
-                           cell_record, record_key, restore_cell,
-                           run_journaled_grid, scrubbed_records)
+from repro.runtime import (Budget, Journal, JournaledCell,
+                           atomic_write_text, cell_record, record_key,
+                           restore_cell, run_journaled_grid,
+                           scrubbed_records)
 from repro.runtime.checkpoint import JOURNAL_FORMAT
 
 
@@ -78,17 +79,16 @@ class TestJournal:
 
     def test_completed_cells_latest_wins(self, tmp_path):
         journal = Journal(tmp_path / "j.jsonl")
-        journal.append({"kind": "cell", "benchmark": "ex", "flow": "ours",
-                        "bits": 4, "row": {"v": 1}})
-        journal.append({"kind": "cell", "benchmark": "ex", "flow": "ours",
-                        "bits": 4, "row": {"v": 2}})
+        journal.append(_formatted("ours", 1))
+        journal.append(_formatted("ours", 2))
         done = journal.completed_cells()
         assert list(done) == [("ex", "ours", 4)]
-        assert done[("ex", "ours", 4)]["row"] == {"v": 2}
+        assert done[("ex", "ours", 4)]["row"]["test_cycles"] == 2
 
     def test_cell_record_round_trip(self, ex_cell):
         record = cell_record(ex_cell)
         assert record["format"] == JOURNAL_FORMAT
+        assert "provenance" not in record       # a complete cell
         assert record_key(record) == ("ex", "ours", 4)
         restored = restore_cell(record)
         assert isinstance(restored, JournaledCell)
@@ -99,8 +99,13 @@ class TestJournal:
 
 
 def _formatted(flow: str, value: int = 0) -> dict:
+    """A cell record that resumes; ``value`` is its test cycles."""
+    row = {"benchmark": "ex", "flow": flow, "bits": 4, "steps": 4,
+           "modules": 3, "registers": 4, "muxes": 5, "coverage_pct": 90.0,
+           "tg_effort_k": 1.0, "tg_seconds": 0.5, "test_cycles": value,
+           "area_mm2": 1.0}
     return {"format": JOURNAL_FORMAT, "kind": "cell", "benchmark": "ex",
-            "flow": flow, "bits": 4, "row": {"v": value}}
+            "flow": flow, "bits": 4, "row": row, "alloc": ["R: a, b"]}
 
 
 class TestAppendFastPath:
@@ -148,7 +153,7 @@ class TestScrubbedRecords:
     def test_masks_wall_clock_and_sorts_by_grid_key(self):
         ours = dict(_formatted("ours"),
                     row={"tg_seconds": 1.23, "coverage_pct": 92.3},
-                    provenance={"cache_key": "abc"})
+                    provenance={"degradation": ["budget_exhausted"]})
         camad = dict(_formatted("camad"),
                      row={"tg_seconds": 9.87, "coverage_pct": 90.0})
         ours_rerun = dict(ours, row={"tg_seconds": 4.56,
@@ -181,6 +186,21 @@ class TestJournaledGrid:
         assert second.replayed == 2 and second.computed == 0
         assert sum("resuming" in p for p in progress) == 2
         assert [c.row() for c in second] == [c.row() for c in first]
+
+    def test_degraded_cell_reasons_survive_the_journal(self, tmp_path):
+        grid = [("ours", 4)]
+        journal = Journal(tmp_path / "grid.jsonl")
+        cells = run_journaled_grid("ex", grid, _tiny_config,
+                                   journal=journal,
+                                   budget=Budget(max_steps=1))
+        reasons = list(cells[0].degradation)
+        assert reasons
+        [record] = journal.records()
+        assert record["provenance"]["degradation"] == reasons
+        resumed = run_journaled_grid("ex", grid, _tiny_config,
+                                     journal=journal, resume=True)
+        assert resumed.replayed == 1 and resumed.computed == 0
+        assert list(resumed[0].degradation) == reasons
 
     def test_without_resume_recomputes(self, tmp_path):
         grid = [("ours", 4)]
